@@ -295,7 +295,7 @@ def propagate(config_file, **flags):
             part = Bipartition(subset, out.mode_count)
             result["entropy"] = entanglement_report(out, part).to_json()
         _write_artifact(r["out_file"], "propagate", r, result)
-        msg = f"wrote {r['out_file']} ({len(out.amplitudes)} amplitudes)"
+        msg = f"wrote {r['out_file']} ({len(out.values)} amplitudes)"
         if "entropy" in result:
             msg += f", entropy {result['entropy']['entropy_bits']:.6f} bits"
         click.echo(msg)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPartition, TooManyModes
+from .fock import row_codes
 
 #: Entropy threshold (bits) for verdicts on truncated coherent/squeezed
 #: inputs; exact Fock inputs support the tighter 1e-9.
@@ -68,17 +69,19 @@ class EntanglementReport:
         }
 
 
-def _index_arrays(state, part):
-    items = state.items_sorted()
-    keys = np.array([t for t, _ in items], dtype=np.int64)
-    vals = np.array([a for _, a in items], dtype=complex)
-    a_idx = list(part.subset)
-    b_idx = list(part.complement)
-    a_keys = keys[:, a_idx]
-    b_keys = keys[:, b_idx]
-    a_uniq, a_inv = np.unique(a_keys, axis=0, return_inverse=True)
-    b_uniq, b_inv = np.unique(b_keys, axis=0, return_inverse=True)
-    return a_uniq, a_inv, b_uniq, b_inv, vals
+def _amplitude_matrix(state, part):
+    """Amplitude matrix over the (lexicographic) subset and complement bases,
+    and per basis entry the index of a state row holding it."""
+    occ = state.occupations
+    a_code, a_rows = row_codes(occ[:, list(part.subset)])
+    b_code, b_rows = row_codes(occ[:, list(part.complement)])
+    m = np.zeros((len(a_rows), len(b_rows)), dtype=complex)
+    m[a_code, b_code] = state.values
+    return m, a_rows, b_rows
+
+
+def _basis(state, rows, modes):
+    return [tuple(r) for r in state.occupations[np.ix_(rows, modes)].tolist()]
 
 
 def bipartition_matrix(state, part):
@@ -87,12 +90,8 @@ def bipartition_matrix(state, part):
     Returns ``(matrix, row_basis, col_basis)`` where the bases list the
     occupation tuples actually present in the state's support.
     """
-    a_uniq, a_inv, b_uniq, b_inv, vals = _index_arrays(state, part)
-    m = np.zeros((len(a_uniq), len(b_uniq)), dtype=complex)
-    m[a_inv, b_inv] = vals
-    rows = [tuple(int(x) for x in t) for t in a_uniq]
-    cols = [tuple(int(x) for x in t) for t in b_uniq]
-    return m, rows, cols
+    m, a_rows, b_rows = _amplitude_matrix(state, part)
+    return m, _basis(state, a_rows, part.subset), _basis(state, b_rows, part.complement)
 
 
 def reduced_density(state, part):
@@ -101,41 +100,25 @@ def reduced_density(state, part):
     Positive semidefinite with unit trace (up to float error); the basis is
     restricted to tuples present in the state's support.
     """
-    a_uniq, a_inv, b_uniq, b_inv, vals = _index_arrays(state, part)
-    if len(a_uniq) > _MAX_DENSITY_DIM:
+    m, a_rows, _ = _amplitude_matrix(state, part)
+    if len(a_rows) > _MAX_DENSITY_DIM:
         raise TooManyModes(
-            f"subset basis has {len(a_uniq)} tuples; reduced density capped at "
+            f"subset basis has {len(a_rows)} tuples; reduced density capped at "
             f"{_MAX_DENSITY_DIM} (use entanglement_report instead)"
         )
-    m = np.zeros((len(a_uniq), len(b_uniq)), dtype=complex)
-    m[a_inv, b_inv] = vals
-    rho = m @ m.conj().T
-    basis = [tuple(int(x) for x in t) for t in a_uniq]
-    return rho, basis
-
-
-def _schmidt_probabilities(state, part):
-    a_uniq, a_inv, b_uniq, b_inv, vals = _index_arrays(state, part)
-    # work on the smaller side; entropy is symmetric under A <-> B
-    if len(a_uniq) <= len(b_uniq):
-        m = np.zeros((len(a_uniq), len(b_uniq)), dtype=complex)
-        m[a_inv, b_inv] = vals
-    else:
-        m = np.zeros((len(b_uniq), len(a_uniq)), dtype=complex)
-        m[b_inv, a_inv] = vals
-    rho = m @ m.conj().T
-    p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    return np.sort(p)[::-1]
+    return m @ m.conj().T, _basis(state, a_rows, part.subset)
 
 
 def entanglement_report(state, part, tol=DEFAULT_TOL_TRUNCATED):
-    """Schmidt spectrum, entropy in bits and a separability verdict."""
-    p = _schmidt_probabilities(state, part)
+    """Schmidt spectrum (singular values of the amplitude matrix), entropy in
+    bits and a separability verdict."""
+    s = np.linalg.svd(_amplitude_matrix(state, part)[0], compute_uv=False)
+    p = s**2
     live = p[p > _EIG_FLOOR]
     entropy = float(-(live * np.log2(live)).sum()) if live.size else 0.0
     entropy = max(entropy, 0.0)
     return EntanglementReport(
-        schmidt_coefficients=np.sqrt(p),
+        schmidt_coefficients=s,
         entropy_bits=entropy,
         separable=entropy < tol,
         tolerance=tol,

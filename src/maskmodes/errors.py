@@ -75,3 +75,11 @@ class NotPure(MaskModesError):
 
 class InvalidEfficiency(MaskModesError):
     """Absorption efficiency outside (0, 1]."""
+
+
+class StateTooLarge(MaskModesError):
+    """A state would hold more terms than supported; carries the estimated count."""
+
+    def __init__(self, message, estimated_terms=None):
+        super().__init__(message)
+        self.estimated_terms = estimated_terms

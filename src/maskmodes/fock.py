@@ -1,28 +1,32 @@
 """Multimode occupation-number states and exact propagation through networks.
 
-States are sparse maps from occupation tuples to complex amplitudes.  A
-network acts by substituting every creation operator according to
-``a_j+ -> sum_k U[j, k] a_k+`` and expanding; photon-number sectors are
-conserved exactly by construction.
+A state is an occupation matrix (one row per term, one column per mode, rows
+in lexicographic order) with a vector of complex amplitudes.  A network acts
+by substituting every creation operator according to
+``a_j+ -> sum_k U[j, k] a_k+`` and expanding; a passive network conserves
+total photon number, so the expansion is exact sector by sector.
 
-Two equivalent expansion strategies are implemented: the generic hash-map
-multinomial substitution (reference path, fine for a handful of photons) and
-a generating-polynomial path for product states built by
-:func:`build_input_state`, which handles the large cutoffs needed for
-truncated coherent and squeezed inputs.  They produce the same amplitude
-maps and are cross-checked in the test suite.
+One routine expands every state: it multiplies per-mode polynomials into a
+sparse coefficient array capped at a total degree, by Horner steps.  A
+product input from :func:`build_input_state` is one list of per-mode
+factors; any other state is a sum of monomials, each a list of single-power
+factors.
 """
 
 import json
 from dataclasses import dataclass
 from math import comb, factorial
+from types import MappingProxyType
 
 import numpy as np
+from scipy.special import gammaln
 
-from .errors import CutoffTooSmall, DimensionMismatch, NonPhysical
+from .errors import CutoffTooSmall, DimensionMismatch, NonPhysical, StateTooLarge
 
 DEFAULT_PRUNE = 1e-14
 TRUNCATION_BUDGET = 1e-10
+#: Most terms a state may need before it is built (StateTooLarge beyond).
+MAX_TERMS = 1_000_000
 
 
 # --------------------------------------------------------------------------
@@ -90,24 +94,20 @@ def squeezed_vacuum_amplitudes(lam, cutoff):
     positive-``tanh`` branch belongs to this operator ordering, for which
     the quadrature variances come out as ``exp(+-2 lam)``.
     """
+    m = np.arange(cutoff // 2 + 1)
     amps = np.zeros(cutoff + 1, dtype=complex)
-    t = np.tanh(lam)
-    pref = 1.0 / np.sqrt(np.cosh(lam))
-    for m in range(cutoff // 2 + 1):
-        n = 2 * m
-        amps[n] = pref * t**m * np.sqrt(float(factorial(n))) / (float(factorial(m)) * 2**m)
+    log_mag = 0.5 * gammaln(2 * m + 1) - gammaln(m + 1) - m * np.log(2.0)
+    amps[::2] = np.tanh(lam) ** m * np.exp(log_mag) / np.sqrt(np.cosh(lam))
     return amps
 
 
+def _one_hot(n):
+    return np.eye(n + 1, dtype=complex)[n]
+
+
 def descriptor_amplitudes(desc, cutoff):
-    if isinstance(desc, Vacuum):
-        a = np.zeros(1, dtype=complex)
-        a[0] = 1.0
-        return a
-    if isinstance(desc, Fock):
-        a = np.zeros(desc.n + 1, dtype=complex)
-        a[desc.n] = 1.0
-        return a
+    if isinstance(desc, (Vacuum, Fock)):
+        return _one_hot(desc.n if isinstance(desc, Fock) else 0)
     if isinstance(desc, Coherent):
         return coherent_amplitudes(desc.alpha, cutoff)
     if isinstance(desc, SqueezedVacuum):
@@ -172,30 +172,99 @@ class InputStateSpec:
 
 
 # --------------------------------------------------------------------------
+# Occupation rows packed into int64 words
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _layout(n_modes, top):
+    """``(per, strides, base)``: mode k is digit ``k % per`` of int64 word ``k // per``.
+
+    Base ``top + 1``, most significant digit first, so packed rows sort like
+    occupation rows; all modes share one word unless that overflows."""
+    base = max(int(top), 1) + 1
+    per = 1
+    while per < n_modes and base ** (per + 1) <= _INT64_MAX:
+        per += 1
+    strides = np.array([base ** (per - 1 - k % per) for k in range(n_modes)], dtype=np.int64)
+    return per, strides, base
+
+
+def _pack(occ, layout):
+    per, strides, _ = layout
+    return np.add.reduceat(occ * strides, np.arange(0, occ.shape[1], per), axis=1)
+
+
+def _unpack(words, layout):
+    per, strides, base = layout
+    return words[:, np.arange(len(strides)) // per] // strides % base
+
+
+def _lex_runs(words):
+    """Lexicographic order of packed rows and where each run of equal rows starts."""
+    order = np.lexsort(words.T[::-1])
+    w = words[order]
+    start = np.ones(len(w), dtype=bool)
+    start[1:] = np.any(w[1:] != w[:-1], axis=1)
+    return order, start
+
+
+def _merge(words, vals):
+    """Index of each distinct packed row (in lexicographic order) and its summed amplitude."""
+    order, start = _lex_runs(words)
+    first = np.flatnonzero(start)
+    return order[first], np.add.reduceat(vals[order], first)
+
+
+def row_codes(occ):
+    """Each row's rank among the distinct rows (lexicographic), and a row index per rank."""
+    order, start = _lex_runs(_pack(occ, _layout(occ.shape[1], occ.max(initial=0))))
+    codes = np.empty(len(occ), dtype=np.int64)
+    codes[order] = np.cumsum(start) - 1
+    return codes, order[start]
+
+
+# --------------------------------------------------------------------------
 # States
 
 
 class MultimodeFockState:
-    """Sparse multimode pure state: occupation tuple -> complex amplitude."""
+    """Sparse multimode pure state.
+
+    ``occupations`` is a read-only int matrix (terms x modes), rows distinct and
+    lexicographic; ``values`` holds their amplitudes.  ``amplitudes`` is a
+    read-only ``{tuple: complex}`` view."""
 
     def __init__(self, mode_count, amplitudes, prune_threshold=DEFAULT_PRUNE, normalize=True):
-        self.mode_count = int(mode_count)
-        amps = {}
-        for tup, a in amplitudes.items():
-            if len(tup) != self.mode_count:
-                raise DimensionMismatch(f"tuple {tup} does not have {self.mode_count} modes")
-            if any(n < 0 for n in tup):
-                raise NonPhysical(f"negative occupation in {tup}")
-            if abs(a) >= prune_threshold:
-                amps[tuple(int(n) for n in tup)] = complex(a)
-        if not amps:
+        mode_count = int(mode_count)
+        bad = next((t for t in amplitudes if len(t) != mode_count), None)
+        if bad is not None:
+            raise DimensionMismatch(f"tuple {bad} does not have {mode_count} modes")
+        occ = np.array(list(amplitudes), dtype=np.int64).reshape(len(amplitudes), mode_count)
+        if np.any(occ < 0):
+            raise NonPhysical(f"negative occupation in {tuple(occ[np.any(occ < 0, axis=1)][0])}")
+        vals = np.array(list(amplitudes.values()), dtype=complex)
+        order = np.lexsort(occ.T[::-1])
+        self._set(mode_count, occ[order], vals[order], prune_threshold, normalize)
+
+    @classmethod
+    def _from_sorted(cls, mode_count, occ, vals, prune_threshold, normalize=True):
+        """Build from distinct rows already in lexicographic order."""
+        state = cls.__new__(cls)
+        state._set(mode_count, occ, vals, prune_threshold, normalize)
+        return state
+
+    def _set(self, mode_count, occ, vals, prune_threshold, normalize):
+        keep = np.abs(vals) >= prune_threshold
+        occ, vals = occ[keep], vals[keep]
+        if not len(vals):
             raise ValueError("state has no amplitude above the prune threshold")
         if normalize:
-            norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-            amps = {t: a / norm for t, a in amps.items()}
-        self.amplitudes = amps
+            vals = vals / np.linalg.norm(vals)
+        occ.flags.writeable = vals.flags.writeable = False
+        self.mode_count, self.occupations, self.values = mode_count, occ, vals
         self.prune_threshold = prune_threshold
-        self._product_factors = None  # set by build_input_state
+        self._factors = None  # per-mode factors, set by build_input_state
 
     @classmethod
     def from_occupation(cls, tup):
@@ -205,30 +274,35 @@ class MultimodeFockState:
     def vacuum(cls, mode_count):
         return cls(mode_count, {(0,) * mode_count: 1.0})
 
+    @property
+    def amplitudes(self):
+        """Read-only ``{occupation tuple: amplitude}`` view, in lexicographic order."""
+        return MappingProxyType(
+            dict(zip(map(tuple, self.occupations.tolist()), self.values.tolist()))
+        )
+
     def norm_sq(self):
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return float(np.sum(np.abs(self.values) ** 2))
 
     def amplitude(self, tup):
-        return self.amplitudes.get(tuple(tup), 0.0 + 0.0j)
+        if len(tup) != self.mode_count:
+            return 0.0 + 0.0j
+        hit = np.flatnonzero(np.all(self.occupations == np.asarray(tup), axis=1))
+        return complex(self.values[hit[0]]) if hit.size else 0.0 + 0.0j
 
     def sector_norms(self):
         """Squared norm per total photon number."""
-        out = {}
-        for t, a in self.amplitudes.items():
-            out[sum(t)] = out.get(sum(t), 0.0) + abs(a) ** 2
-        return out
-
-    def items_sorted(self):
-        return sorted(self.amplitudes.items())
+        totals = self.occupations.sum(axis=1)
+        weights = np.bincount(totals, weights=np.abs(self.values) ** 2)
+        return {int(n): float(weights[n]) for n in np.unique(totals)}
 
     def to_json(self):
         return {
             "schema_version": 1,
             "type": "state",
             "mode_count": self.mode_count,
-            "amplitudes": [
-                [list(t), float(a.real), float(a.imag)] for t, a in self.items_sorted()
-            ],
+            "amplitudes": [[t, a.real, a.imag]
+                           for t, a in zip(self.occupations.tolist(), self.values.tolist())],
         }
 
     @classmethod
@@ -249,39 +323,44 @@ class MultimodeFockState:
             return cls.from_json(json.load(fh))
 
     def __repr__(self):
-        n = len(self.amplitudes)
-        return f"<MultimodeFockState modes={self.mode_count} terms={n}>"
+        return f"<MultimodeFockState modes={self.mode_count} terms={len(self.values)}>"
 
 
 def state_fidelity(a, b):
     """``|<a|b>|^2``; 1 iff the states agree up to a global phase."""
     if a.mode_count != b.mode_count:
         raise DimensionMismatch("states have different mode counts")
-    small, big = (a, b) if len(a.amplitudes) <= len(b.amplitudes) else (b, a)
-    ov = sum(np.conj(small.amplitudes[t]) * big.amplitudes[t]
-             for t in small.amplitudes if t in big.amplitudes)
-    # conjugate direction does not matter for the modulus
-    return float(abs(ov) ** 2 / (small.norm_sq() * big.norm_sq()))
+    codes, distinct = row_codes(np.vstack([a.occupations, b.occupations]))
+    va = np.zeros(len(distinct), dtype=complex)
+    va[codes[: len(a.values)]] = np.conj(a.values)
+    return float(abs(va[codes[len(a.values):]] @ b.values) ** 2 / (a.norm_sq() * b.norm_sq()))
+
+
+def _check_size(estimate, what):
+    if estimate > MAX_TERMS:
+        raise StateTooLarge(f"up to {estimate} {what}; the limit is {MAX_TERMS}",
+                            estimated_terms=estimate)
 
 
 def build_input_state(spec, prune_threshold=DEFAULT_PRUNE):
     """Product state from per-mode descriptors, renormalized to unit norm.
 
-    The per-mode factor lists are retained on the state so that
-    :func:`apply_unitary` can take the fast generating-polynomial route.
+    The per-mode factors are kept on the state: :func:`apply_unitary`
+    expands them as one product instead of term by term.
     """
-    factors = spec.mode_amplitudes
-    acc = {(): 1.0 + 0.0j}
-    for amps in factors:
-        new = {}
-        for tup, a in acc.items():
-            for n, c in enumerate(amps):
-                v = a * c
-                if abs(v) >= prune_threshold:
-                    new[tup + (n,)] = v
-        acc = new
-    state = MultimodeFockState(spec.mode_count, acc, prune_threshold=prune_threshold)
-    state._product_factors = [np.array(f, dtype=complex) for f in factors]
+    occ = np.zeros((1, 0), dtype=np.int64)
+    vals = np.ones(1, dtype=complex)
+    for amps in spec.mode_amplitudes:
+        _check_size(len(vals) * len(amps), "input terms")
+        # rows stay lexicographic: every old row is followed by its extensions
+        grown = (vals[:, None] * amps[None, :]).ravel()
+        keep = np.abs(grown) >= prune_threshold
+        occ = np.column_stack(
+            [np.repeat(occ, len(amps), axis=0), np.tile(np.arange(len(amps)), len(vals))]
+        )[keep]
+        vals = grown[keep]
+    state = MultimodeFockState._from_sorted(spec.mode_count, occ, vals, prune_threshold)
+    state._factors = [np.array(f, dtype=complex) for f in spec.mode_amplitudes]
     return state
 
 
@@ -289,155 +368,91 @@ def build_input_state(spec, prune_threshold=DEFAULT_PRUNE):
 # Propagation
 
 
-def _compositions(n, k):
-    """All tuples of k nonnegative integers summing to n, lexicographic."""
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, k - 1):
-            yield (head,) + rest
+def _total_degree_cap(factors, tail=1e-20):
+    """Smallest total degree above which the input weight is at most ``tail``.
+
+    The weight above each degree is summed from the top, so it is resolved
+    far below the float64 spacing of the total weight.
+    """
+    dist = np.abs(np.asarray(factors[0])) ** 2
+    for f in factors[1:]:
+        dist = np.convolve(dist, np.abs(np.asarray(f)) ** 2)
+    above = np.append(np.cumsum(dist[::-1])[::-1][1:], 0.0)
+    return int(np.argmax(above <= tail))
+
+
+def _expand(terms, U, top):
+    """Sum of ``scale * prod_j g_j(w_j) |vac>`` over ``terms``, to total degree ``top``.
+
+    A term is ``(factors, scale)``; ``g_j(x) = sum_n c_jn x^n / sqrt(n!)`` for
+    the factor ``c_j`` of mode j, and ``w_j = sum_k U[j, k] a_k+``.  Factors
+    go in by Horner steps: multiplying by ``w_j`` adds the packed ``e_k`` to
+    every row, drops rows past ``top`` and merges equal rows; degrees never
+    fall, so every sector up to ``top`` is exact.  Returns lexicographic
+    occupation rows and their amplitudes.
+    """
+    n_modes = len(U)
+    layout = _layout(n_modes, top)
+    per, strides, _ = layout
+    e_k = np.zeros((n_modes, (n_modes - 1) // per + 1), dtype=np.int64)
+    e_k[np.arange(n_modes), np.arange(n_modes) // per] = strides
+    out_words, out_vals = [], []
+    for factors, scale in terms:
+        words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
+        vals = np.full(1, scale, dtype=complex)
+        deg = np.zeros(1, dtype=np.int64)
+        for j, c in enumerate(factors):
+            b = np.asarray(c, dtype=complex)[: np.flatnonzero(c)[-1] + 1]
+            b = b * np.exp(-0.5 * gammaln(np.arange(1, len(b) + 1)))
+            ks = np.flatnonzero(U[j])
+            q_words, q_vals, q_deg = words, b[-1] * vals, deg
+            for n in range(len(b) - 2, -1, -1):
+                live = q_deg < top
+                cw = (q_words[live][None] + e_k[ks][:, None]).reshape(-1, e_k.shape[1])
+                cv = (U[j, ks][:, None] * q_vals[live]).ravel()
+                cd = np.tile(q_deg[live] + 1, len(ks))
+                if b[n] != 0:
+                    cw = np.concatenate([cw, words])
+                    cv = np.concatenate([cv, b[n] * vals])
+                    cd = np.concatenate([cd, deg])
+                idx, q_vals = _merge(cw, cv)
+                q_words, q_deg = cw[idx], cd[idx]
+            words, vals, deg = q_words, q_vals, q_deg
+        out_words.append(words)
+        out_vals.append(vals)
+    words, vals = np.concatenate(out_words), np.concatenate(out_vals)
+    if len(terms) > 1:
+        idx, vals = _merge(words, vals)
+        words = words[idx]
+    occ = _unpack(words, layout)
+    return occ, vals * np.exp(0.5 * gammaln(occ + 1).sum(axis=1))
 
 
 def apply_unitary(state, u, prune_threshold=None):
     """Propagate a state through a unitary network (exact expansion).
 
-    Every basis monomial is rewritten with ``a_j+ -> sum_k U[j, k] a_k+``
-    and expanded; amplitudes are collected, pruned and renormalized (the
-    drift absorbed by renormalization is float dust, since the network is
-    unitary).  Total photon number is conserved sector by sector.
+    A product input from :func:`build_input_state` is expanded as one
+    product up to the total photon number T above which its weight is at most
+    1e-20 (so no dropped amplitude exceeds 1e-10); any other state is
+    expanded exactly, monomial by monomial (see :func:`_expand`).  Amplitudes
+    are pruned and renormalized.  Raises
+    :class:`~maskmodes.errors.StateTooLarge` before expanding when
+    ``C(T + M, M)`` over M modes exceeds ``MAX_TERMS``.
     """
     if u.dim != state.mode_count:
-        raise DimensionMismatch(
-            f"network has {u.dim} modes, state has {state.mode_count}"
-        )
+        raise DimensionMismatch(f"network has {u.dim} modes, state has {state.mode_count}")
     prune = state.prune_threshold if prune_threshold is None else prune_threshold
-    if state._product_factors is not None:
-        out = _apply_product(state, u.matrix, prune)
+    n_modes = state.mode_count
+    if state._factors is not None:
+        top = _total_degree_cap(state._factors)
+        terms = [(state._factors, 1.0)]
     else:
-        out = _apply_generic(state, u.matrix, prune)
-    return MultimodeFockState(state.mode_count, out, prune_threshold=prune)
-
-
-def _apply_generic(state, U, prune):
-    n_modes = state.mode_count
-    memo = {}
-
-    def expansion(j, n):
-        key = (j, n)
-        if key not in memo:
-            terms = []
-            for compn in _compositions(n, n_modes):
-                coeff = float(factorial(n))
-                val = 1.0 + 0.0j
-                for k, c in enumerate(compn):
-                    if c:
-                        coeff /= float(factorial(c))
-                        val *= U[j, k] ** c
-                terms.append((compn, coeff * val))
-            memo[key] = terms
-        return memo[key]
-
-    out = {}
-    for tup, amp in state.amplitudes.items():
-        scale = amp / np.sqrt(np.prod([float(factorial(n)) for n in tup]))
-        partial = {(0,) * n_modes: scale}
-        for j, n in enumerate(tup):
-            if n == 0:
-                continue
-            nxt = {}
-            for t0, a0 in partial.items():
-                for compn, cf in expansion(j, n):
-                    t1 = tuple(t0[k] + compn[k] for k in range(n_modes))
-                    nxt[t1] = nxt.get(t1, 0.0 + 0.0j) + a0 * cf
-            partial = nxt
-        for t, a in partial.items():
-            out[t] = out.get(t, 0.0 + 0.0j) + a * np.sqrt(
-                np.prod([float(factorial(n)) for n in t])
-            )
-    return out
-
-
-def _total_degree_cap(factors, tail=1e-20):
-    dist = np.abs(np.asarray(factors[0])) ** 2
-    for f in factors[1:]:
-        dist = np.convolve(dist, np.abs(np.asarray(f)) ** 2)
-    csum = np.cumsum(dist)
-    target = csum[-1] - tail
-    t = int(np.searchsorted(csum, target))
-    return min(max(t, 1), len(dist) - 1)
-
-
-def _apply_product(state, U, prune):
-    """Generating-polynomial route for product inputs.
-
-    The output state is ``prod_j g_j(w_j) |vac>`` with
-    ``g_j(x) = sum_n c_jn x^n / sqrt(n!)`` and ``w_j = sum_k U[j, k] a_k+``;
-    each factor is multiplied into a dense coefficient tensor by Horner
-    steps, where multiplying by ``w_j`` is a shift-and-add along every axis.
-    Sectors beyond a total degree whose joint weight is below 1e-20 are
-    dropped (their amplitudes are at most 1e-10 and carry no physics at the
-    tolerances used anywhere in this package).
-    """
-    factors = state._product_factors
-    n_modes = state.mode_count
-    T = _total_degree_cap(factors)
-    if T > 150:
-        raise MemoryError("total photon cap beyond supported desk scale")
-    shape = (T + 1,) * n_modes
-    P = np.zeros(shape, dtype=complex)
-    P[(0,) * n_modes] = 1.0
-    Q = np.zeros(shape, dtype=complex)
-    deg_p = 0
-    top_needed = max(T + 1, max(len(c) for c in factors))
-    sqrt_fact_all = np.sqrt([float(factorial(n)) for n in range(top_needed)])
-    sqrt_fact = sqrt_fact_all[: T + 1]
-
-    for j, c in enumerate(factors):
-        b = np.asarray(c, dtype=complex) / sqrt_fact_all[: len(c)]
-        top = len(b) - 1
-        if top == 0:
-            P *= b[0]
-            continue
-        box = tuple(slice(0, min(deg_p, T) + 1) for _ in range(n_modes))
-        Q[box] = b[top] * P[box]
-        deg_q = deg_p
-        for n in range(top - 1, -1, -1):
-            _mul_linear_form_inplace(Q, U[j], deg_q, T)
-            deg_q += 1
-            if b[n] != 0:
-                Q[box] += b[n] * P[box]
-        full = tuple(slice(0, min(deg_q, T) + 1) for _ in range(n_modes))
-        P[full] = Q[full]
-        deg_p = deg_q
-
-    # coefficients -> amplitudes: multiply sqrt(n!) along every axis
-    for ax in range(n_modes):
-        view = [1] * n_modes
-        view[ax] = T + 1
-        P *= sqrt_fact.reshape(view)
-    idx = np.argwhere(np.abs(P) >= prune)
-    return {tuple(int(v) for v in t): complex(P[tuple(t)]) for t in idx}
-
-
-def _mul_linear_form_inplace(X, coeffs, deg, T):
-    """X <- X * (sum_k coeffs[k] z_k), support limited to total degree ``deg``."""
-    n = X.ndim
-    bb = min(deg, T)
-    src_hi = min(bb, T - 1)
-    base = [slice(0, bb + 1)] * n
-    shifted = np.zeros(tuple(min(bb + 1, T) + 1 for _ in range(n)), dtype=complex)
-    for k in range(n):
-        if coeffs[k] == 0:
-            continue
-        src = list(base)
-        dst = [slice(0, bb + 1)] * n
-        src[k] = slice(0, src_hi + 1)
-        dst[k] = slice(1, src_hi + 2)
-        shifted[tuple(dst)] += coeffs[k] * X[tuple(src)]
-    out_box = tuple(slice(0, s) for s in shifted.shape)
-    X[out_box] = shifted
-    # X beyond out_box has never been written: support only grows
+        top = int(state.occupations.sum(axis=1).max())
+        terms = [([_one_hot(n) for n in row], a)
+                 for row, a in zip(state.occupations.tolist(), state.values)]
+    _check_size(comb(top + n_modes, n_modes), f"output terms ({top} photons over {n_modes} modes)")
+    occ, vals = _expand(terms, u.matrix, top)
+    return MultimodeFockState._from_sorted(n_modes, occ, vals, prune)
 
 
 # --------------------------------------------------------------------------

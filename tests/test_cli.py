@@ -202,13 +202,52 @@ def test_unknown_command_exits_2(runner):
 def test_numerical_failure_exits_1(runner, tmp_path):
     u = tmp_path / "u.json"
     invoke(runner, "compile-mask", "--mask", "cosine", "--u", "0.6,0.0", "--out", str(u))
+    # an explicit cutoff that is too small; a squeezing past the largest cutoff
+    for state in (["coh:1.5,vac", "--cutoff", "4"], ["sq:2.0,vac"]):
+        result = runner.invoke(
+            main,
+            ["propagate", "--state", *state, "--unitary", str(u), "--out", str(tmp_path / "x.json")],
+        )
+        assert result.exit_code == 1
+        assert "cutoff" in result.output.lower()
+
+
+def test_propagate_beyond_64_modes(runner, tmp_path):
+    u = tmp_path / "ap.json"
+    st = tmp_path / "st.json"
+    invoke(runner, "compile-mask", "--mask", "circular", "--radius", "2.0",
+           "--aperture-steps", "9", "--out", str(u))
+    unit = UnitaryMatrix.load(u)
+    assert unit.dim == 162
+    state_text = ",".join(["fock:1"] + ["vac"] * (unit.dim - 1))
+    invoke(runner, "propagate", "--state", state_text, "--unitary", str(u),
+           "--report", "entropy", "--out", str(st))
+    doc = json.loads(st.read_text())
+    assert all(sum(t) == 1 for t, _, _ in doc["result"]["state"]["amplitudes"])
+    p = abs(unit.matrix[0, 0]) ** 2
+    h2 = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+    assert abs(doc["result"]["entropy"]["entropy_bits"] - h2) <= 1e-9
+
+
+def test_large_coherent_input_propagates(runner, tmp_path):
+    u = tmp_path / "u.json"
+    invoke(runner, "compile-mask", "--mask", "cosine", "--u", "0.6,0.0", "--out", str(u))
+    invoke(runner, "propagate", "--state", "coh:12,vac", "--unitary", str(u),
+           "--out", str(tmp_path / "x.json"))
+
+
+def test_oversized_output_exits_1(runner, tmp_path):
+    u = tmp_path / "u.json"
+    g = np.random.default_rng(16).normal(size=(20, 40)).view(complex)
+    UnitaryMatrix(np.linalg.qr(g)[0]).save(u)
     result = runner.invoke(
         main,
-        ["propagate", "--state", "coh:1.5,vac", "--cutoff", "4",
-         "--unitary", str(u), "--out", str(tmp_path / "x.json")],
+        ["propagate", "--state", ",".join(["coh:2"] + ["vac"] * 19), "--unitary", str(u),
+         "--out", str(tmp_path / "x.json")],
     )
     assert result.exit_code == 1
-    assert "cutoff" in result.output.lower()
+    assert "output terms" in result.output
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_bad_subset_mask_exits_2(runner, tmp_path):

@@ -3,10 +3,13 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskmodes.diffraction import UnitaryMatrix
-from maskmodes.errors import CutoffTooSmall, DimensionMismatch, NonPhysical
+from maskmodes.errors import CutoffTooSmall, DimensionMismatch, NonPhysical, StateTooLarge
 from maskmodes.fock import (
+    MAX_TERMS,
     Coherent,
     Fock,
     InputStateSpec,
@@ -17,9 +20,10 @@ from maskmodes.fock import (
     build_input_state,
     parse_descriptor,
     state_fidelity,
+    _total_degree_cap,
     two_mode_closed_form,
 )
-from util import haar_unitary, max_amplitude_diff
+from util import haar_unitary, max_amplitude_diff, oracle_apply
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 
@@ -138,6 +142,75 @@ def test_product_fast_path_matches_generic():
     fast = apply_unitary(st, u)
     slow = apply_unitary(MultimodeFockState(3, dict(st.amplitudes)), u)
     assert max_amplitude_diff(fast, slow) < 1e-9
+    # sectors of at most five photons against the permanent oracle
+    low = {t: a for t, a in st.amplitudes.items() if sum(t) <= 5}
+    want = oracle_apply(low, u.matrix)
+    assert max(abs(fast.amplitude(t) - a) for t, a in want.items()) < 1e-12
+
+
+def test_total_degree_cap_leaves_at_most_1e20_above_it():
+    spec = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(-0.3)], cutoff=24)
+    cap = _total_degree_cap(spec.mode_amplitudes)
+    dist = np.convolve(*(np.abs(f) ** 2 for f in spec.mode_amplitudes))
+    assert dist[cap + 1:][::-1].sum() <= 1e-20  # summed from the smallest tail up
+    assert dist[cap:][::-1].sum() > 1e-20  # and the cap is the smallest such degree
+
+
+def test_state_size_checked_before_allocation():
+    spec = InputStateSpec([Coherent(2.0)] + [Vacuum()] * 19)
+    u = UnitaryMatrix(haar_unitary(np.random.default_rng(15), 20))
+    with pytest.raises(StateTooLarge) as err:
+        apply_unitary(build_input_state(spec), u)
+    cap = _total_degree_cap(spec.mode_amplitudes)
+    assert err.value.estimated_terms == comb(cap + 20, 20) > MAX_TERMS
+    with pytest.raises(StateTooLarge) as err:
+        build_input_state(InputStateSpec([Coherent(3.0)] * 6))
+    assert err.value.estimated_terms > MAX_TERMS
+
+
+def test_product_input_wider_than_64_modes():
+    rng = np.random.default_rng(14)
+    u = UnitaryMatrix(haar_unitary(rng, 70))
+    out = apply_unitary(build_input_state(InputStateSpec([Fock(1)] + [Vacuum()] * 69)), u)
+    assert len(out.values) == 70
+    assert np.all(out.occupations.sum(axis=1) == 1)
+    assert abs(out.amplitude((0,) * 69 + (1,)) - u.matrix[0, 69]) < 1e-14
+
+
+def _occupations(m):
+    return st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(lambda t: sum(t) <= 4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_engine_matches_permanent_oracle(data):
+    m = data.draw(st.integers(2, 5))
+    rows = [tuple(t) for t in data.draw(st.lists(_occupations(m), min_size=1, max_size=4))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = {t: complex(rng.normal(), rng.normal()) for t in rows}
+    first = rows[0]
+    u, v = haar_unitary(rng, m), haar_unitary(rng, m)
+    state = MultimodeFockState(m, amps)
+    out = apply_unitary(state, UnitaryMatrix(u))
+
+    want = oracle_apply(state.amplitudes, u)
+    assert max(abs(out.amplitude(t) - a) for t, a in want.items()) < 1e-12
+    assert all(abs(a) < 1e-12 for t, a in out.amplitudes.items() if t not in want)
+
+    product_input = build_input_state(InputStateSpec([Fock(n) for n in first]))
+    by_factors = apply_unitary(product_input, UnitaryMatrix(u))
+    by_terms = apply_unitary(MultimodeFockState.from_occupation(first), UnitaryMatrix(u))
+    assert np.array_equal(by_factors.occupations, by_terms.occupations)
+    assert np.max(np.abs(by_factors.values - by_terms.values)) < 1e-12
+
+    seq = apply_unitary(out, UnitaryMatrix(v))
+    par = apply_unitary(state, UnitaryMatrix(u @ v))
+    assert max_amplitude_diff(seq, par) < 1e-12
+
+    assert abs(out.norm_sq() - 1.0) < 1e-12
+    sectors = state.sector_norms()
+    assert out.sector_norms().keys() == sectors.keys()
+    assert all(abs(out.sector_norms()[n] - w) < 1e-12 for n, w in sectors.items())
 
 
 def test_photon_loss_through_flux_faithful_dilation():

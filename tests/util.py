@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+from itertools import permutations, product
+from math import factorial, sqrt
+
 import numpy as np
 
 
@@ -14,8 +17,9 @@ def gauge_fix(m):
 
 def align_global_phase(ref, other):
     """Rotate ``other``'s amplitude map so its largest-|ref| entry matches ``ref``."""
-    key = max(ref.amplitudes, key=lambda t: abs(ref.amplitudes[t]))
-    a, b = ref.amplitudes[key], other.amplitude(key)
+    amps = ref.amplitudes
+    key = max(amps, key=lambda t: abs(amps[t]))
+    a, b = amps[key], other.amplitude(key)
     if abs(b) < 1e-15:
         return dict(other.amplitudes)
     phase = (a / abs(a)) / (b / abs(b))
@@ -33,3 +37,31 @@ def haar_unitary(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u, _, vh = np.linalg.svd(g)
     return u @ vh
+
+
+def permanent(m):
+    """Permanent by brute force over permutations (small matrices only)."""
+    n = len(m)
+    return sum(np.prod(m[np.arange(n), list(p)]) for p in permutations(range(n)))
+
+
+def oracle_apply(amplitudes, u, max_photons=5):
+    """Output ``{tuple: amplitude}`` of ``amplitudes`` through ``u``, from permanents.
+
+    ``<t|U|s> = perm(U[s, t]) / sqrt(prod s! prod t!)``, where ``U[s, t]``
+    repeats row ``j`` of ``U`` ``s_j`` times and column ``k`` ``t_k`` times
+    (Scheel, "Permanents in linear optical networks", 2004).
+    """
+    u = np.asarray(u)
+    out = {}
+    for s, a in amplitudes.items():
+        n = sum(s)
+        assert n <= max_photons, "the brute-force oracle is for a few photons"
+        rows = np.repeat(np.arange(len(s)), s)
+        for t in product(range(n + 1), repeat=len(s)):
+            if sum(t) != n:
+                continue
+            cols = np.repeat(np.arange(len(t)), t)
+            norm = sqrt(np.prod([factorial(k) for k in s + t]))
+            out[t] = out.get(t, 0.0) + a * permanent(u[np.ix_(rows, cols)]) / norm
+    return out
