@@ -21,6 +21,7 @@ import click
 import numpy as np
 
 from . import __version__
+from ._jsonio import json_chunks
 from .agreement import run_agreement_suite
 from .diffraction import (
     CircularAperture,
@@ -60,14 +61,15 @@ def _out_path(path):
     return path
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write the strings of ``chunks`` to a temp file, then rename it onto ``path``."""
     path = _out_path(path)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".maskmodes-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -85,7 +87,7 @@ def _write_artifact(path, command, resolved, result, seed=None):
         "seed": seed,
         "result": result,
     }
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _atomic_write(path, json_chunks(doc))
 
 
 def _write_csv(path, header, rows, resolved, seed=None):
@@ -94,7 +96,7 @@ def _write_csv(path, header, rows, resolved, seed=None):
         header,
     ]
     lines.extend(rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def _resolve(config_file, **flags):
@@ -210,7 +212,7 @@ def compile_mask(config_file, **flags):
             basis = hermite_gaussian_basis(order, waist)
             coupling = overlap_unitary(mask, basis, basis, grid, k=k)
             unit = unitarize(coupling, flux_faithful=True)
-        _write_artifact(r["out_file"], "compile-mask", r, unit.to_json())
+        _write_artifact(r["out_file"], "compile-mask", r, unit._json_doc())
         if r["csv_file"]:
             rows = [
                 f"{i},{j},{float(v.real)!r},{float(v.imag)!r}"

@@ -21,6 +21,7 @@ import json
 import numpy as np
 from scipy.special import j1
 
+from ._jsonio import json_chunks
 from .errors import (
     AliasingDetected,
     DimensionMismatch,
@@ -354,11 +355,15 @@ class UnitaryMatrix:
         return cls(np.array([[r, r], [r, -r]], dtype=complex))
 
     def to_json(self):
+        return {**self._json_doc(), "matrix": _matrix_to_pairs(self.matrix)}
+
+    def _json_doc(self):
+        """``to_json()`` with the matrix left as an ndarray, for the streaming writer."""
         return {
             "schema_version": SCHEMA_VERSION,
             "type": "unitary",
             "dim": self.dim,
-            "matrix": _matrix_to_pairs(self.matrix),
+            "matrix": self.matrix,
             "unitarity_residual": self.residual,
             "connected": self.connected,
             "provenance": self.provenance,
@@ -374,8 +379,7 @@ class UnitaryMatrix:
 
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.writelines(json_chunks(self._json_doc()))
 
     @classmethod
     def load(cls, path):
@@ -392,27 +396,24 @@ class UnitaryMatrix:
 
 
 def _is_connected(adj):
-    """Connectivity of the bipartite input/output graph given by a boolean matrix."""
-    n, m = adj.shape
+    """Connectivity of the bipartite input/output graph given by a boolean matrix.
+
+    Grows the component of input 0 one frontier at a time: the outputs any
+    reached input couples to, then the inputs coupled to any reached output.
+    """
+    n = adj.shape[0]
     if n == 0:
         return False
     seen_in = np.zeros(n, dtype=bool)
-    seen_out = np.zeros(m, dtype=bool)
-    stack = [("in", 0)]
     seen_in[0] = True
-    while stack:
-        side, i = stack.pop()
-        if side == "in":
-            for k in np.nonzero(adj[i])[0]:
-                if not seen_out[k]:
-                    seen_out[k] = True
-                    stack.append(("out", k))
-        else:
-            for j in np.nonzero(adj[:, i])[0]:
-                if not seen_in[j]:
-                    seen_in[j] = True
-                    stack.append(("in", j))
-    return bool(np.all(seen_in) and np.all(seen_out))
+    reached = 1
+    while True:
+        seen_out = adj[seen_in].any(axis=0)
+        seen_in |= adj[:, seen_out].any(axis=1)
+        grown = int(np.count_nonzero(seen_in))
+        if grown == reached:
+            return bool(reached == n and seen_out.all())
+        reached = grown
 
 
 # --------------------------------------------------------------------------
@@ -608,11 +609,13 @@ def _psd_sqrt(h):
 def complete_to_unitary(columns):
     """Extend orthonormal columns to a full unitary, deterministically.
 
-    The appended columns span the orthogonal complement (via SVD) and are
-    gauge-fixed so their first entry of magnitude above 1e-12 is real and
-    positive.  Used to realize an effective square network from a physical
-    few-column isometry (for example the single-input two-order splitting of
-    a cosine grating).
+    The appended columns span the orthogonal complement: (modified)
+    Gram-Schmidt runs over the columns of the complement projector
+    ``I - V V+`` in order, keeping each one whose residual norm exceeds 1e-9.
+    Each kept column is gauge-fixed so its first entry of magnitude above
+    1e-12 is real and positive.  Used to realize an effective square network
+    from a physical few-column isometry (for example the single-input
+    two-order splitting of a cosine grating).
     """
     v = np.atleast_2d(np.asarray(columns, dtype=complex))
     if v.ndim != 2:

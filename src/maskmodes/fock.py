@@ -15,12 +15,13 @@ factors.
 
 import json
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
+from ._jsonio import json_chunks
 from .errors import CutoffTooSmall, DimensionMismatch, NonPhysical, StateTooLarge
 
 DEFAULT_PRUNE = 1e-14
@@ -314,8 +315,7 @@ class MultimodeFockState:
 
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.writelines(json_chunks(self.to_json()))
 
     @classmethod
     def load(cls, path):
@@ -473,26 +473,36 @@ def two_mode_closed_form(m, n, theta, phi):
     if not (0.0 <= theta <= np.pi):
         raise ValueError("theta must lie in [0, pi]")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    norm0 = np.sqrt(float(factorial(m)) * float(factorial(n)))
-    amps = {}
-    for k in range(m + 1):
-        for l in range(n + 1):
-            na, nb = n + k - l, m + l - k
-            term = (
-                comb(m, k)
-                * comb(n, l)
-                * np.sqrt(float(factorial(na)) * float(factorial(nb)))
-                * c ** (k + l)
-                * s ** (m + n - k - l)
-                * np.exp(1j * phi * (m - n + l - k))
-                * (-1.0) ** (n - l)
-            ) / norm0
-            amps[(na, nb)] = amps.get((na, nb), 0.0 + 0.0j) + term
-    return MultimodeFockState(2, amps)
+    k = np.arange(m + 1)[:, None]
+    l = np.arange(n + 1)[None, :]
+    na, nb = n + k - l, m + l - k
+    # comb(m, k) comb(n, l) sqrt(na! nb! / (m! n!)) c^(k+l) s^(m+n-k-l), in log space
+    log_mag = (
+        0.5 * (_log_factorial(m) + _log_factorial(n) + _log_factorial(na) + _log_factorial(nb))
+        - _log_factorial(k) - _log_factorial(m - k) - _log_factorial(l) - _log_factorial(n - l)
+        + xlogy(k + l, c) + xlogy(m + n - k - l, s)
+    )
+    terms = (np.exp(log_mag + 1j * phi * (m - n + l - k)) * (-1.0) ** (n - l)).ravel()
+    # kets |na, m+n-na> in lexicographic order, na = 0 .. m+n; pairs sum in loop order
+    na = na.ravel()
+    vals = np.bincount(na, weights=terms.real) + 1j * np.bincount(na, weights=terms.imag)
+    occ = np.column_stack([np.arange(m + n + 1), m + n - np.arange(m + n + 1)])
+    return MultimodeFockState._from_sorted(2, occ, vals, DEFAULT_PRUNE)
 
 
 def noon_overlap_amplitudes(m, n, theta):
-    """|<N,0|out>| and |<0,N|out>| for the split ``(m, n)`` (phi drops out)."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    pref = np.sqrt(float(factorial(m + n)) / (float(factorial(m)) * float(factorial(n))))
-    return pref * c**m * s**n, pref * c**n * s**m
+    """|<N,0|out>| and |<0,N|out>| for the split ``(m, n)`` (phi drops out).
+
+    ``sqrt(C(m+n, m)) |c|^m |s|^n`` and its mirror with ``c = cos(theta/2)``,
+    ``s = sin(theta/2)``, taken in log space so no photon number overflows.
+    """
+    c, s = np.abs(np.cos(theta / 2.0)), np.abs(np.sin(theta / 2.0))
+    log_pref = 0.5 * (_log_factorial(m + n) - _log_factorial(m) - _log_factorial(n))
+    return (
+        np.exp(log_pref + xlogy(m, c) + xlogy(n, s)),
+        np.exp(log_pref + xlogy(n, c) + xlogy(m, s)),
+    )
+
+
+def _log_factorial(x):
+    return gammaln(x + 1.0)

@@ -5,7 +5,13 @@ import pytest
 from click.testing import CliRunner
 
 from maskmodes.cli import main
-from maskmodes.diffraction import UnitaryMatrix
+from maskmodes.diffraction import (
+    CircularAperture,
+    UnitaryMatrix,
+    aperture_output_grid,
+    plane_wave_coupling,
+    unitarize,
+)
 from maskmodes.fock import MultimodeFockState
 
 
@@ -227,6 +233,27 @@ def test_propagate_beyond_64_modes(runner, tmp_path):
     p = abs(unit.matrix[0, 0]) ** 2
     h2 = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
     assert abs(doc["result"]["entropy"]["entropy_bits"] - h2) <= 1e-9
+
+
+def test_circular_screen_artifact_matches_reference_encoder(runner, tmp_path):
+    out = tmp_path / "ap.json"
+    invoke(runner, "compile-mask", "--mask", "circular", "--radius", "2.0",
+           "--aperture-steps", "9", "--out", str(out))
+    text = out.read_text()
+    doc = json.loads(text)
+    assert doc["result"]["dim"] == 162
+    assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    mask = CircularAperture(2.0)
+    lattice, _ = aperture_output_grid(mask, (0.0, 0.0), 2 * np.pi, 0.2, 9)
+    unit = unitarize(plane_wave_coupling(mask, lattice, lattice, 2 * np.pi), flux_faithful=True)
+    assert doc["result"]["matrix"] == unit.to_json()["matrix"]
+
+
+def test_scan_noon_many_photons(runner, tmp_path):
+    out = tmp_path / "noon.json"
+    invoke(runner, "scan-noon", "--photons", "200", "--grid", "64", "--out", str(out))
+    best = json.loads(out.read_text())["result"]["best_fidelity"]
+    assert 0.5 - 1e-12 <= best <= 1.0
 
 
 def test_large_coherent_input_propagates(runner, tmp_path):

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from maskmodes.diffraction import (
     CircularAperture,
@@ -9,6 +12,7 @@ from maskmodes.diffraction import (
     CouplingMatrix,
     CustomSampled,
     UnitaryMatrix,
+    _is_connected,
     aperture_output_grid,
     apply_impulse_response,
     complete_to_unitary,
@@ -39,7 +43,7 @@ from maskmodes.modes import (
     laguerre_gaussian_basis,
     sample_field,
 )
-from util import gauge_fix, haar_unitary
+from util import gauge_fix, haar_unitary, is_connected_dfs
 
 GRID = Grid2D(256, 256, 14.0 / 256, 14.0 / 256)
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -294,6 +298,43 @@ def test_connectivity_flag():
     blockdiag[:2, :2] = HADAMARD
     blockdiag[2:, 2:] = HADAMARD
     assert not UnitaryMatrix(blockdiag).connected
+
+
+def _permuted(data, adj):
+    rows = data.draw(st.permutations(range(adj.shape[0])))
+    cols = data.draw(st.permutations(range(adj.shape[1])))
+    return adj[np.ix_(rows, cols)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_is_connected_matches_dfs_reference(data):
+    kind = data.draw(st.sampled_from(["pattern", "blocks", "chain"]))
+    if kind == "pattern":
+        n, m = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+        cells = data.draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+        adj = np.array(cells, dtype=bool).reshape(n, m)
+    elif kind == "blocks":
+        # each block is fully coupled, so the graph is connected iff there is one block
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4))
+        adj = _permuted(data, block_diag(*[np.ones(s, dtype=bool) for s in shapes]))
+        assert _is_connected(adj) == (len(shapes) == 1)
+    else:
+        # input j couples to outputs j and j+1: the longest path a square graph can have
+        n = data.draw(st.integers(1, 120))
+        adj = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
+        cut = data.draw(st.one_of(st.none(), st.integers(0, n - 2))) if n > 1 else None
+        if cut is not None:
+            adj[cut, cut + 1] = False
+        adj = _permuted(data, adj)
+        assert _is_connected(adj) == (cut is None)
+    assert _is_connected(adj) == is_connected_dfs(adj)
+
+
+def test_is_connected_smallest_graphs():
+    assert not _is_connected(np.zeros((0, 0), dtype=bool))
+    assert not _is_connected(np.zeros((1, 1), dtype=bool))
+    assert _is_connected(np.ones((1, 1), dtype=bool))
 
 
 def test_complete_to_unitary_balanced_column():
