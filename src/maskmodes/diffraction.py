@@ -11,8 +11,8 @@ mask spectrum.  Compiled matrices come in two orientations:
   decomposition of input mode ``j`` (creation operators map as
   ``a_j+ -> sum_k U[j, k] a_k+``).
 
-:func:`unitarize` bridges the two, transposing the polar factor into the
-operator orientation.
+:func:`unitarize` bridges the two, transposing its unitary projection into
+the operator orientation.
 """
 
 import base64
@@ -437,30 +437,25 @@ def plane_wave_coupling(mask, input_grid, output_grid, k, match_tol=1e-9):
     n_out = output_grid.transverse
     nz_out = output_grid.nz
     w_in = input_grid.weights
-    m = np.zeros((len(n_out), len(n_in)), dtype=complex)
+    weight = np.abs(k * nz_out)[:, None]
+    delta = n_out[:, None, :] - n_in[None, :, :]
 
     if isinstance(mask, CosineGrating):
         u = mask.u[:2]
-        for col in range(len(n_in)):
-            for sign in (+1.0, -1.0):
-                target = n_in[col] + sign * u
-                d = np.linalg.norm(n_out - target, axis=1)
-                hits = np.nonzero(d <= match_tol)[0]
-                for row in hits:
-                    m[row, col] += 0.5 * abs(k * nz_out[row]) * w_in[col]
+        # coinciding orders (u = 0) hit the same output twice and add twice
+        hits = sum(np.linalg.norm(delta - sign * u, axis=2) <= match_tol for sign in (+1.0, -1.0))
+        m = hits * (0.5 * weight * w_in[None, :])
     elif isinstance(mask, CircularAperture):
-        for col in range(len(n_in)):
-            delta = n_out - n_in[col]
-            fsq = (k * delta[:, 0]) ** 2 + (k * delta[:, 1]) ** 2
-            m[:, col] = np.abs(k * nz_out) * mask.analytic_spectrum(fsq) * w_in[col]
+        fsq = (k * delta[..., 0]) ** 2 + (k * delta[..., 1]) ** 2
+        m = weight * mask.analytic_spectrum(fsq) * w_in[None, :]
     elif isinstance(mask, CustomSampled):
         spec = mask_spectrum(mask, mask.grid)
-        for col in range(len(n_in)):
-            delta = n_out - n_in[col]
-            vals = _interp_spectrum(spec, mask.grid, k * delta[:, 0], k * delta[:, 1])
-            m[:, col] = np.abs(k * nz_out) * vals * w_in[col]
+        vals = _interp_spectrum(spec, mask.grid, k * delta[..., 0], k * delta[..., 1])
+        m = weight * vals * w_in[None, :]
     else:
         raise TypeError(f"unsupported mask type {type(mask).__name__}")
+    # complex before the rescale: dividing a real matrix rounds differently
+    m = m.astype(complex)
 
     scale = float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
     if scale > 0:
@@ -562,57 +557,51 @@ def polar_factor(m):
 
 
 def unitarize(c, flux_faithful=False, smin_tol=1e-6):
-    """Project a compiled coupling onto an exact unitary network.
+    """Project a compiled coupling onto an exact unitary network from one SVD.
 
-    Plain mode returns the polar factor of the (square) coupling matrix;
-    ``flux_faithful=True`` first embeds any loss into explicitly appended
-    ancilla modes via the beam-splitter dilation
-    ``[[C, sqrt(I - C C+)], [sqrt(I - C+ C), -C+]]`` so that flux reaching
-    the ancillas accounts exactly for absorption.  Either way the result is
-    transposed into the operator orientation of :class:`UnitaryMatrix` and
-    satisfies the 1e-10 unitarity bound; the Frobenius distance between the
-    coupling and its projection is recorded as ``unitarization_distance``.
+    With ``C = W S V+``, plain mode returns the polar factor ``W V+`` and
+    raises :class:`SingularNetwork` if the smallest singular value is at or
+    below ``smin_tol``.  ``flux_faithful=True`` instead embeds any loss into
+    ``n`` appended ancilla modes, so that flux reaching the ancillas accounts
+    exactly for absorption.  If ``s[0] > 1`` the coupling is first divided by
+    ``s[0]``; the resulting contraction is dilated in closed form (Halmos):
+    ``diag(W, V) [[S, D], [D, -S]] diag(V+, W+)`` with ``D = sqrt(1 - S^2)``,
+    i.e. ``[[C, sqrt(I - C C+)], [sqrt(I - C+ C), -C+]]``.
+
+    Either way the result is transposed into the operator orientation of
+    :class:`UnitaryMatrix`.  The Frobenius distance between the coupling as
+    passed in and the scattering block of the result is recorded as
+    ``unitarization_distance``, so a flux-faithful rescale shows there.
     """
     m = c.matrix if isinstance(c, CouplingMatrix) else np.asarray(c, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("only square couplings can be unitarized")
-    svals = np.linalg.svd(m, compute_uv=False)
+    w, s, vh = np.linalg.svd(m)
     if flux_faithful:
-        smax = float(svals[0])
-        if smax > 1.0:
-            m = m / smax
-        d = m.shape[0]
-        left = _psd_sqrt(np.eye(d) - m @ m.conj().T)
-        right = _psd_sqrt(np.eye(d) - m.conj().T @ m)
-        dil = np.block([[m, left], [right, -m.conj().T]])
-        w = polar_factor(dil)
-        dist = float(np.linalg.norm(w[:d, :d] - m))
+        if s[0] > 1.0:
+            s = s / s[0]
+        d = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+        v, wh = vh.conj().T, w.conj().T
+        block = (w * s) @ vh
+        u = np.block([[block, (w * d) @ wh], [(v * d) @ vh, -(v * s) @ wh]])
     else:
-        if float(svals[-1]) <= smin_tol:
+        if float(s[-1]) <= smin_tol:
             raise SingularNetwork(
-                f"smallest singular value {svals[-1]:.3e} at or below {smin_tol:.1e}"
+                f"smallest singular value {s[-1]:.3e} at or below {smin_tol:.1e}"
             )
-        w = polar_factor(m)
-        dist = float(np.linalg.norm(m - w))
+        u = block = w @ vh
     prov = dict(getattr(c, "provenance", {}) or {})
-    prov["unitarization_distance"] = dist
+    prov["unitarization_distance"] = float(np.linalg.norm(block - m))
     prov["flux_faithful"] = bool(flux_faithful)
-    return UnitaryMatrix(w.T, provenance=prov)
-
-
-def _psd_sqrt(h):
-    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return UnitaryMatrix(u.T, provenance=prov)
 
 
 def complete_to_unitary(columns):
-    """Extend orthonormal columns to a full unitary, deterministically.
+    """Extend orthonormal columns ``V`` (d x r) to a d x d unitary, deterministically.
 
-    The appended columns span the orthogonal complement: (modified)
-    Gram-Schmidt runs over the columns of the complement projector
-    ``I - V V+`` in order, keeping each one whose residual norm exceeds 1e-9.
-    Each kept column is gauge-fixed so its first entry of magnitude above
+    One Householder QR of ``[V | I]``: its columns ``r..d-1`` span the
+    orthogonal complement of ``V`` and are appended after ``V`` itself.  Each
+    appended column is gauge-fixed so its first entry of magnitude above
     1e-12 is real and positive.  Used to realize an effective square network
     from a physical few-column isometry (for example the single-input
     two-order splitting of a cosine grating).
@@ -626,22 +615,9 @@ def complete_to_unitary(columns):
     gram = v.conj().T @ v
     if np.linalg.norm(gram - np.eye(r)) > 1e-9:
         raise ValueError("columns must be orthonormal before completion")
-    proj = np.eye(d) - v @ v.conj().T
-    basis = []
-    for i in range(d):
-        w = proj[:, i].copy()
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        n = np.linalg.norm(w)
-        if n > 1e-9:
-            w = w / n
-            idx = np.argmax(np.abs(w) > 1e-12)
-            phase = w[idx] / abs(w[idx])
-            basis.append(w / phase)
-        if len(basis) == d - r:
-            break
-    full = np.column_stack([v] + basis)
-    return full
+    rest = np.linalg.qr(np.hstack([v, np.eye(d)]))[0][:, r:]
+    lead = rest[np.argmax(np.abs(rest) > 1e-12, axis=0), np.arange(d - r)]
+    return np.hstack([v, rest / (lead / np.abs(lead))])
 
 
 def grating_block(mask, k=2 * np.pi):

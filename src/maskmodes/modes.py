@@ -10,12 +10,11 @@ sandwich so that the discrete Fourier transform of samples at
 
 import struct
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_hermite
+from scipy.special import eval_genlaguerre, eval_hermite, gammaln
 
-from .errors import EmptyGrid, GridMismatch, GridTooSmall, UnknownLabel
+from .errors import EmptyGrid, GridMismatch, GridTooSmall, MaskModesError, UnknownLabel
 
 FIELD_MAGIC = b"MMFIELD1"
 
@@ -229,8 +228,14 @@ def sample_field(mode_label, basis, grid, k=2 * np.pi, boundary_tol=1e-10):
     GridTooSmall
         If more than ``boundary_tol`` of the mode energy sits on the grid rim,
         i.e. the grid does not contain the mode.
+    MaskModesError
+        If a sample is not finite (a mode order beyond float64 range).
     """
-    values = basis.raw_values(mode_label, grid)
+    # a mode order beyond float64 range leaves inf/nan samples: rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = basis.raw_values(mode_label, grid)
+    if not np.all(np.isfinite(values)):
+        raise MaskModesError(f"mode {mode_label!r}: samples are not finite at this order")
     frac = boundary_energy_fraction(values)
     if frac > boundary_tol:
         raise GridTooSmall(
@@ -243,7 +248,8 @@ def sample_field(mode_label, basis, grid, k=2 * np.pi, boundary_tol=1e-10):
 def _hg_1d(order, coords, waist):
     xi = np.sqrt(2.0) * coords / waist
     h = eval_hermite(order, xi)
-    norm = (2.0 / np.pi) ** 0.25 / np.sqrt(2.0**order * float(factorial(order)) * waist)
+    # (2/pi)^(1/4) / sqrt(2^order order! waist), in log space
+    norm = np.exp(0.25 * np.log(2.0 / np.pi) - 0.5 * (order * np.log(2.0) + gammaln(order + 1) + np.log(waist)))
     return norm * h * np.exp(-(coords**2) / waist**2)
 
 
@@ -272,7 +278,7 @@ def laguerre_gaussian_basis(labels, waist):
         r2 = (X**2 + Y**2) / waist**2
         phi = np.arctan2(Y, X)
         al = abs(l)
-        norm = np.sqrt(2.0 * float(factorial(p)) / (np.pi * float(factorial(p + al)))) / waist
+        norm = np.exp(0.5 * (np.log(2.0 / np.pi) + gammaln(p + 1) - gammaln(p + al + 1))) / waist
         radial = (np.sqrt(2.0 * r2)) ** al * eval_genlaguerre(p, al, 2.0 * r2)
         return norm * radial * np.exp(-r2) * np.exp(1j * l * phi)
 

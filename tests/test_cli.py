@@ -194,6 +194,18 @@ def test_design_response_artifact(runner, tmp_path):
     assert doc["result"]["fidelity"] >= 0.999
 
 
+@pytest.mark.parametrize("order, message", [(171, "boundary energy"), (400, "not finite")])
+def test_design_response_high_order_exits_1(runner, tmp_path, order, message):
+    # order 171 overflows a float factorial; order 400 overflows the Hermite polynomial
+    result = invoke(
+        runner,
+        "design-response", "--input-mode", f"hg:{order},0", "--target-mode", "hg:0,0",
+        "--out", str(tmp_path / "kernel.json"), expect=1,
+    )
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
 def test_missing_required_parameter_exits_2(runner):
     result = runner.invoke(main, ["compile-mask", "--mask", "cosine"])
     assert result.exit_code == 2

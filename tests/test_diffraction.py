@@ -25,6 +25,7 @@ from maskmodes.diffraction import (
     mask_to_json,
     overlap_unitary,
     plane_wave_coupling,
+    polar_factor,
     unitarize,
 )
 from maskmodes.errors import (
@@ -43,7 +44,13 @@ from maskmodes.modes import (
     laguerre_gaussian_basis,
     sample_field,
 )
-from util import gauge_fix, haar_unitary, is_connected_dfs
+from util import (
+    dilation_reference,
+    gauge_fix,
+    haar_unitary,
+    is_connected_dfs,
+    plane_wave_coupling_columns,
+)
 
 GRID = Grid2D(256, 256, 14.0 / 256, 14.0 / 256)
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -169,6 +176,44 @@ def test_plane_wave_coupling_empty_grid():
         plane_wave_coupling(object(), PlaneWaveGrid.single(), PlaneWaveGrid.single(), k=1.0)
 
 
+@pytest.mark.parametrize(
+    "mask",
+    [CosineGrating((0.6, 0.0)), CosineGrating((0.3, 0.4)), CosineGrating((0.0, 0.0))],
+    ids=["u=(0.6,0)", "u=(0.3,0.4)", "u=(0,0)"],
+)
+def test_cosine_coupling_bit_identical_to_column_loop(mask):
+    # on a lattice with step 0.1 both orders of most inputs land on outputs;
+    # at u = 0 they coincide and the one output takes both
+    lattice = PlaneWaveGrid.lattice((0.0, 0.0), 0.6, 13)
+    c = plane_wave_coupling(mask, lattice, lattice, 2 * np.pi)
+    ref, scale = plane_wave_coupling_columns(mask, lattice, lattice, 2 * np.pi)
+    assert np.count_nonzero(ref) >= len(lattice)
+    assert np.array_equal(c.matrix, ref)
+    assert c.provenance["prenormalization_scale"] == scale
+
+
+@pytest.mark.parametrize("steps", [9, 17])
+def test_aperture_coupling_bit_identical_to_column_loop(steps):
+    k = 2 * np.pi
+    ap = CircularAperture(2.0)
+    grid, _ = aperture_output_grid(ap, (0.0, 0.0), k, 0.2, steps)
+    c = plane_wave_coupling(ap, grid, grid, k)
+    ref, scale = plane_wave_coupling_columns(ap, grid, grid, k)
+    assert np.array_equal(c.matrix, ref)
+    assert c.provenance["prenormalization_scale"] == scale
+
+
+def test_custom_coupling_bit_identical_to_column_loop():
+    g = Grid2D(64, 64, 0.25, 0.25)
+    X, Y = g.meshgrid()
+    mask = CustomSampled(g, np.exp(-(X**2 + Y**2) / 4.0) * np.exp(0.3j * X))
+    lattice = PlaneWaveGrid.lattice((0.0, 0.0), 0.15, 5)
+    c = plane_wave_coupling(mask, lattice, lattice, 2 * np.pi)
+    ref, scale = plane_wave_coupling_columns(mask, lattice, lattice, 2 * np.pi)
+    assert np.array_equal(c.matrix, ref)
+    assert c.provenance["prenormalization_scale"] == scale
+
+
 # --------------------------------------------------------------------------
 # Overlap compilation
 
@@ -261,6 +306,7 @@ def test_unitarize_flux_faithful_dilation():
     # scattering block sits in the transpose's top-left corner
     np.testing.assert_allclose(u.matrix.T[:2, :2], np.diag([0.9, 0.5]), atol=1e-12)
     assert u.residual <= 1e-10
+    assert u.provenance["unitarization_distance"] < 1e-12
 
 
 def test_unitarize_idempotent():
@@ -286,6 +332,48 @@ def test_compiled_unitary_singular_values():
     assert np.max(np.abs(s - 1.0)) < 1e-10
 
 
+def test_unitarize_flux_faithful_records_rescale():
+    # rank one with singular value sqrt(2): the network realizes C / sqrt(2)
+    c = CouplingMatrix(np.array([[0.6, 0.6], [0.8, 0.8]]), [0, 1], [0, 1])
+    u = unitarize(c, flux_faithful=True)
+    assert abs(u.provenance["unitarization_distance"] - (np.sqrt(2) - 1)) < 1e-12
+    np.testing.assert_allclose(u.matrix.T[:2, :2], c.matrix / np.sqrt(2), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    svals=st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.floats(1.0, 3.0)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_unitarize_closed_form_matches_iterative_dilation(seed, svals):
+    # C = W S V+ with Haar W, V: zeros make it rank-deficient, exact ones and
+    # values above 1 exercise the clip and the rescale
+    rng = np.random.default_rng(seed)
+    n = len(svals)
+    s = np.array(svals)
+    c = (haar_unitary(rng, n) * s) @ haar_unitary(rng, n).conj().T
+    scale = max(float(np.linalg.svd(c, compute_uv=False)[0]), 1.0)
+
+    # a spectral norm above 1 is no valid CouplingMatrix, so pass the bare array
+    u = unitarize(c, flux_faithful=True)
+    scattering = u.matrix.T
+    assert u.dim == 2 * n
+    assert u.residual <= 1e-10
+    np.testing.assert_allclose(scattering[:n, :n], c / scale, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scattering, dilation_reference(c), rtol=0, atol=1e-7)
+    assert abs(u.provenance["unitarization_distance"] - np.linalg.norm(c - c / scale)) < 1e-12
+
+    if np.min(s) > 2e-6:  # clear of the default smin_tol after rounding
+        assert np.array_equal(unitarize(c).matrix, polar_factor(c).T)
+    elif np.min(s) == 0.0:
+        with pytest.raises(SingularNetwork):
+            unitarize(c)
+
+
 def test_unitary_matrix_rejects_nonunitary():
     with pytest.raises(UnitarityError):
         UnitaryMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
@@ -306,7 +394,7 @@ def _permuted(data, adj):
     return adj[np.ix_(rows, cols)]
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_is_connected_matches_dfs_reference(data):
     kind = data.draw(st.sampled_from(["pattern", "blocks", "chain"]))
@@ -341,6 +429,20 @@ def test_complete_to_unitary_balanced_column():
     col = np.array([[1.0], [1.0]]) / np.sqrt(2)
     full = complete_to_unitary(col)
     np.testing.assert_allclose(full, HADAMARD, atol=1e-15)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), data=st.data())
+def test_complete_to_unitary_property(seed, d, data):
+    r = data.draw(st.integers(0, d))
+    v = haar_unitary(np.random.default_rng(seed), d)[:, :r]
+    full = complete_to_unitary(v)
+    assert full.shape == (d, d)
+    assert np.linalg.norm(full.conj().T @ full - np.eye(d)) <= 1e-12
+    assert np.array_equal(full[:, :r], v)
+    for col in full[:, r:].T:
+        lead = col[np.argmax(np.abs(col) > 1e-12)]
+        assert lead.real > 0 and abs(lead.imag) <= 1e-15
 
 
 def test_grating_block_reproduces_two_mode_splitting():

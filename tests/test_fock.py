@@ -181,7 +181,7 @@ def _occupations(m):
     return st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(lambda t: sum(t) <= 4)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_engine_matches_permanent_oracle(data):
     m = data.draw(st.integers(2, 5))

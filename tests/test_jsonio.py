@@ -41,7 +41,7 @@ def _with_pairs(value):
     return value
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     doc=st.dictionaries(st.text(max_size=5), st.one_of(values, matrices()), max_size=5),
     nested=st.dictionaries(st.text(max_size=5), st.one_of(values, matrices()), max_size=3),

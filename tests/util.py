@@ -5,6 +5,8 @@ from math import factorial, sqrt
 
 import numpy as np
 
+from maskmodes.diffraction import CircularAperture, CosineGrating, _interp_spectrum, mask_spectrum
+
 
 def gauge_fix(m):
     """Strip column and row phase freedom: first row, then first column real-positive."""
@@ -89,3 +91,55 @@ def oracle_apply(amplitudes, u, max_photons=5):
             norm = sqrt(np.prod([factorial(k) for k in s + t]))
             out[t] = out.get(t, 0.0) + a * permanent(u[np.ix_(rows, cols)]) / norm
     return out
+
+
+def psd_sqrt(h):
+    """Square root of a Hermitian positive semi-definite matrix, negative eigenvalues clipped."""
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def dilation_reference(m):
+    """Scattering-oriented loss dilation by the iterative route, for checking the closed form.
+
+    Divides ``m`` by its largest singular value if that exceeds 1, assembles
+    ``[[C, sqrt(I - C C+)], [sqrt(I - C+ C), -C+]]`` from two eigendecompositions
+    and takes the polar factor of the 2n x 2n block.
+    """
+    smax = float(np.linalg.svd(m, compute_uv=False)[0])
+    if smax > 1.0:
+        m = m / smax
+    d = m.shape[0]
+    left = psd_sqrt(np.eye(d) - m @ m.conj().T)
+    right = psd_sqrt(np.eye(d) - m.conj().T @ m)
+    u, _, vh = np.linalg.svd(np.block([[m, left], [right, -m.conj().T]]))
+    return u @ vh
+
+
+def plane_wave_coupling_columns(mask, input_grid, output_grid, k, match_tol=1e-9):
+    """Rescaled plane-wave coupling matrix built one input column at a time, and its scale.
+
+    Reference for the broadcast in ``diffraction.plane_wave_coupling``.
+    """
+    n_in = input_grid.transverse
+    n_out = output_grid.transverse
+    nz_out = output_grid.nz
+    w_in = input_grid.weights
+    spec = None if isinstance(mask, (CosineGrating, CircularAperture)) else mask_spectrum(mask, mask.grid)
+    m = np.zeros((len(n_out), len(n_in)), dtype=complex)
+    for col in range(len(n_in)):
+        delta = n_out - n_in[col]
+        if isinstance(mask, CosineGrating):
+            for sign in (+1.0, -1.0):
+                d = np.linalg.norm(n_out - (n_in[col] + sign * mask.u[:2]), axis=1)
+                for row in np.nonzero(d <= match_tol)[0]:
+                    m[row, col] += 0.5 * abs(k * nz_out[row]) * w_in[col]
+        elif isinstance(mask, CircularAperture):
+            fsq = (k * delta[:, 0]) ** 2 + (k * delta[:, 1]) ** 2
+            m[:, col] = np.abs(k * nz_out) * mask.analytic_spectrum(fsq) * w_in[col]
+        else:
+            vals = _interp_spectrum(spec, mask.grid, k * delta[:, 0], k * delta[:, 1])
+            m[:, col] = np.abs(k * nz_out) * vals * w_in[col]
+    scale = float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
+    return (m / scale if scale > 0 else m), scale
