@@ -10,8 +10,10 @@ borderline: unitaries are redrawn until every entry magnitude is at least
 1e-3, unequal squeezing strengths differ by at least 0.05, and trials that
 should be entangled are redrawn until the checker's witness residual is at
 least 1e-2 (which keeps the oracle entropies well above the 1e-6-bit
-threshold).  Per-trial generators derive from one root seed by counter
-hashing, so a fixed seed reproduces the suite bit for bit.
+threshold).  After 50 draws the last one is kept; each trial records its
+draw count and whether the draw it kept is borderline.  Per-trial
+generators derive from one root seed by counter hashing, so a fixed seed
+reproduces the suite bit for bit.
 """
 
 import hashlib
@@ -104,16 +106,19 @@ def run_trial(root_seed, index):
     n = int(rng.integers(2, 5))
     real = family == "equal_squeeze_real"
 
-    for attempt in range(50):
+    for draws in range(1, 51):
         u = random_unitary(rng, n, real=real)
         descs = _draw_inputs(rng, family, n)
         size = int(rng.integers(1, n + 1))
         subset = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
         spec = InputStateSpec(descs)
         checker = check_no_entanglement(BargmannInput.from_input_spec(spec), u, subset)
-        if checker.separable:
-            break
-        if checker.witness.residual is None or checker.witness.residual >= MIN_RESIDUAL:
+        borderline = (
+            not checker.separable
+            and checker.witness.residual is not None
+            and checker.witness.residual < MIN_RESIDUAL
+        )
+        if not borderline:
             break
     state = apply_unitary(build_input_state(spec), u)
     fock_sep = all(
@@ -128,6 +133,8 @@ def run_trial(root_seed, index):
         "checker_separable": bool(checker.separable),
         "fock_separable": bool(fock_sep),
         "witness": None if checker.witness is None else checker.witness.to_json(),
+        "draws": draws,
+        "borderline_kept": borderline,
     }
     pairs = gaussian_pairs_from_spec(spec)
     if pairs is not None:

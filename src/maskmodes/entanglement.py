@@ -4,6 +4,13 @@ Bipartite entanglement is read off the singular values of the amplitude
 matrix ``Psi[a, b]`` indexed by occupation tuples of the two subsystems:
 the squared singular values are the reduced-state eigenvalues, and the von
 Neumann entropy (base 2, bits) decides separability against a tolerance.
+
+A term with ``k`` photons in the subset and ``j`` in the complement puts an
+entry in row count ``k`` and column count ``j``, so ``Psi`` is block-diagonal
+over the connected components of those ``(k, j)`` pairs: one block per ``k``
+for a state of definite photon number, two (by parity) for squeezed inputs,
+one for anything with a coherent input.  Schmidt spectra take one SVD per
+block; the dense matrix is only built where a caller asks for it.
 """
 
 from dataclasses import dataclass
@@ -69,15 +76,17 @@ class EntanglementReport:
         }
 
 
-def _amplitude_matrix(state, part):
-    """Amplitude matrix over the (lexicographic) subset and complement bases,
-    and per basis entry the index of a state row holding it."""
-    occ = state.occupations
-    a_code, a_rows = row_codes(occ[:, list(part.subset)])
-    b_code, b_rows = row_codes(occ[:, list(part.complement)])
-    m = np.zeros((len(a_rows), len(b_rows)), dtype=complex)
+def _codes(state, modes):
+    """Lexicographic rank per term of its occupations on ``modes``, and a state
+    row per rank."""
+    return row_codes(state.occupations[:, list(modes)])
+
+
+def _dense(state, a_code, b_code):
+    """The whole amplitude matrix, given each term's row and column rank."""
+    m = np.zeros((a_code.max() + 1, b_code.max() + 1), dtype=complex)
     m[a_code, b_code] = state.values
-    return m, a_rows, b_rows
+    return m
 
 
 def _basis(state, rows, modes):
@@ -90,7 +99,9 @@ def bipartition_matrix(state, part):
     Returns ``(matrix, row_basis, col_basis)`` where the bases list the
     occupation tuples actually present in the state's support.
     """
-    m, a_rows, b_rows = _amplitude_matrix(state, part)
+    a_code, a_rows = _codes(state, part.subset)
+    b_code, b_rows = _codes(state, part.complement)
+    m = _dense(state, a_code, b_code)
     return m, _basis(state, a_rows, part.subset), _basis(state, b_rows, part.complement)
 
 
@@ -100,19 +111,64 @@ def reduced_density(state, part):
     Positive semidefinite with unit trace (up to float error); the basis is
     restricted to tuples present in the state's support.
     """
-    m, a_rows, _ = _amplitude_matrix(state, part)
+    a_code, a_rows = _codes(state, part.subset)
     if len(a_rows) > _MAX_DENSITY_DIM:
         raise TooManyModes(
             f"subset basis has {len(a_rows)} tuples; reduced density capped at "
             f"{_MAX_DENSITY_DIM} (use entanglement_report instead)"
         )
+    m = _dense(state, a_code, _codes(state, part.complement)[0])
     return m @ m.conj().T, _basis(state, a_rows, part.subset)
+
+
+def _count_blocks(k, j):
+    """Per term, a block label: the least subset photon count in its block.
+
+    ``k`` and ``j`` are the subset and complement photon counts per term; the
+    blocks are the connected components of those ``(k, j)`` pairs."""
+    pairs = np.zeros((k.max() + 1, j.max() + 1), dtype=bool)
+    pairs[k, j] = True
+    link = pairs @ pairs.T  # subset counts that share a complement count
+    for _ in range(len(link).bit_length()):  # each squaring doubles the path length
+        link = link @ link
+    return link.argmax(axis=1)[k]
+
+
+def _block_ranks(block, occ):
+    """Per term, the lexicographic rank of its row of ``occ`` among the distinct
+    rows of its block, and the number of distinct rows per block label."""
+    code, rows = row_codes(np.column_stack([block, occ]))
+    size = np.bincount(block[rows], minlength=block.max() + 1)
+    return code - (size.cumsum() - size)[block], size
 
 
 def entanglement_report(state, part, tol=DEFAULT_TOL_TRUNCATED):
     """Schmidt spectrum (singular values of the amplitude matrix), entropy in
-    bits and a separability verdict."""
-    s = np.linalg.svd(_amplitude_matrix(state, part)[0], compute_uv=False)
+    bits and a separability verdict.
+
+    The spectrum joins one SVD per photon-number block of the amplitude
+    matrix (rows and columns in lexicographic order inside a block), sorted
+    descending and padded with exact zeros to ``min(rows, cols)``; the dense
+    matrix is never allocated.  A one-block state gives the dense SVD's values
+    bit for bit.
+    """
+    sub = state.occupations[:, list(part.subset)]
+    comp = state.occupations[:, list(part.complement)]
+    block = _count_blocks(sub.sum(axis=1), comp.sum(axis=1))
+    r, r_size = _block_ranks(block, sub)
+    c, c_size = _block_ranks(block, comp)
+    order = block.argsort(kind="stable")
+    count = np.bincount(block)
+    end = count.cumsum()
+    spectra = []
+    for b in np.flatnonzero(count):
+        t = order[end[b] - count[b]:end[b]]
+        m = np.zeros((r_size[b], c_size[b]), dtype=complex)
+        m[r[t], c[t]] = state.values[t]
+        spectra.append(np.linalg.svd(m, compute_uv=False))
+    flat = np.concatenate(spectra)
+    s = np.zeros(min(r_size.sum(), c_size.sum()))
+    s[: flat.size] = -np.sort(-flat)
     p = s**2
     live = p[p > _EIG_FLOOR]
     entropy = float(-(live * np.log2(live)).sum()) if live.size else 0.0

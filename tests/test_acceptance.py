@@ -145,6 +145,7 @@ def test_criterion_06_equal_vs_opposite_squeezing():
 def test_criterion_07_checker_oracle_agreement():
     res = run_agreement_suite(n_trials=100, seed=7)
     assert res["all_agree"], [t for t in res["trials"] if not t["agree"]]
+    assert not any(t["borderline_kept"] for t in res["trials"])
     gauss = sum(1 for t in res["trials"] if t["gaussian_separable"] is not None)
     report(7, f"100/100 verdicts agree ({gauss} trials also cross-checked vs covariance oracle)")
 

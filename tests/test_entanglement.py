@@ -1,7 +1,10 @@
+import tracemalloc
 from math import log2, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskmodes.diffraction import UnitaryMatrix
 from maskmodes.entanglement import (
@@ -19,11 +22,13 @@ from maskmodes.fock import (
     Fock,
     InputStateSpec,
     MultimodeFockState,
+    SqueezedVacuum,
+    Vacuum,
     apply_unitary,
     build_input_state,
     state_fidelity,
 )
-from util import haar_unitary
+from util import haar_unitary, schmidt_dense_reference
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 
@@ -199,3 +204,101 @@ def test_report_json_shape():
     doc = entanglement_report(out, Bipartition((0,), 2)).to_json()
     assert doc["mask"] == [1, 0]
     assert set(doc) >= {"entropy_bits", "schmidt_top", "separable", "tolerance"}
+
+
+def _entropy_bits(s):
+    p = s**2
+    live = p[p > 1e-18]
+    return max(float(-(live * np.log2(live)).sum()), 0.0)
+
+
+def _haar_fock_state(modes, photons, seed):
+    """``photons`` single photons in the first modes, through a Haar network."""
+    descs = [Fock(1)] * photons + [Vacuum()] * (modes - photons)
+    u = UnitaryMatrix(haar_unitary(np.random.default_rng(seed), modes))
+    return apply_unitary(build_input_state(InputStateSpec(descs)), u)
+
+
+@st.composite
+def blocked_cases(draw):
+    """(kind, state, bipartition) through a Haar network: Fock inputs, 2-7 modes
+    and 1-5 photons (one block per subset photon count); squeezed inputs with or
+    without a Fock mode (two parity blocks); inputs with a coherent mode (one
+    block).  Sizes come from a drawn seed, so small and large cases mix."""
+    kind = draw(st.sampled_from(["fock", "squeezed", "coherent"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "fock":
+        modes = int(rng.integers(2, 8))
+        photons = rng.multinomial(rng.integers(1, 6), np.full(modes, 1.0 / modes))
+        descs = [Fock(int(n)) if n else Vacuum() for n in photons]
+    else:
+        modes = int(rng.integers(2, 5))
+        makers = [
+            lambda: SqueezedVacuum(float(rng.uniform(-0.5, 0.5))),
+            Vacuum,
+            lambda: Fock(int(rng.integers(1, 3))),
+            lambda: Coherent(complex(*rng.uniform(-0.7, 0.7, size=2))),
+        ]
+        if kind == "squeezed":
+            makers.pop()
+        descs = [SqueezedVacuum(float(rng.choice([-1, 1]) * rng.uniform(0.05, 0.5)))]
+        descs += [makers[rng.integers(len(makers))]() for _ in range(modes - 1)]
+        if kind == "coherent":
+            descs[rng.integers(modes)] = makers[-1]()
+    state = apply_unitary(build_input_state(InputStateSpec(descs)), UnitaryMatrix(haar_unitary(rng, modes)))
+    subset = rng.choice(modes, size=rng.integers(1, modes), replace=False)
+    return kind, state, Bipartition(tuple(subset.tolist()), modes)
+
+
+@settings(max_examples=60)
+@given(blocked_cases())
+def test_blocked_spectrum_matches_dense_reference(case):
+    kind, state, part = case
+    ref = schmidt_dense_reference(state, part)
+    rep = entanglement_report(state, part)
+    s = rep.schmidt_coefficients
+    assert s.shape == ref.shape
+    assert np.all(np.diff(s) <= 0)
+    np.testing.assert_allclose(s, ref, rtol=0, atol=1e-12)
+    assert abs(rep.entropy_bits - _entropy_bits(ref)) <= 1e-12
+    if kind == "coherent":
+        assert np.array_equal(s, ref)
+
+
+def test_chain_of_photon_counts_is_one_block():
+    """Terms |n, n> and |n + 1, n> link subset count n + 1 to n only through the
+    counts between them, so the whole chain is one block."""
+    rng = np.random.default_rng(26)
+    amps = {t: complex(*rng.normal(size=2)) for n in range(12) for t in ((n, n), (n + 1, n))}
+    state = MultimodeFockState(2, amps)
+    part = Bipartition((0,), 2)
+    assert np.array_equal(entanglement_report(state, part).schmidt_coefficients,
+                          schmidt_dense_reference(state, part))
+
+
+def test_blocked_spectrum_at_scale():
+    """A 12|12 cut of 4 photons in 24 modes: 1820 x 1820 dense, 78 x 78 at most per block."""
+    state = _haar_fock_state(24, 4, seed=3)
+    part = Bipartition(tuple(range(12)), 24)
+    tracemalloc.start()
+    try:
+        rep = entanglement_report(state, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.schmidt_coefficients) == 1820
+    assert abs(np.sum(rep.schmidt_coefficients**2) - 1.0) <= 1e-12
+    assert peak < 16e6
+
+
+def test_reduced_density_refuses_before_allocating():
+    """A 12-mode subset of 5 photons in 24 modes has 6188 rows: refused, with no 6188^2 matrix."""
+    state = _haar_fock_state(24, 5, seed=4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyModes):
+            reduced_density(state, Bipartition(tuple(range(12)), 24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from maskmodes.agreement import run_agreement_suite
+from maskmodes import agreement
+from maskmodes.agreement import run_agreement_suite, run_trial
 from maskmodes.diffraction import UnitaryMatrix
 from maskmodes.entanglement import Bipartition, entanglement_report
 from maskmodes.errors import DimensionMismatch, NonAnalyticInput, NotPure
@@ -246,6 +249,23 @@ def test_agreement_mini_suite():
     assert res["all_agree"]
     gauss_checked = [t for t in res["trials"] if t["gaussian_separable"] is not None]
     assert gauss_checked, "some trials must exercise the covariance oracle"
+
+
+def test_trial_records_borderline_draws(monkeypatch):
+    fair = run_trial(7, 3)
+    assert (fair["family"], fair["draws"], fair["borderline_kept"]) == ("unequal_squeeze", 1, False)
+
+    def weak_witness(*args, **kwargs):
+        verdict = check_no_entanglement(*args, **kwargs)
+        if verdict.witness is not None and verdict.witness.residual is not None:
+            verdict.witness = dataclasses.replace(verdict.witness, residual=agreement.MIN_RESIDUAL / 2)
+        return verdict
+
+    monkeypatch.setattr(agreement, "check_no_entanglement", weak_witness)
+    kept = run_trial(7, 3)
+    assert kept["draws"] == 50
+    assert kept["borderline_kept"] is True
+    assert kept["witness"]["residual"] < agreement.MIN_RESIDUAL
 
 
 def test_verdict_json_schema():

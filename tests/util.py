@@ -6,6 +6,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from maskmodes.diffraction import CircularAperture, CosineGrating, _interp_spectrum, mask_spectrum
+from maskmodes.entanglement import bipartition_matrix
 
 
 def gauge_fix(m):
@@ -143,3 +144,12 @@ def plane_wave_coupling_columns(mask, input_grid, output_grid, k, match_tol=1e-9
             m[:, col] = np.abs(k * nz_out) * vals * w_in[col]
     scale = float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
     return (m / scale if scale > 0 else m), scale
+
+
+def schmidt_dense_reference(state, part):
+    """Schmidt spectrum from one SVD of the whole dense amplitude matrix.
+
+    Reference for the photon-number-blocked spectrum of
+    ``entanglement.entanglement_report``.
+    """
+    return np.linalg.svd(bipartition_matrix(state, part)[0], compute_uv=False)
