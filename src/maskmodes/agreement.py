@@ -2,7 +2,7 @@
 
 Each trial draws a network and a separable input, asks the symbolic checker
 for a verdict, and compares it with (i) the entropy of the exactly
-propagated truncated-Fock state and (ii), for all-Gaussian inputs, the
+propagated, degree-capped Fock state and (ii), for all-Gaussian inputs, the
 covariance-matrix oracle.  Verdicts must agree on every trial.
 
 The ensembles keep clear of the region where a verdict would be numerically

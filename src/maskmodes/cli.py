@@ -150,6 +150,13 @@ def _parse_subset_mask(text, n_modes):
     return subset
 
 
+def _parse_inputs(text):
+    try:
+        return InputStateSpec.parse(text)
+    except ValueError as e:
+        raise click.UsageError(f"input descriptors {text!r}: {e}")
+
+
 def _run(fn):
     try:
         fn()
@@ -273,7 +280,6 @@ def design_response(config_file, **flags):
 @main.command("propagate")
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None)
 @click.option("--state", "state_text", default=None, help='Input spec, e.g. "fock:2,vac".')
-@click.option("--cutoff", type=int, default=None, help="Fock cutoff for coherent/squeezed modes.")
 @click.option("--unitary", "unitary_file", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_file", default=None)
 @click.option("--report", type=click.Choice(["entropy", "none"]), default=None)
@@ -285,7 +291,7 @@ def propagate(config_file, **flags):
         r = _resolve(config_file, **flags)
         _require(r, "state_text", "unitary_file", "out_file")
         unit = UnitaryMatrix.load(r["unitary_file"])
-        spec = InputStateSpec.parse(r["state_text"], cutoff=r["cutoff"])
+        spec = _parse_inputs(r["state_text"])
         out = apply_unitary(build_input_state(spec), unit)
         result = {"state": out.to_json()}
         if (r["report"] or "none") == "entropy":
@@ -374,7 +380,7 @@ def check_separability(config_file, **flags):
         r = _resolve(config_file, **flags)
         _require(r, "inputs_text", "unitary_file", "subset_text", "out_file")
         unit = UnitaryMatrix.load(r["unitary_file"])
-        spec = InputStateSpec.parse(r["inputs_text"])
+        spec = _parse_inputs(r["inputs_text"])
         subset = _parse_subset_mask(r["subset_text"], unit.dim)
         verdict = check_no_entanglement(BargmannInput.from_input_spec(spec), unit, subset)
         _write_artifact(r["out_file"], "check-separability", r, verdict.to_json())

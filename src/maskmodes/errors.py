@@ -41,14 +41,6 @@ class UnitarityError(MaskModesError):
     """A matrix promised to be unitary is not, beyond tolerance."""
 
 
-class CutoffTooSmall(MaskModesError):
-    """Fock cutoff truncates too much norm; carries the required cutoff."""
-
-    def __init__(self, message, required_cutoff=None):
-        super().__init__(message)
-        self.required_cutoff = required_cutoff
-
-
 class NonPhysical(MaskModesError):
     """Negative occupation numbers or similar impossible parameters."""
 

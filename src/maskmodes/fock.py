@@ -6,11 +6,13 @@ by substituting every creation operator according to
 ``a_j+ -> sum_k U[j, k] a_k+`` and expanding; a passive network conserves
 total photon number, so the expansion is exact sector by sector.
 
-One routine expands every state: it multiplies per-mode polynomials into a
-sparse coefficient array capped at a total degree, by Horner steps.  A
-product input from :func:`build_input_state` is one list of per-mode
-factors; any other state is a sum of monomials, each a list of single-power
-factors.
+One routine expands every state, in normalized amplitudes.  The Gaussian
+part of a product input (its displacements and squeezings) becomes the
+output Bargmann exponent ``exp(½ zᵀBz + γᵀz)`` with ``B = Uᵀ diag(tanh lam) U``
+and ``γ = Uᵀ alpha``; its sectors come from the multidimensional Hermite
+recurrence (Miatto & Quesada, Quantum 4, 366 (2020)).  Every Fock photon,
+of a product input or of a stored state's row, then goes in as one creation
+step ``w_j+ = sum_k U[j, k] a_k+``.
 """
 
 import json
@@ -22,10 +24,9 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from ._jsonio import json_chunks
-from .errors import CutoffTooSmall, DimensionMismatch, NonPhysical, StateTooLarge
+from .errors import DimensionMismatch, NonPhysical, StateTooLarge
 
 DEFAULT_PRUNE = 1e-14
-TRUNCATION_BUDGET = 1e-10
 #: Most terms a state may need before it is built (StateTooLarge beyond).
 MAX_TERMS = 1_000_000
 
@@ -47,10 +48,18 @@ class Fock:
 class Coherent:
     alpha: complex
 
+    def __post_init__(self):
+        if not np.isfinite(complex(self.alpha)):
+            raise NonPhysical(f"coherent amplitude {self.alpha!r} is not finite")
+
 
 @dataclass(frozen=True)
 class SqueezedVacuum:
     lam: float
+
+    def __post_init__(self):
+        if not np.isfinite(float(self.lam)):
+            raise NonPhysical(f"squeezing {self.lam!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -75,97 +84,95 @@ def parse_descriptor(text):
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 
-def coherent_amplitudes(alpha, cutoff):
-    """``exp(-|a|^2/2) a^n / sqrt(n!)`` up to the cutoff."""
-    n = np.arange(cutoff + 1)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    if alpha == 0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    mag = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - log_fact / 2)
-    phase = np.exp(1j * np.angle(complex(alpha)) * n)
-    return mag * phase
+def _gaussian_amplitudes(alpha, lam, tail=1e-30):
+    """Fock amplitudes of a coherent (``lam = 0``) or squeezed vacuum, in log space.
 
-
-def squeezed_vacuum_amplitudes(lam, cutoff):
-    """Even-n expansion of ``exp(lam (a+^2 - a^2)/2) |0>``.
-
-    ``amp(2m) = sech(lam)^(1/2) tanh(lam)^m sqrt((2m)!) / (2^m m!)``; the
-    positive-``tanh`` branch belongs to this operator ordering, for which
-    the quadrature variances come out as ``exp(+-2 lam)``.
+    Coherent: ``exp(-|a|^2/2) a^n / sqrt(n!)``, as far as the Poisson bound
+    ``P(N >= mu + t) <= exp(-t^2 / (2 (mu + t/3)))`` reaches ``tail``.
+    Squeezed, ``exp(lam (a+^2 - a^2)/2) |0>``: ``amp(2m) = sech(lam)^(1/2)
+    tanh(lam)^m sqrt((2m)!) / (2^m m!)`` (the positive-``tanh`` branch of this
+    ordering, whose quadrature variances are ``exp(+-2 lam)``), as far as
+    ``P(N > 2m) <= cosh(lam) tanh(lam)^(2m+2)`` reaches ``tail``.  At most
+    ``MAX_TERMS + 1`` amplitudes, beyond which no state is built anyway.
     """
-    m = np.arange(cutoff // 2 + 1)
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    log_mag = 0.5 * gammaln(2 * m + 1) - gammaln(m + 1) - m * np.log(2.0)
-    amps[::2] = np.tanh(lam) ** m * np.exp(log_mag) / np.sqrt(np.cosh(lam))
-    return amps
+    c = -np.log(tail)
+    if lam == 0:
+        mu = abs(alpha) ** 2
+        n = np.arange(min(int(mu + c / 3 + np.sqrt(c * c / 9 + 2 * c * mu)) + 2, MAX_TERMS + 1))
+        mag = np.exp(-mu / 2 + xlogy(n, abs(alpha)) - 0.5 * gammaln(n + 1))
+        return mag * np.exp(1j * np.angle(alpha) * n)
+    t = np.tanh(lam)
+    n = np.arange(min(int((c + np.log(np.cosh(lam))) / -np.log(abs(t))) + 3, MAX_TERMS + 1))
+    m, odd = np.divmod(n, 2)
+    log_mag = (xlogy(m, abs(t)) + 0.5 * gammaln(2 * m + 1) - gammaln(m + 1)
+               - m * np.log(2.0) - 0.5 * np.log(np.cosh(lam)))
+    return np.where(odd, 0.0, np.sign(t) ** m * np.exp(log_mag)).astype(complex)
 
 
-def _one_hot(n):
-    return np.eye(n + 1, dtype=complex)[n]
+def _total_degree_cap(probabilities, tail=1e-20):
+    """Smallest total degree above which the product's weight is at most ``tail``.
 
-
-def descriptor_amplitudes(desc, cutoff):
-    if isinstance(desc, (Vacuum, Fock)):
-        return _one_hot(desc.n if isinstance(desc, Fock) else 0)
-    if isinstance(desc, Coherent):
-        return coherent_amplitudes(desc.alpha, cutoff)
-    if isinstance(desc, SqueezedVacuum):
-        return squeezed_vacuum_amplitudes(desc.lam, cutoff)
-    raise TypeError(f"unknown descriptor {desc!r}")
-
-
-def required_cutoff(desc, budget=TRUNCATION_BUDGET, hard_limit=300):
-    """Smallest cutoff whose lost squared norm is within the budget."""
-    if isinstance(desc, (Vacuum, Fock)):
-        return desc.n if isinstance(desc, Fock) else 0
-    for c in range(1, hard_limit):
-        amps = descriptor_amplitudes(desc, c)
-        if 1.0 - float(np.sum(np.abs(amps) ** 2)) <= budget:
-            return c
-    raise CutoffTooSmall(
-        f"descriptor {desc!r} needs a cutoff beyond {hard_limit}", required_cutoff=hard_limit
-    )
+    ``probabilities`` are per-mode photon-number distributions.  The weight
+    above each degree is summed from the top, so it is resolved far below
+    the float64 spacing of the total weight.
+    """
+    dist = np.ones(1)
+    for p in probabilities:
+        dist = np.convolve(dist, p)
+    above = np.append(np.cumsum(dist[::-1])[::-1][1:], 0.0)
+    return int(np.argmax(above <= tail))
 
 
 class InputStateSpec:
-    """Separable input: one descriptor per mode plus a Fock cutoff.
+    """Separable input, translated once into per-mode arrays.
 
-    ``cutoff=None`` picks, per mode, the smallest cutoff whose truncation
-    error (lost squared norm before renormalization) is at most 1e-10.  An
-    explicit cutoff that loses more than that raises
-    :class:`~maskmodes.errors.CutoffTooSmall` with the required value.
+    Mode j is ``(a_j+)^photons[j] / sqrt(photons[j]!)`` applied to the vacuum
+    displaced by ``alpha[j]`` or squeezed by ``lam[j]`` (a descriptor sets at
+    most one of the three).  The engine, the checker and the covariance
+    oracle all read these arrays.
+
+    The total photon number T above which the input weight is at most 1e-20
+    is fixed here: Fock photons plus the cap of the Gaussian modes'
+    convolved photon-number distribution.  A mode whose mean photon number
+    alone makes ``C(n + M, M)`` over M modes exceed ``MAX_TERMS`` raises
+    :class:`~maskmodes.errors.StateTooLarge` before any vector is allocated.
     """
 
-    def __init__(self, descriptors, cutoff=None):
+    def __init__(self, descriptors):
         self.descriptors = list(descriptors)
         if not self.descriptors:
             raise ValueError("need at least one mode")
-        self.cutoff = cutoff
-        self.mode_amplitudes = []
-        self.truncation_errors = []
-        for d in self.descriptors:
-            need = required_cutoff(d)
-            use = need if cutoff is None else cutoff
-            if isinstance(d, Fock) and use < d.n:
-                raise CutoffTooSmall(
-                    f"Fock({d.n}) does not fit under cutoff {use}", required_cutoff=d.n
-                )
-            amps = descriptor_amplitudes(d, use)
-            lost = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-            if lost > TRUNCATION_BUDGET:
-                raise CutoffTooSmall(
-                    f"cutoff {use} loses {lost:.3e} of norm for {d!r}; need {need}",
-                    required_cutoff=need,
-                )
-            self.mode_amplitudes.append(amps)
-            self.truncation_errors.append(lost)
+        n_modes = len(self.descriptors)
+        self.alpha = np.zeros(n_modes, dtype=complex)
+        self.lam = np.zeros(n_modes)
+        photons = [0] * n_modes
+        for j, d in enumerate(self.descriptors):
+            if isinstance(d, Coherent):
+                self.alpha[j] = d.alpha
+            elif isinstance(d, SqueezedVacuum):
+                self.lam[j] = d.lam
+            elif isinstance(d, Fock):
+                photons[j] = int(d.n)
+            elif not isinstance(d, Vacuum):
+                raise TypeError(f"unknown descriptor {d!r}")
+        # mean photon number per mode, clipped where it alone passes MAX_TERMS
+        root = 2 * np.sqrt(MAX_TERMS)
+        mean = (np.minimum(np.abs(self.alpha), root) ** 2
+                + np.sinh(np.minimum(np.abs(self.lam), np.arcsinh(root))) ** 2)
+        low = min(max(n + float(m) for n, m in zip(photons, mean)), MAX_TERMS)
+        _check_size(comb(int(low) + n_modes, n_modes),
+                    f"terms for at least {int(low)} photons in one mode over {n_modes} modes")
+        self.photons = np.array(photons, dtype=np.int64)
+        amps = {j: _gaussian_amplitudes(self.alpha[j], self.lam[j])
+                for j in np.flatnonzero((self.alpha != 0) | (self.lam != 0)).tolist()}
+        top = _total_degree_cap([np.abs(a) ** 2 for a in amps.values()])
+        self._top = int(self.photons.sum()) + top
+        self._amplitudes = {j: a[: top + 1] for j, a in amps.items()}  # Gaussian modes
 
     @classmethod
-    def parse(cls, text, cutoff=None):
+    def parse(cls, text):
         """Build from a comma-separated descriptor string, e.g. ``"fock:2,vac"``."""
-        return cls([parse_descriptor(p) for p in text.split(",")], cutoff=cutoff)
+        return cls([parse_descriptor(p) for p in text.split(",")])
 
     @property
     def mode_count(self):
@@ -194,11 +201,6 @@ def _layout(n_modes, top):
 def _pack(occ, layout):
     per, strides, _ = layout
     return np.add.reduceat(occ * strides, np.arange(0, occ.shape[1], per), axis=1)
-
-
-def _unpack(words, layout):
-    per, strides, base = layout
-    return words[:, np.arange(len(strides)) // per] // strides % base
 
 
 def _lex_runs(words):
@@ -256,16 +258,18 @@ class MultimodeFockState:
         return state
 
     def _set(self, mode_count, occ, vals, prune_threshold, normalize):
+        if not np.all(np.isfinite(vals)):
+            raise NonPhysical("state has a non-finite amplitude")
         keep = np.abs(vals) >= prune_threshold
         occ, vals = occ[keep], vals[keep]
         if not len(vals):
-            raise ValueError("state has no amplitude above the prune threshold")
+            raise NonPhysical("state has no amplitude above the prune threshold")
         if normalize:
             vals = vals / np.linalg.norm(vals)
         occ.flags.writeable = vals.flags.writeable = False
         self.mode_count, self.occupations, self.values = mode_count, occ, vals
         self.prune_threshold = prune_threshold
-        self._factors = None  # per-mode factors, set by build_input_state
+        self._spec = None  # the InputStateSpec of a product input, set by build_input_state
 
     @classmethod
     def from_occupation(cls, tup):
@@ -343,24 +347,28 @@ def _check_size(estimate, what):
 
 
 def build_input_state(spec, prune_threshold=DEFAULT_PRUNE):
-    """Product state from per-mode descriptors, renormalized to unit norm.
+    """Product state of the spec's modes up to its total degree T, renormalized.
 
-    The per-mode factors are kept on the state: :func:`apply_unitary`
-    expands them as one product instead of term by term.
+    The spec is kept on the state: :func:`apply_unitary` expands a product
+    input from it instead of term by term.
     """
     occ = np.zeros((1, 0), dtype=np.int64)
     vals = np.ones(1, dtype=complex)
-    for amps in spec.mode_amplitudes:
+    deg = np.zeros(1, dtype=np.int64)
+    for j, n in enumerate(spec.photons):
+        amps = spec._amplitudes.get(j, np.ones(1))
+        levels = n + np.arange(len(amps))
         _check_size(len(vals) * len(amps), "input terms")
         # rows stay lexicographic: every old row is followed by its extensions
-        grown = (vals[:, None] * amps[None, :]).ravel()
-        keep = np.abs(grown) >= prune_threshold
+        grown = (vals[:, None] * amps).ravel()
+        total = (deg[:, None] + levels).ravel()
+        keep = (np.abs(grown) >= prune_threshold) & (total <= spec._top)
         occ = np.column_stack(
-            [np.repeat(occ, len(amps), axis=0), np.tile(np.arange(len(amps)), len(vals))]
+            [np.repeat(occ, len(amps), axis=0), np.tile(levels, len(vals))]
         )[keep]
-        vals = grown[keep]
+        vals, deg = grown[keep], total[keep]
     state = MultimodeFockState._from_sorted(spec.mode_count, occ, vals, prune_threshold)
-    state._factors = [np.array(f, dtype=complex) for f in spec.mode_amplitudes]
+    state._spec = spec
     return state
 
 
@@ -368,74 +376,90 @@ def build_input_state(spec, prune_threshold=DEFAULT_PRUNE):
 # Propagation
 
 
-def _total_degree_cap(factors, tail=1e-20):
-    """Smallest total degree above which the input weight is at most ``tail``.
+def _gaussian_sectors(U, alpha, lam, top, e_k):
+    """Sectors ``0..top`` of ``C exp(½ zᵀBz + γᵀz) |vac>``, ``B = Uᵀ diag(tanh lam) U``, ``γ = Uᵀ alpha``.
 
-    The weight above each degree is summed from the top, so it is resolved
-    far below the float64 spacing of the total weight.
-    """
-    dist = np.abs(np.asarray(factors[0])) ** 2
-    for f in factors[1:]:
-        dist = np.convolve(dist, np.abs(np.asarray(f)) ** 2)
-    above = np.append(np.cumsum(dist[::-1])[::-1][1:], 0.0)
-    return int(np.argmax(above <= tail))
-
-
-def _expand(terms, U, top):
-    """Sum of ``scale * prod_j g_j(w_j) |vac>`` over ``terms``, to total degree ``top``.
-
-    A term is ``(factors, scale)``; ``g_j(x) = sum_n c_jn x^n / sqrt(n!)`` for
-    the factor ``c_j`` of mode j, and ``w_j = sum_k U[j, k] a_k+``.  Factors
-    go in by Horner steps: multiplying by ``w_j`` adds the packed ``e_k`` to
-    every row, drops rows past ``top`` and merges equal rows; degrees never
-    fall, so every sector up to ``top`` is exact.  Returns lexicographic
-    occupation rows and their amplitudes.
+    ``C`` normalizes the input.  In normalized amplitudes the Hermite
+    recurrence reads ``sqrt(n_k+1) ψ_{n+e_k} = γ_k ψ_n + Σ_l B_kl sqrt(n_l) ψ_{n-e_l}``.
+    Each row of the next sector is taken from its first ``(k, n)`` pair;
+    ``A[n, l] = sqrt(n_l) ψ_{n-e_l}`` is scattered forward from the sector
+    before, to the row every ``(l, n - e_l)`` pair was merged into.
+    Candidates are laid out k-major, as sorted runs, so the stable sort
+    merges runs.  Returns packed rows, occupations and amplitudes, sector
+    after sector.
     """
     n_modes = len(U)
-    layout = _layout(n_modes, top)
-    per, strides, _ = layout
+    B = U.T @ (np.tanh(lam)[:, None] * U)
+    gamma = U.T @ alpha
+    words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
+    occ = np.zeros((1, n_modes), dtype=np.int64)
+    psi = np.full(1, np.exp(-0.5 * np.sum(np.abs(alpha) ** 2 + np.log(np.cosh(lam)))),
+                  dtype=complex)
+    A = np.zeros((1, n_modes), dtype=complex)
+    sectors = [(words, occ, psi)]
+    for _ in range(top):
+        rows = len(psi)
+        cand = (e_k[:, None, :] + words).reshape(-1, e_k.shape[1])
+        order, start = _lex_runs(cand)
+        k, parent = np.divmod(order[start], rows)
+        root = np.sqrt(occ + 1.0)
+        nxt = (gamma[k] * psi[parent] + (A @ B)[parent, k]) / root[parent, k]
+        A = np.zeros((len(parent), n_modes), dtype=complex)
+        A[np.cumsum(start) - 1, order // rows] = (root.T * psi).ravel()[order]
+        words, occ, psi = cand[order[start]], occ[parent], nxt
+        occ[np.arange(len(parent)), k] += 1
+        sectors.append((words, occ, psi))
+    return [np.concatenate(part) for part in zip(*sectors)]
+
+
+def _expand(U, top, rows, scales, seed=None):
+    """``Σ_r scales[r] Π_j (w_j+)^{n_rj} / sqrt(n_rj!)`` applied to a seed, to total degree ``top``.
+
+    ``rows`` holds the photon numbers ``n_r`` and ``w_j+ = Σ_k U[j, k] a_k+``.
+    The seed is the vacuum, or for ``seed = (alpha, lam)`` (a product input:
+    one row of scale 1) the :func:`_gaussian_sectors` up to degree
+    ``top - Σ_j n_rj``.  A creation
+    step by ``w_j+ / sqrt(i)`` (the i-th photon of mode j) adds the packed
+    ``e_k`` to every row, weights it by ``U[j, k] sqrt(n_k + 1) / sqrt(i)``
+    and merges equal rows; degrees never fall, so every sector up to ``top``
+    is exact.  Returns lexicographic occupation rows and their amplitudes.
+    """
+    n_modes = len(U)
+    per, strides, _ = _layout(n_modes, top)
     e_k = np.zeros((n_modes, (n_modes - 1) // per + 1), dtype=np.int64)
     e_k[np.arange(n_modes), np.arange(n_modes) // per] = strides
-    out_words, out_vals = [], []
-    for factors, scale in terms:
-        words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
-        vals = np.full(1, scale, dtype=complex)
-        deg = np.zeros(1, dtype=np.int64)
-        for j, c in enumerate(factors):
-            b = np.asarray(c, dtype=complex)[: np.flatnonzero(c)[-1] + 1]
-            b = b * np.exp(-0.5 * gammaln(np.arange(1, len(b) + 1)))
+    out = []
+    for row, scale in zip(rows, scales):
+        if seed is None:
+            words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
+            occ = np.zeros((1, n_modes), dtype=np.int64)
+            vals = np.full(1, scale, dtype=complex)
+        else:
+            words, occ, vals = _gaussian_sectors(U, *seed, top - int(row.sum()), e_k)
+        for j in np.flatnonzero(row):
             ks = np.flatnonzero(U[j])
-            q_words, q_vals, q_deg = words, b[-1] * vals, deg
-            for n in range(len(b) - 2, -1, -1):
-                live = q_deg < top
-                cw = (q_words[live][None] + e_k[ks][:, None]).reshape(-1, e_k.shape[1])
-                cv = (U[j, ks][:, None] * q_vals[live]).ravel()
-                cd = np.tile(q_deg[live] + 1, len(ks))
-                if b[n] != 0:
-                    cw = np.concatenate([cw, words])
-                    cv = np.concatenate([cv, b[n] * vals])
-                    cd = np.concatenate([cd, deg])
-                idx, q_vals = _merge(cw, cv)
-                q_words, q_deg = cw[idx], cd[idx]
-            words, vals, deg = q_words, q_vals, q_deg
-        out_words.append(words)
-        out_vals.append(vals)
-    words, vals = np.concatenate(out_words), np.concatenate(out_vals)
-    if len(terms) > 1:
-        idx, vals = _merge(words, vals)
-        words = words[idx]
-    occ = _unpack(words, layout)
-    return occ, vals * np.exp(0.5 * gammaln(occ + 1).sum(axis=1))
+            for i in range(1, row[j] + 1):
+                cand = (e_k[ks][:, None, :] + words).reshape(-1, e_k.shape[1])
+                idx, vals = _merge(cand, (U[j, ks, None] / np.sqrt(i)
+                                          * np.sqrt(occ[:, ks].T + 1.0) * vals).ravel())
+                at, parent = np.divmod(idx, len(words))
+                words, occ = cand[idx], occ[parent]
+                occ[np.arange(len(idx)), ks[at]] += 1
+        out.append((words, occ, vals))
+    words, occ, vals = (np.concatenate(part) for part in zip(*out))
+    idx, vals = _merge(words, vals)
+    return occ[idx], vals
 
 
 def apply_unitary(state, u, prune_threshold=None):
     """Propagate a state through a unitary network (exact expansion).
 
-    A product input from :func:`build_input_state` is expanded as one
-    product up to the total photon number T above which its weight is at most
-    1e-20 (so no dropped amplitude exceeds 1e-10); any other state is
-    expanded exactly, monomial by monomial (see :func:`_expand`).  Amplitudes
-    are pruned and renormalized.  Raises
+    A product input from :func:`build_input_state` is expanded from its spec
+    up to the total photon number T above which its weight is at most 1e-20
+    (so no dropped amplitude exceeds 1e-10): the Gaussian modes as the
+    output Bargmann exponent, then one creation step per Fock photon.  Any
+    other state is expanded exactly, row by row, by creation steps (see
+    :func:`_expand`).  Amplitudes are pruned and renormalized.  Raises
     :class:`~maskmodes.errors.StateTooLarge` before expanding when
     ``C(T + M, M)`` over M modes exceeds ``MAX_TERMS``.
     """
@@ -443,15 +467,16 @@ def apply_unitary(state, u, prune_threshold=None):
         raise DimensionMismatch(f"network has {u.dim} modes, state has {state.mode_count}")
     prune = state.prune_threshold if prune_threshold is None else prune_threshold
     n_modes = state.mode_count
-    if state._factors is not None:
-        top = _total_degree_cap(state._factors)
-        terms = [(state._factors, 1.0)]
+    spec = state._spec
+    if spec is not None:
+        top = spec._top
+        rows, scales = spec.photons[None], [1.0]
+        seed = (spec.alpha, spec.lam) if spec.alpha.any() or spec.lam.any() else None
     else:
         top = int(state.occupations.sum(axis=1).max())
-        terms = [([_one_hot(n) for n in row], a)
-                 for row, a in zip(state.occupations.tolist(), state.values)]
+        rows, scales, seed = state.occupations, state.values, None
     _check_size(comb(top + n_modes, n_modes), f"output terms ({top} photons over {n_modes} modes)")
-    occ, vals = _expand(terms, u.matrix, top)
+    occ, vals = _expand(u.matrix, top, rows, scales, seed)
     return MultimodeFockState._from_sorted(n_modes, occ, vals, prune)
 
 

@@ -8,10 +8,11 @@ chosen subset of output modes the criterion reads:
 
 * modes that do not couple to the subset are unconstrained;
 * coupled modes must carry no degree-above-2 structure;
-* the degree-2 coefficients must satisfy
-  ``lam_j U[j,k] = xi_k conj(U[j,k])`` for every coupled ``j`` and subset
-  ``k`` (forcing equal squeezing magnitudes), equivalently all cross terms
-  ``sum_j lam_j U[j,k] U[j,k']`` with ``k' != k`` must vanish.
+* the degree-2 coefficients must leave no cross term:
+  ``sum_j lam_j U[j,k] U[j,k']`` must vanish for every subset ``k`` and
+  ``k' != k``.  For a unitary ``U`` this forces ``lam_j U[j,k] =
+  xi_k conj(U[j,k])`` (equal squeezing magnitudes on coupled modes), so no
+  separate phase condition is checked.
 
 Degrees 0 and 1 impose nothing.  The Gaussian covariance propagation serves
 as an oracle that never truncates.
@@ -23,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonAnalyticInput, NotPure
-from .fock import Coherent, Fock, SqueezedVacuum, Vacuum
 
 D_MAX_DEFAULT = 4
 TOL_COUPLE = 1e-12
@@ -76,34 +76,19 @@ class BargmannInput:
 
     @classmethod
     def from_input_spec(cls, spec, d_max=D_MAX_DEFAULT):
-        """Convert per-mode descriptors; Fock(n >= 1) is flagged non-Gaussian."""
-        coeffs = []
-        flags = []
-        for d in spec.descriptors:
-            row = np.zeros(d_max + 1, dtype=complex)
-            flag = False
-            if isinstance(d, Vacuum):
-                pass
-            elif isinstance(d, Coherent):
-                row[0] = -abs(d.alpha) ** 2 / 2.0
-                row[1] = d.alpha
-            elif isinstance(d, SqueezedVacuum):
-                row[0] = 0.5 * np.log(1.0 / np.cosh(d.lam))
-                row[2] = squeezing_to_quadratic_coeff(d.lam)
-            elif isinstance(d, Fock):
-                flag = d.n >= 1
-            else:
-                raise TypeError(f"unknown descriptor {d!r}")
-            coeffs.append(row)
-            flags.append(flag)
-        return cls(coeffs, non_gaussian=flags, d_max=d_max)
+        """Read the spec's arrays; a mode with Fock photons is flagged non-Gaussian."""
+        coeffs = np.zeros((spec.mode_count, d_max + 1), dtype=complex)
+        coeffs[:, 0] = -np.abs(spec.alpha) ** 2 / 2.0 - 0.5 * np.log(np.cosh(spec.lam))
+        coeffs[:, 1] = spec.alpha
+        coeffs[:, 2] = squeezing_to_quadratic_coeff(spec.lam)
+        return cls(coeffs, non_gaussian=(spec.photons >= 1).tolist(), d_max=d_max)
 
 
 @dataclass(frozen=True)
 class Witness:
     """The condition a non-separable verdict violated."""
 
-    kind: str  # "non_gaussian" | "higher_order" | "d2_cross_term" | "d2_phase"
+    kind: str  # "non_gaussian" | "higher_order" | "d2_cross_term"
     order: Optional[int]
     modes: tuple
     residual: Optional[float]
@@ -150,7 +135,7 @@ def check_no_entanglement(bargmann, u, out_subset, tol_coeff=TOL_COEFF,
     The verdict is exact (symbolic in the coefficients, numeric only through
     float arithmetic): uncoupled modes are ignored, coupled modes must be
     Gaussian with no degree-above-2 coefficients, and the degree-2
-    coefficients must pass the cross-term and phase-consistency conditions.
+    coefficients must leave no cross term between a subset mode and any other.
     """
     if bargmann.mode_count != u.dim:
         raise DimensionMismatch("input mode count does not match the network")
@@ -191,15 +176,6 @@ def check_no_entanglement(bargmann, u, out_subset, tol_coeff=TOL_COEFF,
             t = complex(np.sum(lam2 * U[:, k] * U[:, kp]))
             if abs(t) > tol_coeff:
                 return verdict(Witness("d2_cross_term", 2, (k, kp), abs(t)))
-
-    # phase consistency: lam_j U[j,k] = xi_k conj(U[j,k]) with
-    # xi_k = sum_j lam_j U[j,k]^2 (forces equal squeezing magnitudes)
-    for k in subset:
-        xi_k = complex(np.sum(lam2 * U[:, k] ** 2))
-        res = lam2 * U[:, k] - xi_k * np.conj(U[:, k])
-        worst = int(np.argmax(np.abs(res)))
-        if abs(res[worst]) > tol_coeff:
-            return verdict(Witness("d2_phase", 2, (worst, k), float(abs(res[worst]))))
 
     return verdict(None)
 
@@ -263,15 +239,7 @@ def covariance_separable(sigma, part, tol=1e-9, purity_tol=1e-8):
 
 
 def gaussian_pairs_from_spec(spec):
-    """Extract ``(alpha, lam)`` pairs from an all-Gaussian input spec."""
-    pairs = []
-    for d in spec.descriptors:
-        if isinstance(d, Vacuum):
-            pairs.append((0.0 + 0.0j, 0.0))
-        elif isinstance(d, Coherent):
-            pairs.append((complex(d.alpha), 0.0))
-        elif isinstance(d, SqueezedVacuum):
-            pairs.append((0.0 + 0.0j, float(d.lam)))
-        else:
-            return None
-    return pairs
+    """``(alpha, lam)`` pairs of an input spec, or None if any mode holds Fock photons."""
+    if np.any(spec.photons):
+        return None
+    return list(zip(spec.alpha.tolist(), spec.lam.tolist()))

@@ -123,13 +123,13 @@ def test_criterion_05_coherent_inputs_never_entangle():
 def test_criterion_06_equal_vs_opposite_squeezing():
     block = UnitaryMatrix.balanced_splitter()
 
-    equal = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(0.3)], cutoff=24)
+    equal = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(0.3)])
     out = apply_unitary(build_input_state(equal), block)
     s_eq = entanglement_report(out, Bipartition((0,), 2)).entropy_bits
     assert s_eq <= 1e-6
 
     # opposite signs: build the coefficients directly (lam and -lam)
-    opposite = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(-0.3)], cutoff=24)
+    opposite = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(-0.3)])
     out2 = apply_unitary(build_input_state(opposite), block)
     s_op = entanglement_report(out2, Bipartition((0,), 2)).entropy_bits
     assert s_op >= 0.1

@@ -1,8 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskmodes.cli import main
 from maskmodes.diffraction import (
@@ -217,17 +220,128 @@ def test_unknown_command_exits_2(runner):
     assert result.exit_code == 2
 
 
-def test_numerical_failure_exits_1(runner, tmp_path):
+def _propagate(runner, tmp_path, state, unitary):
+    return runner.invoke(main, ["propagate", "--state", state, "--unitary", str(unitary),
+                                "--report", "entropy", "--out", str(tmp_path / "x.json")])
+
+
+def _exited_cleanly(result):
+    """No exception escaped the command: click turned every error into an exit code."""
+    return result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.fixture
+def grating(runner, tmp_path):
     u = tmp_path / "u.json"
     invoke(runner, "compile-mask", "--mask", "cosine", "--u", "0.6,0.0", "--out", str(u))
-    # an explicit cutoff that is too small; a squeezing past the largest cutoff
-    for state in (["coh:1.5,vac", "--cutoff", "4"], ["sq:2.0,vac"]):
-        result = runner.invoke(
-            main,
-            ["propagate", "--state", *state, "--unitary", str(u), "--out", str(tmp_path / "x.json")],
-        )
-        assert result.exit_code == 1
-        assert "cutoff" in result.output.lower()
+    return u
+
+
+def test_numerical_failure_exits_1(runner, tmp_path, grating):
+    # a squeezing whose expansion is too large, and descriptors no state can hold
+    for state, message in (
+        ("sq:3.0,vac", "the limit is"),
+        ("coh:1e4,vac", "the limit is"),
+        ("coh:1e200,vac", "the limit is"),
+        ("fock:100000000000000000000,vac", "the limit is"),
+        ("coh:nan,vac", "not finite"),
+        ("sq:inf,vac", "not finite"),
+        ("fock:-1,vac", "negative photon number"),
+    ):
+        result = _propagate(runner, tmp_path, state, grating)
+        assert result.exit_code == 1, (state, result.output)
+        assert message in result.output, (state, result.output)
+        assert _exited_cleanly(result) and "Traceback" not in result.output
+
+
+def test_removed_cutoff_option_exits_2(runner, tmp_path, grating):
+    result = runner.invoke(main, ["propagate", "--state", "coh:1.5,vac", "--cutoff", "4",
+                                  "--unitary", str(grating), "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"state_text": "coh:1.5,vac", "cutoff": 30}))
+    result = runner.invoke(main, ["propagate", "--config", str(cfg), "--unitary", str(grating),
+                                  "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2
+    assert "cutoff" in result.output
+
+
+def test_garbage_descriptor_exits_2(runner, tmp_path, grating):
+    for state in ("banana,vac", "fock:1.5,vac", "coh:,vac", "sq:x,vac", "vac,"):
+        result = _propagate(runner, tmp_path, state, grating)
+        assert result.exit_code == 2, (state, result.output)
+        assert _exited_cleanly(result)
+
+
+def test_opposite_squeezing_through_grating_is_two_mode_squeezed(runner, tmp_path, grating):
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        invoke(runner, "propagate", "--state", "sq:1.2,sq:-1.2", "--unitary", str(grating),
+               "--report", "entropy", "--out", str(out))
+        bits = json.loads(out.read_text())["result"]["entropy"]["entropy_bits"]
+        assert abs(bits - 2.909124) <= 1e-6
+        # two-mode squeezed vacuum: cosh^2 log2 cosh^2 - sinh^2 log2 sinh^2
+        ch2, sh2 = np.cosh(1.2) ** 2, np.sinh(1.2) ** 2
+        assert abs(bits - (ch2 * np.log2(ch2) - sh2 * np.log2(sh2))) <= 1e-9
+        result = invoke(runner, "propagate", "--state", "sq:1.5,sq:-1.5", "--unitary",
+                        str(grating), "--report", "entropy", "--out", str(out))
+    assert "3.771972 bits" in result.output
+
+
+def test_non_finite_state_file_exits_1(runner, tmp_path):
+    for bad in ("NaN", "Infinity"):
+        path = tmp_path / "state.json"
+        path.write_text('{"type": "state", "schema_version": 1, "mode_count": 2, "amplitudes": '
+                        f'[[[0, 1], 0.6, 0.0], [[1, 0], {bad}, 0.0]]}}')
+        result = runner.invoke(main, ["entropy", "--state-file", str(path),
+                                      "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 1, result.output
+        assert "non-finite amplitude" in result.output
+        assert _exited_cleanly(result)
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e200", "-1e200", "1e-300", "1e400"]),
+    st.floats(-1.5, 1.5).map(repr),
+)
+_DESCRIPTORS = st.one_of(
+    st.just("vac"),
+    st.one_of(st.integers(0, 4), st.sampled_from([10**6, 10**9, 10**30, -3])).map("fock:{}".format),
+    st.sampled_from(["1e200", "1e400", "nan", "1.5", "x"]).map("fock:{}".format),
+    _NUMBERS.map("coh:{}".format),
+    st.tuples(_NUMBERS, _NUMBERS).map(lambda p: f"coh:{p[0]}+{p[1]}j".replace("+-", "-")),
+    st.one_of(st.sampled_from(["nan", "inf", "-0.0", "1e200", "1e-300"]),
+              st.floats(-0.6, 0.6).map(repr)).map("sq:{}".format),
+    st.text(max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def haar_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("haar")
+    rng = np.random.default_rng(21)
+    paths = {}
+    for m in (1, 2, 3):
+        g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        u, _, vh = np.linalg.svd(g)
+        paths[m] = base / f"u{m}.json"
+        UnitaryMatrix(u @ vh).save(paths[m])
+    return base, paths
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(descriptors=st.lists(_DESCRIPTORS, min_size=1, max_size=3), mismatch=st.booleans())
+def test_propagate_never_leaks_an_exception(haar_files, descriptors, mismatch):
+    base, paths = haar_files
+    dim = len(descriptors) % 3 + 1 if mismatch else len(descriptors)
+    report = ["--report", "entropy"] if dim > 1 else []
+    result = CliRunner().invoke(main, ["propagate", "--state", ",".join(descriptors),
+                                       "--unitary", str(paths[dim]), *report,
+                                       "--out", str(base / "out.json")])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert _exited_cleanly(result), repr(result.exception)
+    assert "Traceback" not in result.output
 
 
 def test_propagate_beyond_64_modes(runner, tmp_path):

@@ -90,7 +90,7 @@ def test_entropy_two_photon_split_is_one_and_a_half_bits():
 
 def test_coherent_product_stays_separable_through_any_network():
     rng = np.random.default_rng(21)
-    spec = InputStateSpec([Coherent(0.6), Coherent(-0.4 + 0.3j)], cutoff=25)
+    spec = InputStateSpec([Coherent(0.6), Coherent(-0.4 + 0.3j)])
     st = build_input_state(spec)
     for _ in range(3):
         u = UnitaryMatrix(haar_unitary(rng, 2))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import comb, sqrt
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskmodes.diffraction import UnitaryMatrix
-from maskmodes.errors import CutoffTooSmall, DimensionMismatch, NonPhysical, StateTooLarge
+from maskmodes.errors import DimensionMismatch, NonPhysical, StateTooLarge
+from maskmodes.entanglement import Bipartition, entanglement_report
 from maskmodes.fock import (
     MAX_TERMS,
     Coherent,
@@ -20,10 +22,12 @@ from maskmodes.fock import (
     build_input_state,
     parse_descriptor,
     state_fidelity,
+    _expand,
     _total_degree_cap,
     two_mode_closed_form,
 )
-from util import haar_unitary, max_amplitude_diff, oracle_apply
+from maskmodes.separability import gaussian_covariance_propagate, gaussian_pairs_from_spec
+from util import gaussian_mode_entropy, haar_unitary, max_amplitude_diff, oracle_apply
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 
@@ -48,7 +52,7 @@ def test_coherent_zero_is_vacuum():
 
 
 def test_squeezed_vacuum_amplitudes():
-    st = build_input_state(InputStateSpec([SqueezedVacuum(0.3)], cutoff=20))
+    st = build_input_state(InputStateSpec([SqueezedVacuum(0.3)]))
     for (n,), a in st.amplitudes.items():
         if n % 2 == 1:
             raise AssertionError("odd occupation in squeezed vacuum")
@@ -58,18 +62,40 @@ def test_squeezed_vacuum_amplitudes():
     assert abs(st.norm_sq() - 1.0) < 1e-10
 
 
-def test_cutoff_too_small_reports_requirement():
-    with pytest.raises(CutoffTooSmall) as err:
-        InputStateSpec([Coherent(1.5)], cutoff=5)
-    assert err.value.required_cutoff is not None
-    InputStateSpec([Coherent(1.5)], cutoff=err.value.required_cutoff)  # no raise
-
-
 def test_negative_photon_number_rejected():
     with pytest.raises(NonPhysical):
         Fock(-1)
     with pytest.raises(NonPhysical):
         MultimodeFockState(1, {(-2,): 1.0})
+
+
+def test_non_finite_parameters_rejected():
+    for make in (lambda: Coherent(complex("nan")), lambda: Coherent(float("inf")),
+                 lambda: Coherent(complex(0, float("-inf"))), lambda: SqueezedVacuum(float("inf")),
+                 lambda: SqueezedVacuum(float("nan"))):
+        with pytest.raises(NonPhysical, match="not finite"):
+            make()
+    for bad in (float("nan"), float("inf"), complex(0.1, float("nan"))):
+        with pytest.raises(NonPhysical, match="non-finite"):
+            MultimodeFockState(2, {(1, 0): 0.6, (0, 1): bad})
+        with pytest.raises(NonPhysical, match="non-finite"):
+            MultimodeFockState.from_json({"type": "state", "mode_count": 1, "amplitudes": [
+                [[0], complex(bad).real, complex(bad).imag]]})
+
+
+def test_oversized_mode_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateTooLarge):
+            InputStateSpec([Coherent(1e4)])
+        with pytest.raises(StateTooLarge):
+            InputStateSpec([Fock(10**30), Vacuum()])
+        with pytest.raises(StateTooLarge):
+            InputStateSpec([SqueezedVacuum(1e200)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_apply_identity_leaves_state():
@@ -148,12 +174,22 @@ def test_product_fast_path_matches_generic():
     assert max(abs(fast.amplitude(t) - a) for t, a in want.items()) < 1e-12
 
 
+def _squeezed_photon_distribution(lam, length):
+    """``P(2m) = sech(lam) tanh(lam)^(2m) C(2m, m) / 4^m``, from the ratio of successive terms."""
+    p = np.zeros(length)
+    p[0] = 1 / np.cosh(lam)
+    for m in range(1, (length + 1) // 2):
+        p[2 * m] = p[2 * m - 2] * np.tanh(lam) ** 2 * (2 * m - 1) / (2 * m)
+    return p
+
+
 def test_total_degree_cap_leaves_at_most_1e20_above_it():
-    spec = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(-0.3)], cutoff=24)
-    cap = _total_degree_cap(spec.mode_amplitudes)
-    dist = np.convolve(*(np.abs(f) ** 2 for f in spec.mode_amplitudes))
+    spec = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(-0.3), Fock(2)])
+    cap = spec._top - 2
+    dist = np.convolve(*(_squeezed_photon_distribution(lam, 200) for lam in (0.3, -0.3)))
     assert dist[cap + 1:][::-1].sum() <= 1e-20  # summed from the smallest tail up
     assert dist[cap:][::-1].sum() > 1e-20  # and the cap is the smallest such degree
+    assert _total_degree_cap([_squeezed_photon_distribution(0.3, 200)] * 2) == cap
 
 
 def test_state_size_checked_before_allocation():
@@ -161,11 +197,71 @@ def test_state_size_checked_before_allocation():
     u = UnitaryMatrix(haar_unitary(np.random.default_rng(15), 20))
     with pytest.raises(StateTooLarge) as err:
         apply_unitary(build_input_state(spec), u)
-    cap = _total_degree_cap(spec.mode_amplitudes)
-    assert err.value.estimated_terms == comb(cap + 20, 20) > MAX_TERMS
+    assert err.value.estimated_terms == comb(spec._top + 20, 20) > MAX_TERMS
     with pytest.raises(StateTooLarge) as err:
         build_input_state(InputStateSpec([Coherent(3.0)] * 6))
     assert err.value.estimated_terms > MAX_TERMS
+
+
+def test_gaussian_input_wider_than_64_modes():
+    # 70 modes at T = 2 need two packed words per row
+    u = UnitaryMatrix(haar_unitary(np.random.default_rng(14), 70))
+    spec = InputStateSpec([Coherent(1e-4 + 2e-5j)] + [Vacuum()] * 69)
+    out = apply_unitary(build_input_state(spec), u)
+    assert spec._top == 2 and len(out.values) == comb(72, 70)
+    _, cov = gaussian_covariance_propagate(gaussian_pairs_from_spec(spec), u)
+    for k in (0, 38, 39, 69):
+        bits = entanglement_report(out, Bipartition((k,), 70)).entropy_bits
+        assert abs(bits - gaussian_mode_entropy(cov, k)) <= 1e-9
+    # the output is the coherent product with amplitudes beta = U^T alpha
+    beta = u.matrix.T @ spec.alpha
+    for occ in ((0,) * 70, (0,) * 39 + (1,) + (0,) * 30, (1,) + (0,) * 68 + (1,)):
+        want = np.exp(-np.sum(np.abs(beta) ** 2) / 2) * np.prod(beta ** np.array(occ))
+        assert abs(out.amplitude(occ) - want) < 1e-14
+
+
+def test_opposite_coherent_pair_leaves_exact_vacuum():
+    # a balanced splitter sends coh:1,coh:-1 to coh:0,coh:sqrt(2) (up to sign)
+    out = apply_unitary(build_input_state(InputStateSpec([Coherent(1.0), Coherent(-1.0)])),
+                        BALANCED)
+    assert len(out.values) == 27
+    assert np.all(out.occupations[:, 0] == 0) or np.all(out.occupations[:, 1] == 0)
+
+
+_GAUSSIAN_BOUNDS = {2: (1.5, 3.0), 3: (0.8, 1.5), 4: (0.5, 1.0)}  # modes: (max |lam|, max |alpha|)
+
+
+@st.composite
+def _gaussian_inputs(draw):
+    m = draw(st.sampled_from(sorted(_GAUSSIAN_BOUNDS)))
+    lam_max, alpha_max = _GAUSSIAN_BOUNDS[m]
+    descs = []
+    for kind in draw(st.lists(st.sampled_from("vcs"), min_size=m, max_size=m)):
+        if kind == "c":
+            r, phase = draw(st.floats(0, alpha_max)), draw(st.floats(0, 2 * np.pi))
+            descs.append(Coherent(r * np.exp(1j * phase)))
+        elif kind == "s":
+            descs.append(SqueezedVacuum(draw(st.floats(-lam_max, lam_max))))
+        else:
+            descs.append(Vacuum())
+    return descs, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(case=_gaussian_inputs())
+def test_gaussian_inputs_match_covariance_oracle(case):
+    descs, seed = case
+    m = len(descs)
+    u = UnitaryMatrix(haar_unitary(np.random.default_rng(seed), m))
+    spec = InputStateSpec(descs)
+    # the raw expansion (before pruning and renormalization) carries the whole norm
+    _, vals = _expand(u.matrix, spec._top, spec.photons[None], [1.0], (spec.alpha, spec.lam))
+    assert abs(np.vdot(vals, vals).real - 1.0) <= 1e-12
+    out = apply_unitary(build_input_state(spec), u)
+    _, cov = gaussian_covariance_propagate(gaussian_pairs_from_spec(spec), u)
+    for k in range(m):
+        bits = entanglement_report(out, Bipartition((k,), m)).entropy_bits
+        assert abs(bits - gaussian_mode_entropy(cov, k)) <= 1e-9
 
 
 def test_product_input_wider_than_64_modes():

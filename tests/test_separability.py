@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maskmodes import agreement
 from maskmodes.agreement import run_agreement_suite, run_trial
@@ -23,6 +25,7 @@ from maskmodes.separability import (
     coupled_input_modes,
     covariance_separable,
     gaussian_covariance_propagate,
+    gaussian_pairs_from_spec,
     squeezing_to_quadratic_coeff,
 )
 from util import haar_unitary
@@ -180,6 +183,58 @@ def test_verdict_invariant_under_paired_rephasing():
         assert v1.separable == v2.separable
 
 
+def _network(kind, rng, m):
+    if kind == "haar":
+        return UnitaryMatrix(haar_unitary(rng, m))
+    if kind == "real_haar":
+        q, r = np.linalg.qr(rng.normal(size=(m, m)))
+        return UnitaryMatrix((q * np.sign(np.diag(r))).astype(complex))
+    return UnitaryMatrix(np.eye(m, dtype=complex)[rng.permutation(m)])
+
+
+@st.composite
+def _gaussian_trials(draw):
+    """Coherent, vacuum and squeezed modes whose squeezings are equal, sign-flipped or random."""
+    m = draw(st.integers(2, 4))
+    pattern = draw(st.sampled_from(["equal", "equal", "sign_flipped", "random"]))
+    lam = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    descs = []
+    for kind in draw(st.lists(st.sampled_from(["sq", "sq", "coh", "vac"]), min_size=m, max_size=m)):
+        if kind == "coh":
+            descs.append(Coherent(complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))))
+        elif kind == "vac":
+            descs.append(Vacuum())
+        elif pattern == "equal":
+            descs.append(SqueezedVacuum(lam))
+        elif pattern == "sign_flipped":
+            descs.append(SqueezedVacuum(draw(st.sampled_from([lam, -lam]))))
+        else:
+            descs.append(SqueezedVacuum(draw(st.sampled_from([-0.3, -0.2, -0.1, 0.1, 0.2, 0.3]))))
+    network = draw(st.sampled_from(["haar", "real_haar", "real_haar", "permutation"]))
+    subset = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    return descs, network, draw(st.integers(0, 2**32 - 1)), tuple(sorted(subset))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(trial=_gaussian_trials())
+def test_cross_term_test_alone_matches_both_oracles(trial):
+    descs, network, seed, subset = trial
+    m = len(descs)
+    u = _network(network, np.random.default_rng(seed), m)
+    spec = InputStateSpec(descs)
+    verdict = check_no_entanglement(BargmannInput.from_input_spec(spec), u, subset)
+    # keep clear of the numerically borderline band, as the agreement suite does
+    assume(verdict.separable or verdict.witness.residual >= agreement.MIN_RESIDUAL)
+    assert verdict.separable or verdict.witness.kind == "d2_cross_term"
+    _, cov = gaussian_covariance_propagate(gaussian_pairs_from_spec(spec), u)
+    out = apply_unitary(build_input_state(spec), u)
+    parts = [Bipartition((k,), m) for k in subset]
+    assert all(covariance_separable(cov, p, tol=agreement.COVARIANCE_TOL) for p in parts) \
+        == verdict.separable
+    assert all(entanglement_report(out, p, tol=agreement.ENTROPY_TOL).separable for p in parts) \
+        == verdict.separable
+
+
 def test_checker_dimension_mismatch():
     b = BargmannInput([[0, 0, 0.1]])
     with pytest.raises(DimensionMismatch):
@@ -234,7 +289,7 @@ def test_covariance_not_pure_raises():
 
 def test_fock_oracle_matches_gaussian_oracle_on_squeezed_pair():
     lam = 0.3
-    spec = InputStateSpec([SqueezedVacuum(lam), SqueezedVacuum(-lam)], cutoff=24)
+    spec = InputStateSpec([SqueezedVacuum(lam), SqueezedVacuum(-lam)])
     out = apply_unitary(build_input_state(spec), BALANCED)
     rep = entanglement_report(out, Bipartition((0,), 2), tol=1e-6)
     assert not rep.separable

@@ -7,6 +7,7 @@ import numpy as np
 
 from maskmodes.diffraction import CircularAperture, CosineGrating, _interp_spectrum, mask_spectrum
 from maskmodes.entanglement import bipartition_matrix
+from maskmodes.fock import row_codes
 
 
 def gauge_fix(m):
@@ -18,22 +19,21 @@ def gauge_fix(m):
     return m / row_phase[:, None]
 
 
-def align_global_phase(ref, other):
-    """Rotate ``other``'s amplitude map so its largest-|ref| entry matches ``ref``."""
-    amps = ref.amplitudes
-    key = max(amps, key=lambda t: abs(amps[t]))
-    a, b = amps[key], other.amplitude(key)
-    if abs(b) < 1e-15:
-        return dict(other.amplitudes)
-    phase = (a / abs(a)) / (b / abs(b))
-    return {t: v * phase for t, v in other.amplitudes.items()}
-
-
 def max_amplitude_diff(a, b):
-    """Largest amplitude difference after global-phase alignment of b to a."""
-    rot = align_global_phase(a, b)
-    keys = set(a.amplitudes) | set(rot)
-    return max(abs(a.amplitude(t) - rot.get(t, 0.0)) for t in keys)
+    """Largest amplitude difference after global-phase alignment of b to a.
+
+    The phase is fixed on the largest-|a| row (the first such, lexicographic);
+    rows missing from either state count as amplitude 0.
+    """
+    codes, distinct = row_codes(np.vstack([a.occupations, b.occupations]))
+    va = np.zeros(len(distinct), dtype=complex)
+    vb = np.zeros(len(distinct), dtype=complex)
+    va[codes[: len(a.values)]] = a.values
+    vb[codes[len(a.values):]] = b.values
+    key = codes[int(np.argmax(np.abs(a.values)))]
+    if abs(vb[key]) >= 1e-15:
+        vb = vb * (va[key] / abs(va[key])) / (vb[key] / abs(vb[key]))
+    return float(np.max(np.abs(va - vb)))
 
 
 def is_connected_dfs(adj):
@@ -153,3 +153,16 @@ def schmidt_dense_reference(state, part):
     ``entanglement.entanglement_report``.
     """
     return np.linalg.svd(bipartition_matrix(state, part)[0], compute_uv=False)
+
+
+def gaussian_mode_entropy(cov, k):
+    """Entropy (bits) of mode ``k`` of a pure Gaussian state with covariance ``cov``.
+
+    Quadratures ``(x_1..x_N, p_1..p_N)``, vacuum covariance the identity: the
+    mode's symplectic eigenvalue is ``nu = sqrt(det)`` of its 2x2 block and
+    its thermal occupation ``(nu - 1) / 2``.
+    """
+    n = cov.shape[0] // 2
+    nu = np.sqrt(np.linalg.det(cov[np.ix_([k, n + k], [k, n + k])]))
+    occ = max((nu - 1.0) / 2.0, 0.0)
+    return float((occ + 1) * np.log2(occ + 1) - (occ * np.log2(occ) if occ > 0 else 0.0))
