@@ -1,4 +1,4 @@
-"""The one JSON writer for artifacts and saved objects.
+"""The one JSON writer for artifacts and saved objects, and the reading guard.
 
 :func:`json_chunks` yields the text of
 ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"`` in pieces, so a large
@@ -8,11 +8,17 @@ document streams into its file instead of being built in memory.  A 2-D
 ``[[[float(v.real), float(v.imag)] for v in row] for row in matrix]``, one
 matrix row per piece, without building those lists.  Every other value goes
 through ``json.dumps`` itself, so the bytes match the plain encoder's.
+
+:func:`reading` turns every way a document can fail to be read into one
+typed :class:`~maskmodes.errors.MalformedDocument`.
 """
 
+import contextlib
 import json
 
 import numpy as np
+
+from .errors import MalformedDocument
 
 # json writes non-finite floats as these JavaScript literals, not as repr()
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -60,3 +66,25 @@ def _matrix_chunks(matrix, level):
         yield sep + p1 + row_text % tuple(parts)
         sep = ","
     yield "\n" + " " * level + "]"
+
+
+@contextlib.contextmanager
+def reading(source=None):
+    """Raise :class:`MalformedDocument` for a document that cannot be read.
+
+    Text that is not JSON, a missing key and a field of the wrong type or
+    value (``KeyError``, ``TypeError``, ``ValueError``) all become the one
+    typed error; its message starts with ``source`` (a file name) when one
+    is given.  Readers raise it themselves for a document of another type.
+    """
+    try:
+        yield
+    except json.JSONDecodeError as e:
+        detail = f"not JSON ({e})"
+    except KeyError as e:
+        detail = f"missing key {e}"
+    except (TypeError, ValueError) as e:
+        detail = str(e)
+    else:
+        return
+    raise MalformedDocument(f"{source}: {detail}" if source else detail)

@@ -21,12 +21,13 @@ import json
 import numpy as np
 from scipy.special import j1
 
-from ._jsonio import json_chunks
+from ._jsonio import json_chunks, reading
 from .errors import (
     AliasingDetected,
     DimensionMismatch,
     EmptyGrid,
     GridMismatch,
+    MalformedDocument,
     SingularNetwork,
     SpectralMismatch,
     UnitarityError,
@@ -76,7 +77,7 @@ class CosineGrating:
     def __init__(self, u_transverse):
         ux, uy = float(u_transverse[0]), float(u_transverse[1])
         s2 = ux * ux + uy * uy
-        if s2 > 1.0:
+        if not s2 <= 1.0:
             raise ValueError("grating direction must have ux^2 + uy^2 <= 1")
         self.u = np.array([ux, uy, np.sqrt(1.0 - s2)])
         self.u.setflags(write=False)
@@ -166,19 +167,22 @@ def mask_to_json(mask):
 
 
 def mask_from_json(doc):
-    kind = doc["kind"]
-    if kind == "cosine_grating":
-        return CosineGrating(doc["u"])
-    if kind == "circular_aperture":
-        return CircularAperture(doc["radius"])
-    if kind == "pinhole":
-        return Pinhole(doc["radius"])
-    if kind == "custom":
-        grid = Grid2D.from_header(doc["grid"])
-        raw = base64.b64decode(doc["values_b64"])
-        values = np.frombuffer(raw, dtype=np.complex128).reshape(grid.ny, grid.nx)
-        return CustomSampled(grid, values)
-    raise ValueError(f"unknown mask kind {kind!r}")
+    with reading():
+        if not isinstance(doc, dict):
+            raise MalformedDocument("document is not a serialized mask")
+        kind = doc["kind"]
+        if kind == "cosine_grating":
+            return CosineGrating(doc["u"])
+        if kind == "circular_aperture":
+            return CircularAperture(doc["radius"])
+        if kind == "pinhole":
+            return Pinhole(doc["radius"])
+        if kind == "custom":
+            grid = Grid2D.from_header(doc["grid"])
+            raw = base64.b64decode(doc["values_b64"])
+            values = np.frombuffer(raw, dtype=np.complex128).reshape(grid.ny, grid.nx)
+            return CustomSampled(grid, values)
+        raise MalformedDocument(f"unknown mask kind {kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -256,10 +260,11 @@ class CouplingMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (len(row_labels), len(col_labels)):
             raise DimensionMismatch("matrix shape does not match label counts")
-        if np.max(np.abs(m), initial=0.0) > 1.0 + 1e-9:
-            raise ValueError("coupling entries must have magnitude <= 1")
+        # written so that a nan entry fails them
+        if not np.max(np.abs(m), initial=0.0) <= 1.0 + 1e-9:
+            raise ValueError("coupling entries must be finite with magnitude <= 1")
         col_norms = np.linalg.norm(m, axis=0)
-        if np.max(col_norms, initial=0.0) > 1.0 + 1e-9:
+        if not np.max(col_norms, initial=0.0) <= 1.0 + 1e-9:
             raise ValueError("coupling column norms must not exceed 1")
         self.matrix = m.copy()
         self.matrix.setflags(write=False)
@@ -283,14 +288,15 @@ class CouplingMatrix:
 
     @classmethod
     def from_json(cls, doc):
-        if doc.get("type") != "coupling":
-            raise ValueError("document is not a serialized coupling matrix")
-        return cls(
-            _pairs_to_matrix(doc["matrix"]),
-            doc["rows"],
-            doc["cols"],
-            provenance=doc.get("provenance"),
-        )
+        with reading():
+            if not isinstance(doc, dict) or doc.get("type") != "coupling":
+                raise MalformedDocument("document is not a serialized coupling matrix")
+            return cls(
+                _pairs_to_matrix(doc["matrix"]),
+                doc["rows"],
+                doc["cols"],
+                provenance=doc.get("provenance"),
+            )
 
 
 def _matrix_to_pairs(m):
@@ -315,6 +321,8 @@ class UnitaryMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("a unitary must be square")
+        if not np.all(np.isfinite(m)):
+            raise UnitarityError("a unitary must have finite entries")
         residual = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
         if residual > self.RESIDUAL_TOL:
             raise UnitarityError(
@@ -371,11 +379,12 @@ class UnitaryMatrix:
 
     @classmethod
     def from_json(cls, doc):
-        if doc.get("type") != "unitary" and isinstance(doc.get("result"), dict):
-            doc = doc["result"]  # artifact envelope written by the CLI
-        if doc.get("type") != "unitary":
-            raise ValueError("document is not a serialized unitary")
-        return cls(_pairs_to_matrix(doc["matrix"]), provenance=doc.get("provenance"))
+        with reading():
+            if isinstance(doc, dict) and isinstance(doc.get("result"), dict):
+                doc = doc["result"]  # artifact envelope written by the CLI
+            if not isinstance(doc, dict) or doc.get("type") != "unitary":
+                raise MalformedDocument("document is not a serialized unitary")
+            return cls(_pairs_to_matrix(doc["matrix"]), provenance=doc.get("provenance"))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -383,7 +392,7 @@ class UnitaryMatrix:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with open(path) as fh, reading(path):
             return cls.from_json(json.load(fh))
 
     def to_csv(self, path):
@@ -680,10 +689,13 @@ class ImpulseResponse:
 
     @classmethod
     def from_json(cls, doc):
-        grid = Grid2D.from_header(doc["grid"])
-        raw = base64.b64decode(doc["values_b64"])
-        values = np.frombuffer(raw, dtype=np.complex128).reshape(grid.ny, grid.nx)
-        return cls(grid, values, spectral_cap=doc.get("spectral_cap"))
+        with reading():
+            if not isinstance(doc, dict) or doc.get("type") != "impulse_response":
+                raise MalformedDocument("document is not a serialized impulse response")
+            grid = Grid2D.from_header(doc["grid"])
+            raw = base64.b64decode(doc["values_b64"])
+            values = np.frombuffer(raw, dtype=np.complex128).reshape(grid.ny, grid.nx)
+            return cls(grid, values, spectral_cap=doc.get("spectral_cap"))
 
 
 def inverse_design_response(e_in, e_out, eps_rel=1e-6, lost_tol=1e-3):

@@ -5,6 +5,10 @@ class MaskModesError(Exception):
     """Base class for all maskmodes errors."""
 
 
+class MalformedDocument(MaskModesError, ValueError):
+    """A JSON document that is not JSON, is of another type or lacks a field it needs."""
+
+
 class GridMismatch(MaskModesError):
     """Two objects that must share a sampling grid do not."""
 

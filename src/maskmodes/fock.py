@@ -23,9 +23,10 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from ._jsonio import json_chunks
-from .errors import DimensionMismatch, NonPhysical, StateTooLarge
+from ._jsonio import json_chunks, reading
+from .errors import DimensionMismatch, MalformedDocument, NonPhysical, StateTooLarge
 
+#: Amplitudes below this magnitude are dropped from every state.
 DEFAULT_PRUNE = 1e-14
 #: Most terms a state may need before it is built (StateTooLarge beyond).
 MAX_TERMS = 1_000_000
@@ -236,9 +237,10 @@ class MultimodeFockState:
 
     ``occupations`` is a read-only int matrix (terms x modes), rows distinct and
     lexicographic; ``values`` holds their amplitudes.  ``amplitudes`` is a
-    read-only ``{tuple: complex}`` view."""
+    read-only ``{tuple: complex}`` view.  Amplitudes below ``DEFAULT_PRUNE``
+    are dropped."""
 
-    def __init__(self, mode_count, amplitudes, prune_threshold=DEFAULT_PRUNE, normalize=True):
+    def __init__(self, mode_count, amplitudes, normalize=True):
         mode_count = int(mode_count)
         bad = next((t for t in amplitudes if len(t) != mode_count), None)
         if bad is not None:
@@ -248,19 +250,19 @@ class MultimodeFockState:
             raise NonPhysical(f"negative occupation in {tuple(occ[np.any(occ < 0, axis=1)][0])}")
         vals = np.array(list(amplitudes.values()), dtype=complex)
         order = np.lexsort(occ.T[::-1])
-        self._set(mode_count, occ[order], vals[order], prune_threshold, normalize)
+        self._set(mode_count, occ[order], vals[order], normalize)
 
     @classmethod
-    def _from_sorted(cls, mode_count, occ, vals, prune_threshold, normalize=True):
+    def _from_sorted(cls, mode_count, occ, vals, normalize=True):
         """Build from distinct rows already in lexicographic order."""
         state = cls.__new__(cls)
-        state._set(mode_count, occ, vals, prune_threshold, normalize)
+        state._set(mode_count, occ, vals, normalize)
         return state
 
-    def _set(self, mode_count, occ, vals, prune_threshold, normalize):
+    def _set(self, mode_count, occ, vals, normalize):
         if not np.all(np.isfinite(vals)):
             raise NonPhysical("state has a non-finite amplitude")
-        keep = np.abs(vals) >= prune_threshold
+        keep = np.abs(vals) >= DEFAULT_PRUNE
         occ, vals = occ[keep], vals[keep]
         if not len(vals):
             raise NonPhysical("state has no amplitude above the prune threshold")
@@ -268,7 +270,6 @@ class MultimodeFockState:
             vals = vals / np.linalg.norm(vals)
         occ.flags.writeable = vals.flags.writeable = False
         self.mode_count, self.occupations, self.values = mode_count, occ, vals
-        self.prune_threshold = prune_threshold
         self._spec = None  # the InputStateSpec of a product input, set by build_input_state
 
     @classmethod
@@ -312,10 +313,13 @@ class MultimodeFockState:
 
     @classmethod
     def from_json(cls, doc):
-        if doc.get("type") != "state":
-            raise ValueError("document is not a serialized state")
-        amps = {tuple(t): complex(re, im) for t, re, im in doc["amplitudes"]}
-        return cls(doc["mode_count"], amps, normalize=False)
+        with reading():
+            if isinstance(doc, dict) and isinstance(doc.get("result"), dict):
+                doc = doc["result"].get("state")  # artifact envelope written by the CLI
+            if not isinstance(doc, dict) or doc.get("type") != "state":
+                raise MalformedDocument("document is not a serialized state")
+            amps = {tuple(t): complex(re, im) for t, re, im in doc["amplitudes"]}
+            return cls(doc["mode_count"], amps, normalize=False)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -323,7 +327,7 @@ class MultimodeFockState:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with open(path) as fh, reading(path):
             return cls.from_json(json.load(fh))
 
     def __repr__(self):
@@ -346,7 +350,7 @@ def _check_size(estimate, what):
                             estimated_terms=estimate)
 
 
-def build_input_state(spec, prune_threshold=DEFAULT_PRUNE):
+def build_input_state(spec):
     """Product state of the spec's modes up to its total degree T, renormalized.
 
     The spec is kept on the state: :func:`apply_unitary` expands a product
@@ -362,12 +366,12 @@ def build_input_state(spec, prune_threshold=DEFAULT_PRUNE):
         # rows stay lexicographic: every old row is followed by its extensions
         grown = (vals[:, None] * amps).ravel()
         total = (deg[:, None] + levels).ravel()
-        keep = (np.abs(grown) >= prune_threshold) & (total <= spec._top)
+        keep = (np.abs(grown) >= DEFAULT_PRUNE) & (total <= spec._top)
         occ = np.column_stack(
             [np.repeat(occ, len(amps), axis=0), np.tile(levels, len(vals))]
         )[keep]
         vals, deg = grown[keep], total[keep]
-    state = MultimodeFockState._from_sorted(spec.mode_count, occ, vals, prune_threshold)
+    state = MultimodeFockState._from_sorted(spec.mode_count, occ, vals)
     state._spec = spec
     return state
 
@@ -451,7 +455,7 @@ def _expand(U, top, rows, scales, seed=None):
     return occ[idx], vals
 
 
-def apply_unitary(state, u, prune_threshold=None):
+def apply_unitary(state, u):
     """Propagate a state through a unitary network (exact expansion).
 
     A product input from :func:`build_input_state` is expanded from its spec
@@ -465,7 +469,6 @@ def apply_unitary(state, u, prune_threshold=None):
     """
     if u.dim != state.mode_count:
         raise DimensionMismatch(f"network has {u.dim} modes, state has {state.mode_count}")
-    prune = state.prune_threshold if prune_threshold is None else prune_threshold
     n_modes = state.mode_count
     spec = state._spec
     if spec is not None:
@@ -477,7 +480,7 @@ def apply_unitary(state, u, prune_threshold=None):
         rows, scales, seed = state.occupations, state.values, None
     _check_size(comb(top + n_modes, n_modes), f"output terms ({top} photons over {n_modes} modes)")
     occ, vals = _expand(u.matrix, top, rows, scales, seed)
-    return MultimodeFockState._from_sorted(n_modes, occ, vals, prune)
+    return MultimodeFockState._from_sorted(n_modes, occ, vals)
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +515,7 @@ def two_mode_closed_form(m, n, theta, phi):
     na = na.ravel()
     vals = np.bincount(na, weights=terms.real) + 1j * np.bincount(na, weights=terms.imag)
     occ = np.column_stack([np.arange(m + n + 1), m + n - np.arange(m + n + 1)])
-    return MultimodeFockState._from_sorted(2, occ, vals, DEFAULT_PRUNE)
+    return MultimodeFockState._from_sorted(2, occ, vals)
 
 
 def noon_overlap_amplitudes(m, n, theta):

