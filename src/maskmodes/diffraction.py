@@ -17,6 +17,7 @@ the operator orientation.
 
 import base64
 import json
+import math
 
 import numpy as np
 from scipy.special import j1
@@ -28,6 +29,7 @@ from .errors import (
     EmptyGrid,
     GridMismatch,
     MalformedDocument,
+    OutOfRange,
     SingularNetwork,
     SpectralMismatch,
     UnitarityError,
@@ -101,6 +103,8 @@ class CircularAperture:
     def __init__(self, radius):
         if not radius > 0:
             raise ValueError("aperture radius must be positive")
+        if not math.isfinite(2.0 * math.pi * radius * radius):
+            raise OutOfRange(f"aperture radius {radius!r}: its spectrum scale 2 pi R^2 overflows")
         self.radius = float(radius)
 
     def sample(self, grid, k=None):
@@ -449,24 +453,29 @@ def plane_wave_coupling(mask, input_grid, output_grid, k, match_tol=1e-9):
     weight = np.abs(k * nz_out)[:, None]
     delta = n_out[:, None, :] - n_in[None, :, :]
 
-    if isinstance(mask, CosineGrating):
-        u = mask.u[:2]
-        # coinciding orders (u = 0) hit the same output twice and add twice
-        hits = sum(np.linalg.norm(delta - sign * u, axis=2) <= match_tol for sign in (+1.0, -1.0))
-        m = hits * (0.5 * weight * w_in[None, :])
-    elif isinstance(mask, CircularAperture):
-        fsq = (k * delta[..., 0]) ** 2 + (k * delta[..., 1]) ** 2
-        m = weight * mask.analytic_spectrum(fsq) * w_in[None, :]
-    elif isinstance(mask, CustomSampled):
-        spec = mask_spectrum(mask, mask.grid)
-        vals = _interp_spectrum(spec, mask.grid, k * delta[..., 0], k * delta[..., 1])
-        m = weight * vals * w_in[None, :]
-    else:
-        raise TypeError(f"unsupported mask type {type(mask).__name__}")
-    # complex before the rescale: dividing a real matrix rounds differently
-    m = m.astype(complex)
-
-    scale = float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
+    # extreme k or radius overflow (inf, nan) or underflow: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(mask, CosineGrating):
+            u = mask.u[:2]
+            # coinciding orders (u = 0) hit the same output twice and add twice
+            hits = sum(np.linalg.norm(delta - sign * u, axis=2) <= match_tol
+                       for sign in (+1.0, -1.0))
+            m = hits * (0.5 * weight * w_in[None, :])
+        elif isinstance(mask, CircularAperture):
+            fsq = (k * delta[..., 0]) ** 2 + (k * delta[..., 1]) ** 2
+            m = weight * mask.analytic_spectrum(fsq) * w_in[None, :]
+        elif isinstance(mask, CustomSampled):
+            spec = mask_spectrum(mask, mask.grid)
+            vals = _interp_spectrum(spec, mask.grid, k * delta[..., 0], k * delta[..., 1])
+            m = weight * vals * w_in[None, :]
+        else:
+            raise TypeError(f"unsupported mask type {type(mask).__name__}")
+        # complex before the rescale: dividing a real matrix rounds differently
+        m = m.astype(complex)
+        scale = float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
+    if not math.isfinite(scale) or (scale == 0 and np.any(m)):
+        raise OutOfRange(f"coupling column norm {scale!r} at wavenumber {k!r}: "
+                         "the entries over- or underflow float64 when squared")
     if scale > 0:
         m = m / scale
     prov = {

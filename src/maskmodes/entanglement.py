@@ -9,8 +9,19 @@ A term with ``k`` photons in the subset and ``j`` in the complement puts an
 entry in row count ``k`` and column count ``j``, so ``Psi`` is block-diagonal
 over the connected components of those ``(k, j)`` pairs: one block per ``k``
 for a state of definite photon number, two (by parity) for squeezed inputs,
-one for anything with a coherent input.  Schmidt spectra take one SVD per
-block; the dense matrix is only built where a caller asks for it.
+one for anything with a coherent input.  The dense matrix is only built
+where a caller asks for it.
+
+A scan and a single report share one core that takes a chunk of cuts at
+once (the report is the one-cut chunk).  One integer product of the
+occupations with per-cut stride matrices gives every term's subset and
+complement photon counts and its packed (block label, occupations) keys;
+the block labels come from one stacked closure of the count link matrices;
+one sort per row ranks the keys; and every block of the chunk is scattered
+into one zero-filled stack per block shape for one ``np.linalg.svd`` call.
+The gufunc makes the same LAPACK call per matrix as a lone SVD, so spectra
+are bit-identical to one SVD per block.  Chunks are capped by
+``_CHUNK_ENTRIES`` (terms plus link-matrix entries, per cut, times cuts).
 """
 
 from dataclasses import dataclass
@@ -18,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPartition, TooManyModes
-from .fock import row_codes
+from .fock import _layout, _pack, row_codes
 
 #: Entropy threshold (bits) for verdicts on truncated coherent/squeezed
 #: inputs; exact Fock inputs support the tighter 1e-9.
@@ -28,6 +39,7 @@ DEFAULT_TOL_EXACT = 1e-9
 _EIG_FLOOR = 1e-18
 _MAX_SCAN_MODES = 12
 _MAX_DENSITY_DIM = 4096
+_CHUNK_ENTRIES = 1 << 14  # per-cut entries x cuts handled at once by a scan
 
 
 @dataclass(frozen=True)
@@ -122,24 +134,115 @@ def reduced_density(state, part):
 
 
 def _count_blocks(k, j):
-    """Per term, a block label: the least subset photon count in its block.
+    """Per cut and term, a block label: the least subset photon count in its block.
 
-    ``k`` and ``j`` are the subset and complement photon counts per term; the
-    blocks are the connected components of those ``(k, j)`` pairs."""
-    pairs = np.zeros((k.max() + 1, j.max() + 1), dtype=bool)
-    pairs[k, j] = True
-    link = pairs @ pairs.T  # subset counts that share a complement count
-    for _ in range(len(link).bit_length()):  # each squaring doubles the path length
-        link = link @ link
-    return link.argmax(axis=1)[k]
+    ``k`` and ``j`` are the subset and complement photon counts (cuts x
+    terms); a cut's blocks are the connected components of its ``(k, j)``
+    pairs."""
+    counts = int(k.max()) + 1
+    row = k + counts * np.arange(len(k))[:, None]  # (cut, k)
+    pairs = np.zeros((len(k) * counts, j.max() + 1))
+    pairs[row, j] = 1.0
+    pairs = pairs.reshape(len(k), counts, -1)
+    # 0/1 reachability between subset counts; each squaring doubles the path
+    # length, until nothing changes
+    link = np.minimum(pairs @ pairs.transpose(0, 2, 1), 1.0)
+    while (closed := np.minimum(link @ link, 1.0)).sum() > link.sum():
+        link = closed
+    return link.argmax(axis=2).ravel()[row]
 
 
-def _block_ranks(block, occ):
-    """Per term, the lexicographic rank of its row of ``occ`` among the distinct
-    rows of its block, and the number of distinct rows per block label."""
-    code, rows = row_codes(np.column_stack([block, occ]))
-    size = np.bincount(block[rows], minlength=block.max() + 1)
-    return code - (size.cumsum() - size)[block], size
+def _ranks(keys, lead, labels):
+    """Per row of ``keys`` (rows x terms x words; word 0 is led by the block
+    label times ``lead``): each term's rank among the distinct keys of its
+    block, and the number of distinct keys per row and label.
+
+    Every row is sorted by one call; in the flat sorted order the (row,
+    label) slots ascend, so a block's first rank counts the keys before it."""
+    rows, terms = keys.shape[:2]
+    if keys.shape[2] == 1:
+        order = keys[:, :, 0].argsort(axis=1)
+    else:
+        order = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=1)
+    order = (order + terms * np.arange(rows)[:, None]).ravel()
+    ordered = keys.reshape(-1, keys.shape[2])[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    new[::terms] = True
+    slot = ordered[:, 0] // lead + labels * (order // terms)
+    size = np.bincount(slot[new], minlength=rows * labels)
+    rank = np.empty_like(order)
+    rank[order] = new.cumsum() - 1 - (size.cumsum() - size)[slot]
+    return rank.reshape(rows, terms), size.reshape(rows, labels)
+
+
+def _chunk_spectra(state, masks, top):
+    """Schmidt coefficients of the cuts ``masks`` (cuts x modes, subset 1), one
+    row per cut, sorted descending and zero-padded; and each cut's spectrum
+    length ``min(rows, cols)``.  ``top`` bounds the photons of a term."""
+    occ, cuts = state.occupations, len(masks)
+    # digit 0 of a key is the block label; the last column counts photons
+    digits = _layout(occ.shape[1] + 1, top)
+    strides = np.ones((len(digits) - 1, digits.shape[1] + 1), dtype=np.int64)
+    strides[:, :-1] = digits[1:]
+    subset = _pack(occ, masks[:, :, None] * strides)
+    packed = np.concatenate([subset, _pack(occ, strides) - subset])  # then complements
+    label = _count_blocks(packed[:cuts, :, -1], packed[cuts:, :, -1])
+    labels = int(label.max()) + 1
+    keys = packed[:, :, :-1]
+    keys += np.concatenate([label, label])[:, :, None] * digits[0]
+    rank, size = _ranks(keys, digits[0, 0], labels)
+    # block (cut, label) is slot cut * labels + label; one buffer holds every
+    # block, grouped by shape (empty slots have shape 0 and come first)
+    r_size, c_size = size[:cuts], size[cuts:]
+    radix = c_size.max() + 1
+    shape = (r_size * radix + c_size).ravel()
+    by_shape = shape.argsort(kind="stable")
+    extent = (r_size * c_size).ravel()[by_shape]
+    offset = np.empty_like(extent)
+    offset[by_shape] = extent.cumsum() - extent
+    slot = label + labels * np.arange(cuts)[:, None]
+    flat = np.zeros(extent.sum(), dtype=complex)
+    flat[offset[slot] + rank[:cuts] * c_size.ravel()[slot] + rank[cuts:]] = state.values
+    # a block's singular values follow those of its cut's earlier blocks
+    kept = np.minimum(r_size, c_size)
+    first = (kept.cumsum(axis=1) - kept).ravel()
+    width = np.minimum(r_size.sum(axis=1), c_size.sum(axis=1))
+    s = np.zeros((cuts, width.max()))
+    ordered = shape[by_shape]
+    starts = np.flatnonzero(ordered > np.append(0, ordered[:-1]))
+    for lo, hi in zip(starts, [*starts[1:], len(shape)]):
+        b = by_shape[lo:hi]
+        r, c = divmod(shape[b[0]], radix)
+        stack = flat[offset[b[0]]:offset[b[0]] + len(b) * r * c].reshape(len(b), r, c)
+        sv = np.linalg.svd(stack, compute_uv=False)
+        s[b[:, None] // labels, first[b, None] + np.arange(sv.shape[1])] = sv
+    return -np.sort(-s, axis=1), width
+
+
+def _reports(state, parts, tol):
+    """One :class:`EntanglementReport` per bipartition, chunk by chunk of cuts."""
+    masks = np.array([part.mask() for part in parts], dtype=np.int64)
+    # per cut: a rank per term and side, and a (k, j) link matrix of the counts
+    top = int(state.occupations.sum(axis=1).max())
+    step = max(1, _CHUNK_ENTRIES // (len(state.values) + (top + 1) ** 2))
+    reports = []
+    for lo in range(0, len(parts), step):
+        s, width = _chunk_spectra(state, masks[lo:lo + step], top)
+        p = s**2
+        live = p > _EIG_FLOOR  # a prefix of each row: s is sorted
+        h = p * np.log2(np.where(live, p, 1.0))
+        for part, s_cut, n, h_cut, n_live in zip(parts[lo:lo + step], s, width, h,
+                                                 live.sum(axis=1)):
+            entropy = max(float(-h_cut[:n_live].sum()) if n_live else 0.0, 0.0)
+            reports.append(EntanglementReport(
+                schmidt_coefficients=s_cut[:n],
+                entropy_bits=entropy,
+                separable=entropy < tol,
+                tolerance=tol,
+                bipartition=part,
+            ))
+    return reports
 
 
 def entanglement_report(state, part, tol=DEFAULT_TOL_TRUNCATED):
@@ -150,36 +253,9 @@ def entanglement_report(state, part, tol=DEFAULT_TOL_TRUNCATED):
     matrix (rows and columns in lexicographic order inside a block), sorted
     descending and padded with exact zeros to ``min(rows, cols)``; the dense
     matrix is never allocated.  A one-block state gives the dense SVD's values
-    bit for bit.
+    bit for bit.  This is the one-cut case of :func:`full_separability_scan`.
     """
-    sub = state.occupations[:, list(part.subset)]
-    comp = state.occupations[:, list(part.complement)]
-    block = _count_blocks(sub.sum(axis=1), comp.sum(axis=1))
-    r, r_size = _block_ranks(block, sub)
-    c, c_size = _block_ranks(block, comp)
-    order = block.argsort(kind="stable")
-    count = np.bincount(block)
-    end = count.cumsum()
-    spectra = []
-    for b in np.flatnonzero(count):
-        t = order[end[b] - count[b]:end[b]]
-        m = np.zeros((r_size[b], c_size[b]), dtype=complex)
-        m[r[t], c[t]] = state.values[t]
-        spectra.append(np.linalg.svd(m, compute_uv=False))
-    flat = np.concatenate(spectra)
-    s = np.zeros(min(r_size.sum(), c_size.sum()))
-    s[: flat.size] = -np.sort(-flat)
-    p = s**2
-    live = p[p > _EIG_FLOOR]
-    entropy = float(-(live * np.log2(live)).sum()) if live.size else 0.0
-    entropy = max(entropy, 0.0)
-    return EntanglementReport(
-        schmidt_coefficients=s,
-        entropy_bits=entropy,
-        separable=entropy < tol,
-        tolerance=tol,
-        bipartition=part,
-    )
+    return _reports(state, [part], tol)[0]
 
 
 def all_bipartitions(mode_count):
@@ -200,10 +276,8 @@ def full_separability_scan(state, tol=DEFAULT_TOL_TRUNCATED):
 
     The state is fully separable iff every report's verdict is separable.
     """
-    return [
-        (part, entanglement_report(state, part, tol=tol))
-        for part in all_bipartitions(state.mode_count)
-    ]
+    parts = all_bipartitions(state.mode_count)
+    return list(zip(parts, _reports(state, parts, tol)))
 
 
 def fully_separable(scan):

@@ -41,6 +41,11 @@ class SpectralMismatch(MaskModesError):
         self.lost_fraction = lost_fraction
 
 
+class OutOfRange(MaskModesError, ValueError):
+    """A finite value beyond what float64 arithmetic on it can hold: a
+    parameter whose square overflows, or a norm that over- or underflows."""
+
+
 class UnitarityError(MaskModesError):
     """A matrix promised to be unitary is not, beyond tolerance."""
 

@@ -187,7 +187,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _layout(n_modes, top):
-    """``(per, strides, base)``: mode k is digit ``k % per`` of int64 word ``k // per``.
+    """The (modes x words) stride matrix: mode k is digit ``k % per`` of int64 word ``k // per``.
 
     Base ``top + 1``, most significant digit first, so packed rows sort like
     occupation rows; all modes share one word unless that overflows."""
@@ -195,13 +195,15 @@ def _layout(n_modes, top):
     per = 1
     while per < n_modes and base ** (per + 1) <= _INT64_MAX:
         per += 1
-    strides = np.array([base ** (per - 1 - k % per) for k in range(n_modes)], dtype=np.int64)
-    return per, strides, base
+    k = np.arange(n_modes)
+    strides = np.zeros((n_modes, (n_modes - 1) // per + 1), dtype=np.int64)
+    strides[k, k // per] = base ** (per - 1 - k % per)
+    return strides
 
 
-def _pack(occ, layout):
-    per, strides, _ = layout
-    return np.add.reduceat(occ * strides, np.arange(0, occ.shape[1], per), axis=1)
+def _pack(occ, strides):
+    """Occupation rows (..., modes) as int64 words (..., words): one integer product."""
+    return occ @ strides
 
 
 def _lex_runs(words):
@@ -429,9 +431,7 @@ def _expand(U, top, rows, scales, seed=None):
     is exact.  Returns lexicographic occupation rows and their amplitudes.
     """
     n_modes = len(U)
-    per, strides, _ = _layout(n_modes, top)
-    e_k = np.zeros((n_modes, (n_modes - 1) // per + 1), dtype=np.int64)
-    e_k[np.arange(n_modes), np.arange(n_modes) // per] = strides
+    e_k = _layout(n_modes, top)
     out = []
     for row, scale in zip(rows, scales):
         if seed is None:

@@ -8,6 +8,7 @@ sandwich so that the discrete Fourier transform of samples at
 ``sum E(x) exp(-i x f) dx dy``.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -15,7 +16,14 @@ from functools import partial
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_hermite, gammaln
 
-from .errors import EmptyGrid, GridMismatch, GridTooSmall, MaskModesError, UnknownLabel
+from .errors import (
+    EmptyGrid,
+    GridMismatch,
+    GridTooSmall,
+    MaskModesError,
+    OutOfRange,
+    UnknownLabel,
+)
 
 FIELD_MAGIC = b"MMFIELD1"
 
@@ -134,7 +142,8 @@ class SampledField:
     def normalized(self):
         n = self.norm()
         if n == 0:
-            raise ValueError("cannot normalize an identically zero field")
+            raise OutOfRange("cannot normalize a field whose norm is 0 "
+                             "(identically zero, or its samples underflow when squared)")
         return SampledField(self.grid, self.values / n, self.k)
 
     def spectrum(self):
@@ -247,6 +256,8 @@ def sample_field(mode_label, basis, grid, k=2 * np.pi, boundary_tol=1e-10):
 
 
 def _hg_1d(order, coords, waist):
+    if not math.isfinite(waist * waist):
+        raise OutOfRange(f"waist {waist!r}: its square overflows")
     xi = np.sqrt(2.0) * coords / waist
     h = eval_hermite(order, xi)
     # (2/pi)^(1/4) / sqrt(2^order order! waist), in log space

@@ -266,6 +266,33 @@ def test_numerical_failure_exits_1(runner, tmp_path, grating):
         assert _exited_cleanly(result) and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args, message", [
+    # 2 pi R^2 overflows
+    (["compile-mask", "--mask", "circular", "--radius", "1e300", "--aperture-steps", "3"],
+     "overflows"),
+    # the coupling's column norm overflows
+    (["compile-mask", "--mask", "circular", "--radius", "1e100", "--aperture-steps", "3"],
+     "over- or underflow"),
+    # waist^2 overflows
+    (["design-response", "--waist", "1e300", "--input-mode", "hg:1,0", "--target-mode", "hg:0,0"],
+     "overflows"),
+    # the samples underflow when squared
+    (["design-response", "--waist", "1e100", "--input-mode", "hg:1,0", "--target-mode", "hg:0,0"],
+     "norm is 0"),
+    # the grating's column norm underflows to 0
+    (["compile-mask", "--mask", "cosine", "--u", "0.6,0", "--wavenumber", "1e-300"],
+     "over- or underflow"),
+])
+def test_extreme_magnitudes_exit_1(runner, tmp_path, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert _exited_cleanly(result) and "Traceback" not in result.output
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_removed_cutoff_option_exits_2(runner, tmp_path, grating):
     result = runner.invoke(main, ["propagate", "--state", "coh:1.5,vac", "--cutoff", "4",
                                   "--unitary", str(grating), "--out", str(tmp_path / "x.json")])

@@ -24,6 +24,7 @@ from maskmodes.fock import (
     MultimodeFockState,
     SqueezedVacuum,
     Vacuum,
+    _layout,
     apply_unitary,
     build_input_state,
     state_fidelity,
@@ -302,3 +303,81 @@ def test_reduced_density_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+@st.composite
+def scan_cases(draw):
+    """(kind, state) for a whole scan, sizes from a drawn seed:
+    - "fock": 1-4 photons through a Haar network on 2-6 modes (one block per k)
+    - "squeezed": a squeezed mode with vacua or a Fock mode (parity blocks)
+    - "coherent": a coherent mode among others (one block)
+    - "vacuum": a Haar output padded with modes that stay empty
+    - "mixed": a random non-product state, 1-25 terms of mixed photon number
+    - "wide": like "mixed" on 9-10 modes with up to ~100 photons per term,
+      so a packed (label, occupations) key spans two int64 words
+    """
+    kind = draw(st.sampled_from(["fock", "squeezed", "coherent", "vacuum", "mixed", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("mixed", "wide"):
+        modes = int(rng.integers(2, 7)) if kind == "mixed" else int(rng.integers(9, 11))
+        top = 3 if kind == "mixed" else 40
+        occ = rng.integers(0, top + 1, size=(int(rng.integers(1, 26)), modes))
+        occ[rng.random(occ.shape) < 0.5] = 0
+        if kind == "wide":
+            occ[0, :3] = 40  # a term of 120 or more photons: key base above 120
+        amps = {tuple(t): complex(*rng.normal(size=2)) for t in occ.tolist()}
+        return kind, MultimodeFockState(modes, amps)
+    if kind == "fock":
+        modes = int(rng.integers(2, 7))
+        photons = rng.multinomial(rng.integers(1, 5), np.full(modes, 1.0 / modes))
+        descs = [Fock(int(n)) if n else Vacuum() for n in photons]
+    elif kind == "vacuum":
+        modes = int(rng.integers(2, 5))
+        descs = [Fock(1)] + [Vacuum()] * (modes - 1)
+    else:
+        modes = int(rng.integers(2, 5))
+        descs = [SqueezedVacuum(float(rng.choice([-1, 1]) * rng.uniform(0.05, 0.4)))]
+        descs += [Vacuum() if rng.random() < 0.5 else Fock(1) for _ in range(modes - 1)]
+        if kind == "coherent":
+            descs[rng.integers(modes)] = Coherent(complex(*rng.uniform(-0.6, 0.6, size=2)))
+    state = apply_unitary(build_input_state(InputStateSpec(descs)),
+                          UnitaryMatrix(haar_unitary(rng, modes)))
+    if kind == "vacuum":
+        pad = int(rng.integers(1, 3))
+        amps = {t + (0,) * pad: a for t, a in state.amplitudes.items()}
+        state = MultimodeFockState(modes + pad, amps)
+    return kind, state
+
+
+@settings(max_examples=40)
+@given(scan_cases())
+def test_scan_matches_dense_reference_and_single_cut(case):
+    kind, state = case
+    if kind == "wide":
+        top = int(state.occupations.sum(axis=1).max())
+        assert _layout(state.mode_count + 1, top).shape[1] >= 2
+    scan = full_separability_scan(state)
+    assert [part for part, _ in scan] == all_bipartitions(state.mode_count)
+    for part, rep in scan:
+        ref = schmidt_dense_reference(state, part)
+        s = rep.schmidt_coefficients
+        assert s.shape == ref.shape
+        np.testing.assert_allclose(s, ref, rtol=0, atol=1e-12)
+        assert abs(rep.entropy_bits - _entropy_bits(ref)) <= 1e-12
+        single = entanglement_report(state, part)
+        assert np.array_equal(s, single.schmidt_coefficients)
+        assert rep.entropy_bits == single.entropy_bits
+
+
+def test_scan_memory_stays_small():
+    """A (9, 5) scan, 1287 terms and 255 cuts, is ranked a chunk of cuts at a time."""
+    state = _haar_fock_state(9, 5, seed=5)
+    full_separability_scan(state)
+    tracemalloc.start()
+    try:
+        scan = full_separability_scan(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scan) == 255
+    assert peak <= 8e6
