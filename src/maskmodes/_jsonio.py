@@ -1,71 +1,56 @@
-"""The one JSON writer for artifacts and saved objects, and the reading guard.
+"""The one JSON writer for artifacts and saved objects, the array codec and
+the reading guard.
 
-:func:`json_chunks` yields the text of
-``json.dumps(doc, sort_keys=True, indent=1) + "\\n"`` in pieces, so a large
-document streams into its file instead of being built in memory.  A 2-D
-``ndarray`` held in a dict (at any depth of dicts) is written as the nested
-``[re, im]`` pair lists that ``json`` gives for
-``[[[float(v.real), float(v.imag)] for v in row] for row in matrix]``, one
-matrix row per piece, without building those lists.  Every other value goes
-through ``json.dumps`` itself, so the bytes match the plain encoder's.
+:func:`dumps` gives ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``,
+the text of every artifact and saved document.  Arrays (compiled matrices,
+sampled masks, impulse-response kernels) go into documents as one base64
+string of their little-endian, row-major ``complex128`` bytes:
+:func:`encode_array` and :func:`decode_array`.  The round trip is bit-exact.
 
 :func:`reading` turns every way a document can fail to be read into one
 typed :class:`~maskmodes.errors.MalformedDocument`.
 """
 
+import base64
 import contextlib
 import json
+import math
+import operator
 
 import numpy as np
 
 from .errors import MalformedDocument
 
-# json writes non-finite floats as these JavaScript literals, not as repr()
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_COMPLEX = np.dtype("<c16")
 
 
-def json_chunks(doc):
-    """Pieces of ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``."""
-    yield from _value_chunks(doc, 0)
-    yield "\n"
+def dumps(doc):
+    """The text of a document: sorted keys, one-space indentation, a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def _value_chunks(value, level):
-    if isinstance(value, np.ndarray):
-        yield from _matrix_chunks(value, level)
-    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        pad = "\n" + " " * (level + 1)
-        sep = "{"
-        for key in sorted(value):
-            yield f"{sep}{pad}{json.dumps(key)}: "
-            yield from _value_chunks(value[key], level + 1)
-            sep = ","
-        yield "\n" + " " * level + "}"
-    else:
-        yield json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + " " * level)
+def encode_array(values):
+    """Base64 text of the little-endian, row-major ``complex128`` bytes of ``values``."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype=_COMPLEX).tobytes()).decode("ascii")
 
 
-def _matrix_chunks(matrix, level):
-    m = np.ascontiguousarray(matrix, dtype=np.complex128)
-    rows, cols = m.shape
-    if rows == 0:
-        yield "[]"
-        return
-    p1, p2, p3 = ("\n" + " " * (level + d) for d in (1, 2, 3))
-    if cols == 0:
-        row_text = "[]"
-    else:
-        pair = f"[{p3}%s,{p3}%s{p2}]"
-        row_text = f"[{p2}" + f",{p2}".join([pair] * cols) + f"{p1}]"
-    sep = "["
-    for row in m.view(np.float64):
-        # str() of a Python float is float.__repr__, which json uses
-        parts = row.tolist()
-        if not np.isfinite(row).all():
-            parts = [_NON_FINITE.get(repr(x), x) for x in parts]
-        yield sep + p1 + row_text % tuple(parts)
-        sep = ","
-    yield "\n" + " " * level + "]"
+def decode_array(text, shape):
+    """The read-only ``complex128`` array of ``shape`` that :func:`encode_array` wrote as ``text``.
+
+    Text that is not strict base64, or whose bytes are not exactly the
+    entries of ``shape``, raises :class:`MalformedDocument`.
+    """
+    shape = tuple(operator.index(n) for n in shape)
+    if min(shape, default=0) < 0:
+        raise MalformedDocument(f"array shape {shape} has a negative extent")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise MalformedDocument(f"array payload is not base64 text ({e})") from None
+    if len(raw) != math.prod(shape) * _COMPLEX.itemsize:
+        raise MalformedDocument(f"array payload holds {len(raw)} bytes; shape {shape} of "
+                                f"complex128 needs {math.prod(shape) * _COMPLEX.itemsize}")
+    return np.frombuffer(raw, dtype=_COMPLEX).reshape(shape)
 
 
 @contextlib.contextmanager

@@ -29,7 +29,7 @@ import click
 import numpy as np
 
 from . import __version__
-from ._jsonio import json_chunks, reading
+from ._jsonio import dumps, reading
 from .agreement import run_agreement_suite
 from .diffraction import (
     CircularAperture,
@@ -52,11 +52,17 @@ from .entanglement import (
     full_separability_scan,
     scan_to_json,
 )
-from .errors import MaskModesError
+from .errors import CompileTooLarge, MaskModesError
 from .fock import InputStateSpec, MultimodeFockState, apply_unitary, build_input_state
 from .modes import Grid2D, ModeBasis, hermite_gaussian_basis, hermite_gaussian_mode, sample_field
 from .protocols import hom_coincidence, ifm_project, noon_fidelity_scan, noon_surface
 from .separability import BargmannInput, check_no_entanglement
+
+
+#: Most bytes the largest arrays of ``compile-mask`` may take: the sampled
+#: basis fields of a custom mask, or the dilated unitary of an aperture.
+#: Larger requests exit 1 before anything is allocated.
+MAX_COMPILE_BYTES = 1 << 28
 
 
 def _config_hash(resolved):
@@ -64,8 +70,8 @@ def _config_hash(resolved):
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _atomic_write(path, chunks):
-    """Write the strings of ``chunks`` to a temp file, then rename it onto ``path``."""
+def _atomic_write(path, text):
+    """Write ``text`` to a temp file, then rename it onto ``path``."""
     base = os.environ.get("MASKMODES_OUTPUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
@@ -75,7 +81,7 @@ def _atomic_write(path, chunks):
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".maskmodes-")
         with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
+            fh.write(text)
         os.replace(tmp, path)
         tmp = None
     except OSError as e:
@@ -97,14 +103,14 @@ def _write_artifact(path, result, seed=None):
         "seed": seed,
         "result": result,
     }
-    _atomic_write(path, json_chunks(doc))
+    _atomic_write(path, dumps(doc))
 
 
 def _write_csv(path, header, rows):
     config = _config_hash(click.get_current_context().params)
     lines = [f"# maskmodes {__version__} config={config} seed=None", header]
     lines.extend(rows)
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +217,13 @@ _config = click.option(
 )
 
 
+def _check_compile_size(nbytes, what):
+    """Refuse a compilation whose arrays would take more than ``MAX_COMPILE_BYTES``."""
+    if nbytes > MAX_COMPILE_BYTES:
+        raise CompileTooLarge(f"{what} would take {nbytes / 2**20:.4g} MiB; the limit is "
+                              f"{MAX_COMPILE_BYTES / 2**20:g} MiB")
+
+
 def _require(flag, value, mask):
     """A parameter that only some ``--mask`` kinds need."""
     if value is None:
@@ -288,6 +301,8 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
         screen = (CircularAperture if mask == "circular" else Pinhole)(
             _require("--radius", radius, mask)
         )
+        dim = 2 * aperture_steps**2
+        _check_compile_size(16 * dim**2, f"--aperture-steps {aperture_steps}: a {dim}-mode unitary")
         lattice, dropped = aperture_output_grid(
             screen, (0.0, 0.0), wavenumber, aperture_extent, aperture_steps
         )
@@ -296,13 +311,16 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
         unit.provenance["truncated_weight"] = dropped
     else:
         path = _require("--mask-file", mask_file, mask)
+        fields = (basis_order + 1) ** 2
+        _check_compile_size(16 * fields * grid_n**2, f"--grid {grid_n} and --basis-order "
+                            f"{basis_order}: {fields} sampled fields of {grid_n}^2 points")
         with open(path) as fh, reading(path):
             screen = mask_from_json(json.load(fh))
         grid = Grid2D(grid_n, grid_n, extent / grid_n, extent / grid_n)
         basis = hermite_gaussian_basis(basis_order, waist)
         coupling = overlap_unitary(screen, basis, basis, grid, k=wavenumber)
         unit = unitarize(coupling, flux_faithful=True)
-    _write_artifact(out_file, unit._json_doc())
+    _write_artifact(out_file, unit.to_json())
     if csv_file:
         rows = [
             f"{i},{j},{float(v.real)!r},{float(v.imag)!r}"

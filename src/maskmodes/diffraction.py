@@ -15,14 +15,13 @@ mask spectrum.  Compiled matrices come in two orientations:
 the operator orientation.
 """
 
-import base64
 import json
 import math
 
 import numpy as np
 from scipy.special import j1
 
-from ._jsonio import json_chunks, reading
+from ._jsonio import decode_array, dumps, encode_array, reading
 from .errors import (
     AliasingDetected,
     DimensionMismatch,
@@ -44,7 +43,7 @@ from .modes import (
     sample_field,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def jinc(x):
@@ -164,9 +163,7 @@ def mask_to_json(mask):
     doc = {"schema_version": SCHEMA_VERSION, "type": "mask", "kind": mask.kind}
     doc.update(mask.params())
     if isinstance(mask, CustomSampled):
-        doc["values_b64"] = base64.b64encode(
-            np.ascontiguousarray(mask.values, dtype=np.complex128).tobytes()
-        ).decode("ascii")
+        doc["values_b64"] = encode_array(mask.values)
     return doc
 
 
@@ -183,9 +180,7 @@ def mask_from_json(doc):
             return Pinhole(doc["radius"])
         if kind == "custom":
             grid = Grid2D.from_header(doc["grid"])
-            raw = base64.b64decode(doc["values_b64"])
-            values = np.frombuffer(raw, dtype=np.complex128).reshape(grid.ny, grid.nx)
-            return CustomSampled(grid, values)
+            return CustomSampled(grid, decode_array(doc["values_b64"], (grid.ny, grid.nx)))
         raise MalformedDocument(f"unknown mask kind {kind!r}")
 
 
@@ -286,7 +281,7 @@ class CouplingMatrix:
             "type": "coupling",
             "rows": [str(l) for l in self.row_labels],
             "cols": [str(l) for l in self.col_labels],
-            "matrix": _matrix_to_pairs(self.matrix),
+            "matrix_b64": encode_array(self.matrix),
             "provenance": self.provenance,
         }
 
@@ -295,20 +290,19 @@ class CouplingMatrix:
         with reading():
             if not isinstance(doc, dict) or doc.get("type") != "coupling":
                 raise MalformedDocument("document is not a serialized coupling matrix")
-            return cls(
-                _pairs_to_matrix(doc["matrix"]),
-                doc["rows"],
-                doc["cols"],
-                provenance=doc.get("provenance"),
-            )
+            rows, cols = doc["rows"], doc["cols"]
+            matrix = _stored_matrix(doc, (len(rows), len(cols)))
+            return cls(matrix, rows, cols, provenance=doc.get("provenance"))
 
 
-def _matrix_to_pairs(m):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def _pairs_to_matrix(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _stored_matrix(doc, shape):
+    """The ``matrix_b64`` payload of a compiled-matrix document, of ``shape``."""
+    if "matrix" in doc and "matrix_b64" not in doc:
+        raise MalformedDocument(
+            "schema-1 [re, im] pair-list matrix: compiled matrices are now stored as "
+            f"base64 complex128 under 'matrix_b64' (schema {SCHEMA_VERSION})"
+        )
+    return decode_array(doc["matrix_b64"], shape)
 
 
 class UnitaryMatrix:
@@ -367,15 +361,11 @@ class UnitaryMatrix:
         return cls(np.array([[r, r], [r, -r]], dtype=complex))
 
     def to_json(self):
-        return {**self._json_doc(), "matrix": _matrix_to_pairs(self.matrix)}
-
-    def _json_doc(self):
-        """``to_json()`` with the matrix left as an ndarray, for the streaming writer."""
         return {
             "schema_version": SCHEMA_VERSION,
             "type": "unitary",
             "dim": self.dim,
-            "matrix": self.matrix,
+            "matrix_b64": encode_array(self.matrix),
             "unitarity_residual": self.residual,
             "connected": self.connected,
             "provenance": self.provenance,
@@ -388,11 +378,12 @@ class UnitaryMatrix:
                 doc = doc["result"]  # artifact envelope written by the CLI
             if not isinstance(doc, dict) or doc.get("type") != "unitary":
                 raise MalformedDocument("document is not a serialized unitary")
-            return cls(_pairs_to_matrix(doc["matrix"]), provenance=doc.get("provenance"))
+            dim = doc["dim"]
+            return cls(_stored_matrix(doc, (dim, dim)), provenance=doc.get("provenance"))
 
     def save(self, path):
         with open(path, "w") as fh:
-            fh.writelines(json_chunks(self._json_doc()))
+            fh.write(dumps(self.to_json()))
 
     @classmethod
     def load(cls, path):
@@ -689,9 +680,7 @@ class ImpulseResponse:
             "schema_version": SCHEMA_VERSION,
             "type": "impulse_response",
             "grid": self.grid.header(),
-            "values_b64": base64.b64encode(
-                np.ascontiguousarray(self.values, dtype=np.complex128).tobytes()
-            ).decode("ascii"),
+            "values_b64": encode_array(self.values),
             "spectral_cap": self.spectral_cap,
             "provenance": self.provenance,
         }
@@ -702,8 +691,7 @@ class ImpulseResponse:
             if not isinstance(doc, dict) or doc.get("type") != "impulse_response":
                 raise MalformedDocument("document is not a serialized impulse response")
             grid = Grid2D.from_header(doc["grid"])
-            raw = base64.b64decode(doc["values_b64"])
-            values = np.frombuffer(raw, dtype=np.complex128).reshape(grid.ny, grid.nx)
+            values = decode_array(doc["values_b64"], (grid.ny, grid.nx))
             return cls(grid, values, spectral_cap=doc.get("spectral_cap"))
 
 

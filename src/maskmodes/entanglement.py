@@ -13,12 +13,14 @@ one for anything with a coherent input.  The dense matrix is only built
 where a caller asks for it.
 
 A scan and a single report share one core that takes a chunk of cuts at
-once (the report is the one-cut chunk).  One integer product of the
-occupations with per-cut stride matrices gives every term's subset and
-complement photon counts and its packed (block label, occupations) keys;
-the block labels come from one stacked closure of the count link matrices;
-one sort per row ranks the keys; and every block of the chunk is scattered
-into one zero-filled stack per block shape for one ``np.linalg.svd`` call.
+once (the report is the one-cut chunk).  Integer products of the
+occupations with every cut's mask, one per int64 key word over that word's
+modes, give each term's packed (block label, occupations) keys, and one
+more its subset photon count; the block labels come from one stacked
+closure of the count link matrices (counts that outnumber the terms are
+ranked first); one sort per row ranks the keys; and every block of the
+chunk is scattered into one zero-filled stack per block shape for one
+``np.linalg.svd`` call.
 The gufunc makes the same LAPACK call per matrix as a lone SVD, so spectra
 are bit-identical to one SVD per block.  Chunks are capped by
 ``_CHUNK_ENTRIES`` (terms plus link-matrix entries, per cut, times cuts).
@@ -133,12 +135,23 @@ def reduced_density(state, part):
     return m @ m.conj().T, _basis(state, a_rows, part.subset)
 
 
+def _dense_ranks(x):
+    """Each entry's rank among the distinct values of its row."""
+    order = x.argsort(axis=1)
+    ordered = np.take_along_axis(x, order, axis=1)
+    new = np.zeros(x.shape, dtype=np.int64)
+    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    rank = np.empty_like(new)
+    np.put_along_axis(rank, order, new.cumsum(axis=1), axis=1)
+    return rank
+
+
 def _count_blocks(k, j):
-    """Per cut and term, a block label: the least subset photon count in its block.
+    """Per cut and term, a block label: the least value of ``k`` in its block.
 
     ``k`` and ``j`` are the subset and complement photon counts (cuts x
-    terms); a cut's blocks are the connected components of its ``(k, j)``
-    pairs."""
+    terms), or their ranks; a cut's blocks are the connected components of
+    its ``(k, j)`` pairs."""
     counts = int(k.max()) + 1
     row = k + counts * np.arange(len(k))[:, None]  # (cut, k)
     pairs = np.zeros((len(k) * counts, j.max() + 1))
@@ -176,20 +189,22 @@ def _ranks(keys, lead, labels):
     return rank.reshape(rows, terms), size.reshape(rows, labels)
 
 
-def _chunk_spectra(state, masks, top):
+def _chunk_spectra(occ, total, values, masks):
     """Schmidt coefficients of the cuts ``masks`` (cuts x modes, subset 1), one
     row per cut, sorted descending and zero-padded; and each cut's spectrum
-    length ``min(rows, cols)``.  ``top`` bounds the photons of a term."""
-    occ, cuts = state.occupations, len(masks)
-    # digit 0 of a key is the block label; the last column counts photons
+    length ``min(rows, cols)``.  ``occ`` holds the terms' occupations as
+    int64, ``total`` their photon numbers and ``values`` their amplitudes."""
+    cuts, top = len(masks), int(total.max())
+    # digit 0 of a key is the block label, then the occupations
     digits = _layout(occ.shape[1] + 1, top)
-    strides = np.ones((len(digits) - 1, digits.shape[1] + 1), dtype=np.int64)
-    strides[:, :-1] = digits[1:]
-    subset = _pack(occ, masks[:, :, None] * strides)
-    packed = np.concatenate([subset, _pack(occ, strides) - subset])  # then complements
-    label = _count_blocks(packed[:cuts, :, -1], packed[cuts:, :, -1])
+    subset = _pack(occ, digits[1:], masks)
+    keys = np.concatenate([subset, _pack(occ, digits[1:]) - subset])  # then complements
+    k = masks @ occ.T  # subset photon counts
+    j = total - k
+    if top >= len(occ):  # counts may outnumber the terms: bound the link matrices by terms
+        k, j = _dense_ranks(k), _dense_ranks(j)
+    label = _count_blocks(k, j)
     labels = int(label.max()) + 1
-    keys = packed[:, :, :-1]
     keys += np.concatenate([label, label])[:, :, None] * digits[0]
     rank, size = _ranks(keys, digits[0, 0], labels)
     # block (cut, label) is slot cut * labels + label; one buffer holds every
@@ -203,7 +218,7 @@ def _chunk_spectra(state, masks, top):
     offset[by_shape] = extent.cumsum() - extent
     slot = label + labels * np.arange(cuts)[:, None]
     flat = np.zeros(extent.sum(), dtype=complex)
-    flat[offset[slot] + rank[:cuts] * c_size.ravel()[slot] + rank[cuts:]] = state.values
+    flat[offset[slot] + rank[:cuts] * c_size.ravel()[slot] + rank[cuts:]] = values
     # a block's singular values follow those of its cut's earlier blocks
     kept = np.minimum(r_size, c_size)
     first = (kept.cumsum(axis=1) - kept).ravel()
@@ -223,12 +238,14 @@ def _chunk_spectra(state, masks, top):
 def _reports(state, parts, tol):
     """One :class:`EntanglementReport` per bipartition, chunk by chunk of cuts."""
     masks = np.array([part.mask() for part in parts], dtype=np.int64)
+    occ = state.occupations.astype(np.int64)
+    total = occ.sum(axis=1)
     # per cut: a rank per term and side, and a (k, j) link matrix of the counts
-    top = int(state.occupations.sum(axis=1).max())
-    step = max(1, _CHUNK_ENTRIES // (len(state.values) + (top + 1) ** 2))
+    top, terms = int(total.max()), len(occ)
+    step = max(1, _CHUNK_ENTRIES // (terms + min(top + 1, terms) ** 2))
     reports = []
     for lo in range(0, len(parts), step):
-        s, width = _chunk_spectra(state, masks[lo:lo + step], top)
+        s, width = _chunk_spectra(occ, total, state.values, masks[lo:lo + step])
         p = s**2
         live = p > _EIG_FLOOR  # a prefix of each row: s is sorted
         h = p * np.log2(np.where(live, p, 1.0))

@@ -78,6 +78,10 @@ class InvalidEfficiency(MaskModesError):
     """Absorption efficiency outside (0, 1]."""
 
 
+class CompileTooLarge(MaskModesError):
+    """A compilation whose arrays would pass the documented memory limit."""
+
+
 class StateTooLarge(MaskModesError):
     """A state would hold more terms than supported; carries the estimated count."""
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from ._jsonio import json_chunks, reading
+from ._jsonio import dumps, reading
 from .errors import DimensionMismatch, MalformedDocument, NonPhysical, StateTooLarge
 
 #: Amplitudes below this magnitude are dropped from every state.
@@ -201,9 +201,28 @@ def _layout(n_modes, top):
     return strides
 
 
-def _pack(occ, strides):
-    """Occupation rows (..., modes) as int64 words (..., words): one integer product."""
-    return occ @ strides
+def _occupation_type(top):
+    """The narrowest signed integer type that holds ``top + 1`` (int64 at most)."""
+    return np.min_scalar_type(-min(int(top) + 2, 2**63))
+
+
+def _pack(occ, strides, masks=None):
+    """Occupation rows (terms x modes) as int64 words (terms x words).
+
+    ``strides`` is a :func:`_layout` matrix (or rows of one); each word is one
+    integer product over its own modes, so packing costs terms x modes
+    however many words there are.  With ``masks`` (cuts x modes of 0/1) every
+    cut packs the rows with its other modes zeroed: (cuts x terms x words)."""
+    if strides.shape[1] == 1:  # one word: one product, without the per-word split
+        return occ @ strides if masks is None else ((masks * strides[:, 0]) @ occ.T)[..., None]
+    word = strides.argmax(axis=1)  # modes in word order: each word is a slice
+    bounds = np.searchsorted(word, np.arange(strides.shape[1] + 1)).tolist()
+    out = []
+    for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        digit = strides[lo:hi, w]
+        out.append(occ[:, lo:hi] @ digit if masks is None
+                   else (masks[:, lo:hi] * digit) @ occ[:, lo:hi].T)
+    return np.stack(out, axis=-1)
 
 
 def _lex_runs(words):
@@ -238,7 +257,9 @@ class MultimodeFockState:
     """Sparse multimode pure state.
 
     ``occupations`` is a read-only int matrix (terms x modes), rows distinct and
-    lexicographic; ``values`` holds their amplitudes.  ``amplitudes`` is a
+    lexicographic, of the narrowest signed type that holds its largest entry
+    plus one (int8 for up to 126 photons in a mode); arithmetic on it must
+    widen.  ``values`` holds their amplitudes.  ``amplitudes`` is a
     read-only ``{tuple: complex}`` view.  Amplitudes below ``DEFAULT_PRUNE``
     are dropped."""
 
@@ -256,7 +277,7 @@ class MultimodeFockState:
 
     @classmethod
     def _from_sorted(cls, mode_count, occ, vals, normalize=True):
-        """Build from distinct rows already in lexicographic order."""
+        """Build from distinct rows already in lexicographic order (arrays kept, not copied)."""
         state = cls.__new__(cls)
         state._set(mode_count, occ, vals, normalize)
         return state
@@ -265,11 +286,13 @@ class MultimodeFockState:
         if not np.all(np.isfinite(vals)):
             raise NonPhysical("state has a non-finite amplitude")
         keep = np.abs(vals) >= DEFAULT_PRUNE
-        occ, vals = occ[keep], vals[keep]
+        if not keep.all():
+            occ, vals = occ[keep], vals[keep]
         if not len(vals):
             raise NonPhysical("state has no amplitude above the prune threshold")
         if normalize:
             vals = vals / np.linalg.norm(vals)
+        occ = occ.astype(_occupation_type(occ.max(initial=0)), copy=False)
         occ.flags.writeable = vals.flags.writeable = False
         self.mode_count, self.occupations, self.values = mode_count, occ, vals
         self._spec = None  # the InputStateSpec of a product input, set by build_input_state
@@ -325,7 +348,7 @@ class MultimodeFockState:
 
     def save(self, path):
         with open(path, "w") as fh:
-            fh.writelines(json_chunks(self.to_json()))
+            fh.write(dumps(self.to_json()))
 
     @classmethod
     def load(cls, path):
@@ -382,7 +405,7 @@ def build_input_state(spec):
 # Propagation
 
 
-def _gaussian_sectors(U, alpha, lam, top, e_k):
+def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
     """Sectors ``0..top`` of ``C exp(½ zᵀBz + γᵀz) |vac>``, ``B = Uᵀ diag(tanh lam) U``, ``γ = Uᵀ alpha``.
 
     ``C`` normalizes the input.  In normalized amplitudes the Hermite
@@ -391,14 +414,14 @@ def _gaussian_sectors(U, alpha, lam, top, e_k):
     ``A[n, l] = sqrt(n_l) ψ_{n-e_l}`` is scattered forward from the sector
     before, to the row every ``(l, n - e_l)`` pair was merged into.
     Candidates are laid out k-major, as sorted runs, so the stable sort
-    merges runs.  Returns packed rows, occupations and amplitudes, sector
-    after sector.
+    merges runs.  Returns packed rows, occupations (of ``dtype``) and
+    amplitudes, sector after sector.
     """
     n_modes = len(U)
     B = U.T @ (np.tanh(lam)[:, None] * U)
     gamma = U.T @ alpha
     words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
-    occ = np.zeros((1, n_modes), dtype=np.int64)
+    occ = np.zeros((1, n_modes), dtype=dtype)
     psi = np.full(1, np.exp(-0.5 * np.sum(np.abs(alpha) ** 2 + np.log(np.cosh(lam)))),
                   dtype=complex)
     A = np.zeros((1, n_modes), dtype=complex)
@@ -432,17 +455,18 @@ def _expand(U, top, rows, scales, seed=None):
     """
     n_modes = len(U)
     e_k = _layout(n_modes, top)
+    dtype = _occupation_type(top)
     out = []
     for row, scale in zip(rows, scales):
         if seed is None:
             words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
-            occ = np.zeros((1, n_modes), dtype=np.int64)
+            occ = np.zeros((1, n_modes), dtype=dtype)
             vals = np.full(1, scale, dtype=complex)
         else:
-            words, occ, vals = _gaussian_sectors(U, *seed, top - int(row.sum()), e_k)
+            words, occ, vals = _gaussian_sectors(U, *seed, top - int(row.sum()), e_k, dtype)
         for j in np.flatnonzero(row):
             ks = np.flatnonzero(U[j])
-            for i in range(1, row[j] + 1):
+            for i in range(1, int(row[j]) + 1):
                 cand = (e_k[ks][:, None, :] + words).reshape(-1, e_k.shape[1])
                 idx, vals = _merge(cand, (U[j, ks, None] / np.sqrt(i)
                                           * np.sqrt(occ[:, ks].T + 1.0) * vals).ravel())

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskmodes._jsonio import decode_array
 from maskmodes.cli import main
 from maskmodes.diffraction import (
     CircularAperture,
@@ -293,6 +294,30 @@ def test_extreme_magnitudes_exit_1(runner, tmp_path, args, message):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--mask", "custom", "--grid", "65536"], "4 sampled fields of 65536^2 points"),
+    (["--mask", "custom", "--basis-order", "100000"], "10000200001 sampled fields"),
+    (["--mask", "circular", "--radius", "2", "--aperture-steps", "10000"],
+     "a 200000000-mode unitary"),
+    (["--mask", "pinhole", "--radius", "2", "--aperture-steps", "46"], "a 4232-mode unitary"),
+])
+def test_oversized_compile_exits_1_before_allocating(runner, cli_files, tmp_path, args,
+                                                     message):
+    out = tmp_path / "x.json"
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["compile-mask", *args, "--mask-file", str(cli_files["mask"]),
+                                      "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 1, result.output
+    assert message in result.output and "the limit is 256 MiB" in result.output
+    assert _exited_cleanly(result) and "Traceback" not in result.output
+    assert peak < 16e6
+    assert not out.exists()
+
+
 def test_removed_cutoff_option_exits_2(runner, tmp_path, grating):
     result = runner.invoke(main, ["propagate", "--state", "coh:1.5,vac", "--cutoff", "4",
                                   "--unitary", str(grating), "--out", str(tmp_path / "x.json")])
@@ -559,7 +584,8 @@ def test_circular_screen_artifact_matches_reference_encoder(runner, tmp_path):
     mask = CircularAperture(2.0)
     lattice, _ = aperture_output_grid(mask, (0.0, 0.0), 2 * np.pi, 0.2, 9)
     unit = unitarize(plane_wave_coupling(mask, lattice, lattice, 2 * np.pi), flux_faithful=True)
-    assert doc["result"]["matrix"] == unit.to_json()["matrix"]
+    assert doc["result"]["schema_version"] == 2 and "matrix" not in doc["result"]
+    assert np.array_equal(decode_array(doc["result"]["matrix_b64"], (162, 162)), unit.matrix)
 
 
 def test_scan_noon_many_photons(runner, tmp_path):

@@ -381,3 +381,18 @@ def test_scan_memory_stays_small():
         tracemalloc.stop()
     assert len(scan) == 255
     assert peak <= 8e6
+
+
+def test_link_matrices_are_bounded_by_terms():
+    """20000 photons in one term ask for 2 link rows, not 20001."""
+    state = MultimodeFockState(2, {(20000, 0): 0.6, (0, 1): 0.8})
+    tracemalloc.start()
+    try:
+        rep = entanglement_report(state, Bipartition((0,), 2))
+        scan = full_separability_scan(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.schmidt_coefficients.tolist() == [0.8, 0.6]
+    assert scan[0][1].schmidt_coefficients.tolist() == [0.8, 0.6]
+    assert peak < 1e6

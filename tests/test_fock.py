@@ -406,3 +406,41 @@ def test_pruning_threshold_recorded_and_applied():
     s = MultimodeFockState(1, {(0,): 1.0, (1,): 1e-16})
     assert (1,) not in s.amplitudes
     assert DEFAULT_PRUNE == 1e-14
+
+
+def _int64_twin(state):
+    """The same state with its occupations held as int64, the type before narrowing."""
+    twin = MultimodeFockState.__new__(MultimodeFockState)
+    twin.mode_count, twin.values, twin._spec = state.mode_count, state.values, None
+    twin.occupations = state.occupations.astype(np.int64)
+    return twin
+
+
+@pytest.mark.parametrize("n, dtype", [(126, np.int8), (127, np.int16), (32766, np.int16),
+                                      (32767, np.int32)])
+def test_occupations_at_dtype_edges_match_int64_input(n, dtype):
+    # mode 0 moves to mode 1, mode 1 splits over modes 0 and 2
+    r = 1 / sqrt(2)
+    u = UnitaryMatrix(np.array([[0, 1, 0], [r, 0, r], [r, 0, -r]], dtype=complex))
+    state = MultimodeFockState(3, {(n, 1, 0): 0.6, (0, n, 1): 0.8})
+    assert state.occupations.dtype == dtype
+    pairs = [(state, _int64_twin(state))]
+    if comb(n + 1 + 3, 3) <= MAX_TERMS:  # beyond that only a one-mode network is allowed
+        pairs.append((apply_unitary(state, u), apply_unitary(pairs[0][1], u)))
+    for s, t in pairs:
+        assert np.array_equal(s.occupations, t.occupations)
+        assert np.array_equal(s.values, t.values)
+        assert s.to_json() == t.to_json()
+        for part in (Bipartition((0,), 3), Bipartition((1,), 3), Bipartition((0, 2), 3)):
+            a, b = entanglement_report(s, part), entanglement_report(t, part)
+            assert np.array_equal(a.schmidt_coefficients, b.schmidt_coefficients)
+            assert a.entropy_bits == b.entropy_bits
+
+
+@pytest.mark.parametrize("n", [32766, 32767])
+def test_one_mode_at_dtype_edges_propagates(n):
+    # every photon of the stored row is one creation step: n steps through a phase
+    out = apply_unitary(MultimodeFockState(1, {(n,): 1.0}),
+                        UnitaryMatrix(np.array([[np.exp(0.3j)]])))
+    assert out.occupations.tolist() == [[n]]
+    assert abs(out.values[0] - np.exp(0.3j * n)) <= 1e-9

@@ -5,69 +5,83 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskmodes._jsonio import json_chunks
+from maskmodes._jsonio import decode_array, dumps, encode_array
 from maskmodes.diffraction import CouplingMatrix, ImpulseResponse, UnitaryMatrix, mask_from_json
 from maskmodes.errors import MalformedDocument
 from maskmodes.fock import MultimodeFockState
 
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 0.1,
-               float("nan"), float("inf"), float("-inf")]
-floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
-scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-(2**70), 2**70), floats,
-    st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
-)
-values = st.recursive(
-    scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(st.text(max_size=5), inner, max_size=4),
-        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
-    ),
-    max_leaves=20,
-)
+# bit patterns: signed zeros, subnormals, extremes, nan with payloads and sign, infinities
+EDGE_BITS = [0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF,
+             0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001, 0x7FF4000000000ABC,
+             0x7FF0000000000000, 0xFFF0000000000000, 0x3FB999999999999A]
+words = st.one_of(st.sampled_from(EDGE_BITS), st.integers(0, 2**64 - 1))
 
 
 @st.composite
-def matrices(draw):
+def arrays(draw):
     rows = draw(st.integers(0, 4))
     cols = draw(st.integers(0, 4))
-    parts = draw(st.lists(floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
-    return np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+    bits = draw(st.lists(words, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(bits, dtype=np.uint64).view(np.complex128).reshape(rows, cols)
 
 
-def _with_pairs(value):
-    """The document ``json`` itself would be given: matrices as [re, im] pair lists."""
-    if isinstance(value, np.ndarray):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in value]
-    if isinstance(value, dict):
-        return {k: _with_pairs(v) for k, v in value.items()}
-    return value
+@settings(max_examples=300, derandomize=True)
+@given(values=arrays(), extra=st.integers(1, 40), junk=st.sampled_from("!*-_ \n=é"))
+def test_array_codec_round_trips_bit_exactly(values, extra, junk):
+    text = encode_array(values)
+    got = decode_array(text, values.shape)
+    assert got.dtype == np.complex128 and got.shape == values.shape
+    assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+    # json carries the text unchanged
+    assert decode_array(json.loads(json.dumps(text)), values.shape).tobytes() == values.tobytes()
+    rows, cols = values.shape
+    for shape in ((rows + 1, cols), (rows, cols + 1), (rows * cols + 1,)):
+        if np.prod(shape) != values.size:
+            with pytest.raises(MalformedDocument, match="bytes"):
+                decode_array(text, shape)
+    padded = encode_array(np.zeros(values.size + extra))
+    with pytest.raises(MalformedDocument, match="bytes"):
+        decode_array(padded, values.shape)
+    with pytest.raises(MalformedDocument, match="not base64"):
+        decode_array(text[:2] + junk + text[2:], values.shape)
+    with pytest.raises(MalformedDocument, match="not base64"):
+        decode_array(text + "A", values.shape)
 
 
-@settings(max_examples=200)
-@given(
-    doc=st.dictionaries(st.text(max_size=5), st.one_of(values, matrices()), max_size=5),
-    nested=st.dictionaries(st.text(max_size=5), st.one_of(values, matrices()), max_size=3),
-    key=st.text(max_size=5),
-    matrix=matrices(),
-)
-def test_stream_matches_reference_encoder(doc, nested, key, matrix):
-    doc[key] = {**nested, "matrix": matrix}
-    text = "".join(json_chunks(doc))
-    assert text == json.dumps(_with_pairs(doc), sort_keys=True, indent=1) + "\n"
+def test_array_codec_refuses_what_is_not_text_or_a_shape():
+    with pytest.raises(MalformedDocument, match="not base64"):
+        decode_array(5, (0,))
+    with pytest.raises(MalformedDocument, match="negative"):
+        decode_array("", (-1, 0))
 
 
-def test_matrix_rows_stream_as_separate_chunks():
-    m = np.arange(12, dtype=float).view(complex).reshape(3, 2)
-    chunks = list(json_chunks({"matrix": m}))
-    assert sum('[\n   [\n    ' in c for c in chunks) == 3
+@pytest.mark.parametrize("reader, doc", [
+    (UnitaryMatrix.from_json, {"type": "unitary", "dim": 1, "matrix": [[[1.0, 0.0]]]}),
+    (CouplingMatrix.from_json,
+     {"type": "coupling", "rows": ["a"], "cols": ["b"], "matrix": [[[1.0, 0.0]]]}),
+])
+def test_pair_list_matrices_are_refused(reader, doc):
+    with pytest.raises(MalformedDocument, match="matrix_b64"):
+        reader({**doc, "schema_version": 1})
+
+
+@pytest.mark.parametrize("matrix", [
+    UnitaryMatrix.su2(0.7, 0.2), UnitaryMatrix.identity(0),
+    CouplingMatrix(np.zeros((0, 3)), [], ["a", "b", "c"]),
+    CouplingMatrix(np.array([[0.6, -0.0], [0.8j, 5e-324]]), ["r0", "r1"], ["c0", "c1"]),
+])
+def test_compiled_matrices_round_trip_bit_exactly(matrix):
+    doc = json.loads(dumps(matrix.to_json()))
+    assert doc["schema_version"] == 2 and "matrix" not in doc
+    back = type(matrix).from_json(doc)
+    assert back.matrix.tobytes() == matrix.matrix.tobytes()
+    assert back.provenance == matrix.provenance
 
 
 # each reader, and a document of its own type that lacks a field it needs
 _READERS = [
-    (UnitaryMatrix.from_json, {"type": "unitary"}),
-    (CouplingMatrix.from_json, {"type": "coupling", "matrix": []}),
+    (UnitaryMatrix.from_json, {"type": "unitary", "dim": 0}),
+    (CouplingMatrix.from_json, {"type": "coupling", "rows": [], "cols": []}),
     (MultimodeFockState.from_json, {"type": "state", "amplitudes": []}),
     (mask_from_json, {"kind": "custom"}),
     (ImpulseResponse.from_json, {"type": "impulse_response"}),
@@ -82,7 +96,7 @@ def test_readers_raise_one_typed_error(reader, lacking):
     with pytest.raises(MalformedDocument, match="missing key"):
         reader(lacking)
     with pytest.raises(ValueError):  # the typed error is also a ValueError
-        reader({**lacking, "matrix": "abc", "amplitudes": [[1]], "grid": 5})
+        reader({**lacking, "matrix_b64": "abc", "amplitudes": [[1]], "grid": 5})
 
 
 def test_load_names_a_file_that_is_not_json(tmp_path):
