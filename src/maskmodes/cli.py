@@ -59,10 +59,17 @@ from .protocols import hom_coincidence, ifm_project, noon_fidelity_scan, noon_su
 from .separability import BargmannInput, check_no_entanglement
 
 
-#: Most bytes the largest arrays of ``compile-mask`` may take: the sampled
-#: basis fields of a custom mask, or the dilated unitary of an aperture.
-#: Larger requests exit 1 before anything is allocated.
+#: Most bytes the largest arrays of a command may take: the sampled basis
+#: fields of a custom mask, the dilated unitary of an aperture, the records
+#: of a HOM sweep or the fidelity values of a NOON scan.  Larger requests
+#: exit 1 before anything is allocated.
 MAX_COMPILE_BYTES = 1 << 28
+
+#: Bytes one ``protocol-hom --sweep`` angle holds: its array entries, its
+#: record and its JSON and CSV text (about 950 measured).
+_SWEEP_ANGLE_BYTES = 1024
+#: Bytes one point of the ``scan-noon --surface`` CSV holds (about 240 measured).
+_SURFACE_POINT_BYTES = 256
 
 
 def _config_hash(resolved):
@@ -218,7 +225,7 @@ _config = click.option(
 
 
 def _check_compile_size(nbytes, what):
-    """Refuse a compilation whose arrays would take more than ``MAX_COMPILE_BYTES``."""
+    """Refuse a command whose arrays would take more than ``MAX_COMPILE_BYTES``."""
     if nbytes > MAX_COMPILE_BYTES:
         raise CompileTooLarge(f"{what} would take {nbytes / 2**20:.4g} MiB; the limit is "
                               f"{MAX_COMPILE_BYTES / 2**20:g} MiB")
@@ -475,6 +482,8 @@ def protocol_ifm(eta, theta, phi, out_file):
 def protocol_hom(theta, sweep, out_file, csv_file):
     """Hong-Ou-Mandel coincidence probability for |1,1> input."""
     if sweep:
+        _check_compile_size(_SWEEP_ANGLE_BYTES * sweep,
+                            f"--sweep {sweep}: {sweep} angles and their records")
         thetas = np.linspace(0.0, np.pi, sweep)
         probs = [hom_coincidence(UnitaryMatrix.su2(t)) for t in thetas]
         result = {
@@ -498,6 +507,11 @@ def protocol_hom(theta, sweep, out_file, csv_file):
 @click.option("--surface", "surface_file", help="CSV surface (theta, phi, fidelity).")
 def scan_noon(photons, grid_n, out_file, surface_file):
     """Best NOON fidelity reachable from separable two-mode Fock inputs."""
+    values = (photons + 1) * (grid_n + 1)
+    points = (grid_n + 1) * grid_n if surface_file else 0
+    _check_compile_size(8 * values + _SURFACE_POINT_BYTES * points,
+                        f"--photons {photons} and --grid {grid_n}: {values} fidelity values"
+                        + (f" and {points} surface points" if points else ""))
     res = noon_fidelity_scan(photons, grid=(grid_n, grid_n))
     _write_artifact(out_file, res.to_json())
     if surface_file:

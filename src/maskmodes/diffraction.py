@@ -37,13 +37,32 @@ from .modes import (
     Grid2D,
     PlaneWaveGrid,
     SampledField,
+    _basis_samples,
     centered_fft2,
     centered_ifft2,
     field_overlap,
-    sample_field,
 )
 
 SCHEMA_VERSION = 2
+
+#: Subsamples per axis of a cell in ``CircularAperture.sample_antialiased``.
+_SUBSAMPLES = 8
+#: Band-edge spectral content, relative to the peak, that marks a sampled mask as aliased.
+_BAND_EDGE_TOL = 1e-2
+#: Distance in transverse direction within which a plane wave hits a grating order.
+_MATCH_TOL = 1e-9
+#: Share of its peak below which the aperture lattice drops the jinc envelope.
+_ENVELOPE_FLOOR = 1e-4
+#: Share of its transformed norm an overlap column may lose before it is reported.
+_LOSS_THRESHOLD = 0.05
+#: Most bytes of transformed fields ``overlap_unitary`` holds at once (one field at least).
+_BLOCK_BYTES = 1 << 22
+#: Smallest singular value that plain unitarization accepts.
+_SMIN_TOL = 1e-6
+#: Share of the target's energy the kernel design may find outside the input band.
+_LOST_TOL = 1e-3
+#: Entry magnitude above which a unitary couples two modes (for ``connected``).
+_TOL_COUPLE = 1e-12
 
 
 def jinc(x):
@@ -110,15 +129,15 @@ class CircularAperture:
         X, Y = grid.meshgrid()
         return (X**2 + Y**2 <= self.radius**2).astype(complex)
 
-    def sample_antialiased(self, grid, subsamples=8):
+    def sample_antialiased(self, grid):
         """Area-weighted samples: each cell holds its covered-area fraction."""
         X, Y = grid.meshgrid()
-        off = (np.arange(subsamples) + 0.5) / subsamples - 0.5
+        off = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES - 0.5
         acc = np.zeros_like(X)
         for ox in off:
             for oy in off:
                 acc += (X + ox * grid.dx) ** 2 + (Y + oy * grid.dy) ** 2 <= self.radius**2
-        return (acc / subsamples**2).astype(complex)
+        return (acc / _SUBSAMPLES**2).astype(complex)
 
     def analytic_spectrum(self, fsq):
         """Continuous FT ``2 pi R^2 jinc(R |f|)`` evaluated at |f|^2 = fsq."""
@@ -188,7 +207,7 @@ def mask_from_json(doc):
 # Spectra
 
 
-def mask_spectrum(mask, grid, k=None, band_edge_tol=1e-2):
+def mask_spectrum(mask, grid, k=None):
     """Discrete Fourier transform of the sampled mask (DC-centered).
 
     Sign convention ``sum M(x, y) exp(-i (x fx + y fy)) dx dy`` on the grid's
@@ -198,8 +217,8 @@ def mask_spectrum(mask, grid, k=None, band_edge_tol=1e-2):
     ------
     AliasingDetected
         For a cosine grating whose spatial frequency exceeds Nyquist, or for
-        generic masks whose band-edge spectral content exceeds
-        ``band_edge_tol`` relative to the spectral peak.
+        generic masks whose band-edge spectral content exceeds 1e-2 of
+        the spectral peak.
     """
     if isinstance(mask, CosineGrating):
         if k is None:
@@ -220,9 +239,9 @@ def mask_spectrum(mask, grid, k=None, band_edge_tol=1e-2):
                 float(np.max(np.abs(spec[:, 0]))),
                 float(np.max(np.abs(spec[:, -1]))),
             )
-            if edge / peak > band_edge_tol:
+            if edge / peak > _BAND_EDGE_TOL:
                 raise AliasingDetected(
-                    f"band-edge spectral content {edge / peak:.3e} above {band_edge_tol:.1e}"
+                    f"band-edge spectral content {edge / peak:.3e} above {_BAND_EDGE_TOL:.1e}"
                 )
     return spec
 
@@ -315,7 +334,7 @@ class UnitaryMatrix:
 
     RESIDUAL_TOL = 1e-10
 
-    def __init__(self, matrix, provenance=None, tol_couple=1e-12):
+    def __init__(self, matrix, provenance=None):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("a unitary must be square")
@@ -331,7 +350,7 @@ class UnitaryMatrix:
         self.residual = residual
         # a unit-magnitude entry is a perfect one-to-one transfer, i.e. a
         # split-off subnetwork: never marked connected
-        self.connected = _is_connected(np.abs(m) > tol_couple) and bool(
+        self.connected = _is_connected(np.abs(m) > _TOL_COUPLE) and bool(
             np.max(np.abs(m)) < 1.0
         )
         self.provenance = dict(provenance or {})
@@ -424,7 +443,7 @@ def _is_connected(adj):
 # Plane-wave coupling (Fourier picture of a thin screen)
 
 
-def plane_wave_coupling(mask, input_grid, output_grid, k, match_tol=1e-9):
+def plane_wave_coupling(mask, input_grid, output_grid, k):
     """Compile a mask into a plane-wave coupling matrix.
 
     Entry ``(n', n)`` is ``|k nz'| * Mspec[k(n' - n)] * dOmega_n``, then the
@@ -449,7 +468,7 @@ def plane_wave_coupling(mask, input_grid, output_grid, k, match_tol=1e-9):
         if isinstance(mask, CosineGrating):
             u = mask.u[:2]
             # coinciding orders (u = 0) hit the same output twice and add twice
-            hits = sum(np.linalg.norm(delta - sign * u, axis=2) <= match_tol
+            hits = sum(np.linalg.norm(delta - sign * u, axis=2) <= _MATCH_TOL
                        for sign in (+1.0, -1.0))
             m = hits * (0.5 * weight * w_in[None, :])
         elif isinstance(mask, CircularAperture):
@@ -490,12 +509,12 @@ def jinc_envelope(x):
     return np.minimum(0.5, tail)
 
 
-def aperture_output_grid(mask, input_dir, k, half_extent, steps, envelope_floor=1e-4):
+def aperture_output_grid(mask, input_dir, k, half_extent, steps):
     """Direction lattice for a circular aperture, truncated at the jinc envelope.
 
     Directions where the monotone amplitude envelope (not the oscillating
     profile itself, whose interior zeros stay retained) falls below
-    ``envelope_floor`` of its peak are dropped; the discarded squared
+    1e-4 of its peak are dropped; the discarded squared
     envelope weight is returned alongside the grid.
     """
     lattice = PlaneWaveGrid.lattice(input_dir, half_extent, steps)
@@ -503,7 +522,7 @@ def aperture_output_grid(mask, input_dir, k, half_extent, steps, envelope_floor=
     arg = mask.radius * k * np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
     env = lattice.nz * jinc_envelope(arg)
     peak = float(np.max(env))
-    keep = env >= envelope_floor * peak
+    keep = env >= _ENVELOPE_FLOOR * peak
     dropped = float(np.sum(env[~keep] ** 2) / np.sum(env**2))
     grid = PlaneWaveGrid(lattice.transverse[keep], weights=lattice.weights[keep])
     return grid, dropped
@@ -513,34 +532,34 @@ def aperture_output_grid(mask, input_dir, k, half_extent, steps, envelope_floor=
 # Overlap compilation against mode bases
 
 
-def overlap_unitary(element, in_basis, out_basis, grid, k=2 * np.pi, loss_threshold=0.05):
+def overlap_unitary(element, in_basis, out_basis, grid, k=2 * np.pi):
     """Couplings ``C[n, m] = <out_n | element(in_m)>`` on a common grid.
 
     ``element`` may be ``None`` (free space, identity), a mask, or an
-    :class:`ImpulseResponse`.  Columns that lose more than ``loss_threshold``
-    of their transformed norm to basis truncation are listed in provenance
-    under ``truncation_losses`` (reported, not fatal).
+    :class:`ImpulseResponse`.  Each basis is sampled once.  Columns that lose
+    more than 5% of their transformed norm to basis truncation are listed in
+    provenance under ``truncation_losses`` (reported, not fatal).
     """
-    out_fields = [sample_field(l, out_basis, grid, k=k) for l in out_basis.labels]
-    cols = []
-    losses = {}
-    for m_idx, label in enumerate(in_basis.labels):
-        f = sample_field(label, in_basis, grid, k=k)
-        if element is None:
-            tf = f
-        elif isinstance(element, ImpulseResponse):
-            tf = apply_impulse_response(element, f)
-        else:
-            from .modes import apply_mask_to_field
-
-            tf = apply_mask_to_field(f, element)
-        col = np.array([field_overlap(g, tf) for g in out_fields])
-        captured = float(np.sum(np.abs(col) ** 2))
-        total = tf.norm_sq()
-        if total > 0 and 1.0 - captured / total > loss_threshold:
-            losses[str(label)] = 1.0 - captured / total
-        cols.append(col)
-    matrix = np.column_stack(cols)
+    out_flat = _basis_samples(out_basis, grid, k)
+    in_flat = out_flat if in_basis is out_basis else _basis_samples(in_basis, grid, k)
+    kernel = isinstance(element, ImpulseResponse)
+    if kernel and element.grid != grid:
+        raise GridMismatch("kernel and field grids differ")
+    factor = 1.0 if element is None else element.transfer() if kernel else element.sample(grid, k)
+    matrix = np.empty((out_basis.count, in_basis.count), dtype=complex)
+    totals = np.empty(in_basis.count)
+    step = max(1, _BLOCK_BYTES // out_flat[0].nbytes)
+    for lo in range(0, in_basis.count, step):
+        block = in_flat[lo:lo + step].reshape(-1, grid.ny, grid.nx)
+        tf = centered_ifft2(factor * centered_fft2(block, grid), grid) if kernel else factor * block
+        tf = tf.reshape(len(block), -1)
+        totals[lo:lo + step] = np.vecdot(tf, tf).real * grid.cell_area
+        # conj(out) . tf = conj(out . conj(tf)); tf is a new array, conjugated in place
+        matrix[:, lo:lo + step] = np.conj(out_flat @ np.conj(tf, out=tf).T) * grid.cell_area
+        del tf  # released before the next block is made
+    captured = np.sum(np.abs(matrix) ** 2, axis=0)
+    losses = {str(in_basis.labels[i]): 1.0 - float(captured[i] / totals[i])
+              for i in np.flatnonzero(captured < (1.0 - _LOSS_THRESHOLD) * totals)}
     # guard against tiny quadrature overshoot of the unit column bound
     top = float(np.max(np.linalg.norm(matrix, axis=0), initial=0.0))
     if top > 1.0:
@@ -565,12 +584,12 @@ def polar_factor(m):
     return u @ vh
 
 
-def unitarize(c, flux_faithful=False, smin_tol=1e-6):
+def unitarize(c, flux_faithful=False):
     """Project a compiled coupling onto an exact unitary network from one SVD.
 
     With ``C = W S V+``, plain mode returns the polar factor ``W V+`` and
     raises :class:`SingularNetwork` if the smallest singular value is at or
-    below ``smin_tol``.  ``flux_faithful=True`` instead embeds any loss into
+    below 1e-6.  ``flux_faithful=True`` instead embeds any loss into
     ``n`` appended ancilla modes, so that flux reaching the ancillas accounts
     exactly for absorption.  If ``s[0] > 1`` the coupling is first divided by
     ``s[0]``; the resulting contraction is dilated in closed form (Halmos):
@@ -594,9 +613,9 @@ def unitarize(c, flux_faithful=False, smin_tol=1e-6):
         block = (w * s) @ vh
         u = np.block([[block, (w * d) @ wh], [(v * d) @ vh, -(v * s) @ wh]])
     else:
-        if float(s[-1]) <= smin_tol:
+        if float(s[-1]) <= _SMIN_TOL:
             raise SingularNetwork(
-                f"smallest singular value {s[-1]:.3e} at or below {smin_tol:.1e}"
+                f"smallest singular value {s[-1]:.3e} at or below {_SMIN_TOL:.1e}"
             )
         u = block = w @ vh
     prov = dict(getattr(c, "provenance", {}) or {})
@@ -695,7 +714,7 @@ class ImpulseResponse:
             return cls(grid, values, spectral_cap=doc.get("spectral_cap"))
 
 
-def inverse_design_response(e_in, e_out, eps_rel=1e-6, lost_tol=1e-3):
+def inverse_design_response(e_in, e_out, eps_rel=1e-6):
     """Kernel turning ``e_in`` into ``e_out`` by the convolution theorem.
 
     The spectral division is Tikhonov-regularized:
@@ -705,7 +724,7 @@ def inverse_design_response(e_in, e_out, eps_rel=1e-6, lost_tol=1e-3):
     Raises
     ------
     SpectralMismatch
-        If more than ``lost_tol`` of the target energy sits at frequencies
+        If more than 1e-3 of the target energy sits at frequencies
         where the input spectrum is below ``eps`` (the division is then
         meaningless there); the error carries the lost fraction.
     """
@@ -720,7 +739,7 @@ def inverse_design_response(e_in, e_out, eps_rel=1e-6, lost_tol=1e-3):
     dead = np.abs(si) < eps
     total = float(np.sum(np.abs(so) ** 2))
     lost = float(np.sum(np.abs(so[dead]) ** 2)) / total if total > 0 else 0.0
-    if lost > lost_tol:
+    if lost > _LOST_TOL:
         raise SpectralMismatch(
             f"target has {lost:.3e} of its energy outside the input band",
             lost_fraction=lost,

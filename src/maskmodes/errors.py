@@ -79,7 +79,7 @@ class InvalidEfficiency(MaskModesError):
 
 
 class CompileTooLarge(MaskModesError):
-    """A compilation whose arrays would pass the documented memory limit."""
+    """A command whose arrays would pass the documented memory limit."""
 
 
 class StateTooLarge(MaskModesError):

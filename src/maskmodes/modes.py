@@ -30,6 +30,9 @@ FIELD_MAGIC = b"MMFIELD1"
 #: Gram-matrix deviation a shipped basis is allowed on its documented grid.
 TOL_ORTH = 1e-8
 
+#: Largest share of a sampled mode's energy allowed on the grid's outer ring.
+_BOUNDARY_TOL = 1e-10
+
 
 def _is_power_of_two(n):
     return n >= 2 and (n & (n - 1)) == 0
@@ -90,17 +93,23 @@ class Grid2D:
         return cls(nx=int(h["nx"]), ny=int(h["ny"]), dx=float(h["dx"]), dy=float(h["dy"]))
 
 
+_PLANE = (-2, -1)
+
+
 def centered_fft2(values, grid):
     """DC-centered discrete Fourier transform with physical measure.
 
     Approximates the continuous transform
     ``F(f) = int E(r) exp(-i r.f) d^2r``; inverse of :func:`centered_ifft2`.
+    Transforms the last two axes, so a stack of fields goes in one call.
     """
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(values))) * grid.cell_area
+    shifted = np.fft.ifftshift(values, axes=_PLANE)
+    return np.fft.fftshift(np.fft.fft2(shifted), axes=_PLANE) * grid.cell_area
 
 
 def centered_ifft2(spectrum, grid):
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(spectrum))) / grid.cell_area
+    shifted = np.fft.ifftshift(spectrum, axes=_PLANE)
+    return np.fft.fftshift(np.fft.ifft2(shifted), axes=_PLANE) / grid.cell_area
 
 
 def spectrum_norm_sq(spectrum, grid):
@@ -184,12 +193,12 @@ def apply_mask_to_field(field, mask):
     return SampledField(field.grid, mv * field.values, field.k)
 
 
-def boundary_energy_fraction(values, rim=1):
-    """Fraction of total |values|^2 living in the outer ``rim`` pixels."""
+def boundary_energy_fraction(values):
+    """Fraction of total |values|^2 living in the outermost ring of pixels."""
     total = float(np.sum(np.abs(values) ** 2))
     if total == 0:
         return 0.0
-    inner = np.abs(values[rim:-rim, rim:-rim]) ** 2
+    inner = np.abs(values[1:-1, 1:-1]) ** 2
     return 1.0 - float(np.sum(inner)) / total
 
 
@@ -228,7 +237,7 @@ class ModeBasis:
         return self._sampler(label, grid)
 
 
-def sample_field(mode_label, basis, grid, k=2 * np.pi, boundary_tol=1e-10):
+def sample_field(mode_label, basis, grid, k=2 * np.pi):
     """Realize one basis mode on a grid as a unit-norm :class:`SampledField`.
 
     Raises
@@ -236,7 +245,7 @@ def sample_field(mode_label, basis, grid, k=2 * np.pi, boundary_tol=1e-10):
     UnknownLabel
         If the label is not in the basis.
     GridTooSmall
-        If more than ``boundary_tol`` of the mode energy sits on the grid rim,
+        If more than 1e-10 of the mode energy sits on the grid rim,
         i.e. the grid does not contain the mode.
     MaskModesError
         If a sample is not finite (a mode order beyond float64 range).
@@ -247,9 +256,9 @@ def sample_field(mode_label, basis, grid, k=2 * np.pi, boundary_tol=1e-10):
     if not np.all(np.isfinite(values)):
         raise MaskModesError(f"mode {mode_label!r}: samples are not finite at this order")
     frac = boundary_energy_fraction(values)
-    if frac > boundary_tol:
+    if frac > _BOUNDARY_TOL:
         raise GridTooSmall(
-            f"mode {mode_label!r}: boundary energy fraction {frac:.3e} above {boundary_tol:.1e}"
+            f"mode {mode_label!r}: boundary energy fraction {frac:.3e} above {_BOUNDARY_TOL:.1e}"
         )
     f = SampledField(grid, values, k)
     return f.normalized()
@@ -303,15 +312,16 @@ def laguerre_gaussian_basis(labels, waist):
     return ModeBasis(list(labels), sampler, name=f"lg(w0={waist:g})")
 
 
+def _basis_samples(basis, grid, k):
+    """Every mode of a basis through :func:`sample_field`, one flattened mode per row."""
+    fields = (sample_field(label, basis, grid, k=k).values.ravel() for label in basis.labels)
+    return np.fromiter(fields, dtype=(complex, grid.ny * grid.nx), count=basis.count)
+
+
 def gram_matrix(basis, grid, k=2 * np.pi):
-    """Pairwise overlaps of every basis mode on the grid."""
-    fields = [sample_field(lbl, basis, grid, k=k) for lbl in basis.labels]
-    m = basis.count
-    g = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            g[i, j] = field_overlap(fields[i], fields[j])
-    return g
+    """Pairwise overlaps of every basis mode on the grid, as one matrix product."""
+    flat = _basis_samples(basis, grid, k)
+    return (np.conj(flat) @ flat.T) * grid.cell_area
 
 
 # --------------------------------------------------------------------------

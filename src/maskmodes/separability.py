@@ -39,10 +39,6 @@ def squeezing_to_quadratic_coeff(lam):
     return np.tanh(lam) / 2.0
 
 
-def quadratic_coeff_to_squeezing(coeff):
-    return float(np.arctanh(2.0 * np.real(coeff)))
-
-
 class BargmannInput:
     """Per-mode log-expansion coefficients of a separable pure input.
 

@@ -4,6 +4,11 @@ Every workload's warm-up job, one ``screen_photon`` job of each screen
 class and one ``fock_scan`` job of each (modes, photons) class of its cycle
 goes through the workload's ``run`` and then its ``check``.  A change that
 the benchmark would count as a failed job fails here first.
+
+The span tracer of ``bench/spans.py`` is built and run over a few jobs of
+each workload, so a function it probes by name that no longer exists, or a
+layer a workload is meant to load that records no span, fails here and not
+only in a ``--trace 1`` run.
 """
 
 import importlib.util
@@ -13,15 +18,16 @@ import numpy as np
 import pytest
 
 
-def _load_workloads():
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _load_bench_module(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_bench_module("workloads")
+spans = _load_bench_module("spans")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -43,3 +49,25 @@ def test_screen_photon_job_of_each_class_passes_its_check(tmp_path, kind, steps)
     workload = workloads.ScreenPhoton(1, str(tmp_path))
     job = next(j for j in workload.cycle(0) if (j["kind"], j.get("steps")) == (kind, steps))
     workload.check(job, workload.run(job, None))
+
+
+def _traced_jobs(workload):
+    """The warm-up job, plus one custom and one 9-step screen job for ``screen_photon``."""
+    jobs = [workload.warmup_job()]
+    if workload.name == "screen_photon":
+        cycle = workload.cycle(0)
+        jobs += [next(j for j in cycle if j["kind"] == "custom"),
+                 next(j for j in cycle if j.get("steps") == 9)]
+    return jobs
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_jobs_record_every_layer(tmp_path, name):
+    workload = workloads.WORKLOADS[name](1, str(tmp_path))
+    tracer = spans.Tracer()  # resolves every probed name
+    for job in _traced_jobs(workload):
+        with tracer.job():
+            out = workload.run(job, tracer)
+        workload.check(job, out)
+    missing = [layer for layer in workload.layers if layer not in tracer.span_names()]
+    assert not missing, f"{name} recorded no span for {missing}"

@@ -295,19 +295,28 @@ def test_extreme_magnitudes_exit_1(runner, tmp_path, args, message):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--mask", "custom", "--grid", "65536"], "4 sampled fields of 65536^2 points"),
-    (["--mask", "custom", "--basis-order", "100000"], "10000200001 sampled fields"),
-    (["--mask", "circular", "--radius", "2", "--aperture-steps", "10000"],
+    (["compile-mask", "--mask", "custom", "--grid", "65536"],
+     "4 sampled fields of 65536^2 points"),
+    (["compile-mask", "--mask", "custom", "--basis-order", "100000"],
+     "10000200001 sampled fields"),
+    (["compile-mask", "--mask", "circular", "--radius", "2", "--aperture-steps", "10000"],
      "a 200000000-mode unitary"),
-    (["--mask", "pinhole", "--radius", "2", "--aperture-steps", "46"], "a 4232-mode unitary"),
+    (["compile-mask", "--mask", "pinhole", "--radius", "2", "--aperture-steps", "46"],
+     "a 4232-mode unitary"),
+    (["protocol-hom", "--sweep", "10000000000", "--csv", "sweep.csv"],
+     "10000000000 angles and their records"),
+    (["scan-noon", "--photons", "100000000", "--grid", "64"], "6500000065 fidelity values"),
+    (["scan-noon", "--photons", "2", "--grid", "65536", "--surface", "surface.csv"],
+     "196611 fidelity values and 4295032832 surface points"),
 ])
-def test_oversized_compile_exits_1_before_allocating(runner, cli_files, tmp_path, args,
-                                                     message):
-    out = tmp_path / "x.json"
+def test_oversized_compile_exits_1_before_allocating(runner, cli_files, tmp_path, monkeypatch,
+                                                     args, message):
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "compile-mask":
+        args = [*args, "--mask-file", str(cli_files["mask"])]
     tracemalloc.start()
     try:
-        result = runner.invoke(main, ["compile-mask", *args, "--mask-file", str(cli_files["mask"]),
-                                      "--out", str(out)])
+        result = runner.invoke(main, [*args, "--out", "x.json"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,7 +324,7 @@ def test_oversized_compile_exits_1_before_allocating(runner, cli_files, tmp_path
     assert message in result.output and "the limit is 256 MiB" in result.output
     assert _exited_cleanly(result) and "Traceback" not in result.output
     assert peak < 16e6
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_removed_cutoff_option_exits_2(runner, tmp_path, grating):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from maskmodes import diffraction, modes
 from maskmodes.diffraction import (
     CircularAperture,
     CosineGrating,
     CouplingMatrix,
     CustomSampled,
+    ImpulseResponse,
     UnitaryMatrix,
     _is_connected,
     aperture_output_grid,
@@ -49,6 +52,7 @@ from util import (
     gauge_fix,
     haar_unitary,
     is_connected_dfs,
+    overlap_unitary_pairs,
     plane_wave_coupling_columns,
 )
 
@@ -274,6 +278,73 @@ def test_overlap_records_truncation_loss():
     assert "(0, 0)" in c.provenance["truncation_losses"]
 
 
+def _phase_screen(grid, rng):
+    """A sampled mask: a random Gaussian opening under a random phase ramp."""
+    x, y = grid.meshgrid()
+    cx, cy = rng.uniform(-1.5, 1.5, size=2)
+    a, b = rng.uniform(-0.5, 0.5, size=2)
+    opening = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * rng.uniform(0.5, 2.5) ** 2))
+    return CustomSampled(grid, opening * np.exp(1j * (a * x + b * y)))
+
+
+_LG = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 2)]
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from([32, 64, 128, 256]),
+       element=st.sampled_from(["identity", "mask", "aperture", "kernel"]),
+       bases=st.sampled_from(["shared", "hg_to_lg", "lg_to_hg", "hg1_to_hg2"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_overlap_matches_per_pair_reference(n, element, bases, seed):
+    grid = Grid2D(n, n, 14.0 / n, 14.0 / n)
+    rng = np.random.default_rng(seed)
+    hg1, hg2 = hermite_gaussian_basis(1, waist=1.0), hermite_gaussian_basis(2, waist=1.0)
+    lg = laguerre_gaussian_basis(_LG, waist=1.0)
+    in_basis, out_basis = {"shared": (hg2, hg2), "hg_to_lg": (hg2, lg), "lg_to_hg": (lg, hg2),
+                           "hg1_to_hg2": (hg1, hg2)}[bases]
+    screen = {
+        "identity": None,
+        "mask": _phase_screen(grid, rng),
+        "aperture": CircularAperture(float(rng.uniform(0.3, 2.5))),
+        "kernel": ImpulseResponse(grid, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))),
+    }[element]
+    got = overlap_unitary(screen, in_basis, out_basis, grid)
+    want = overlap_unitary_pairs(screen, in_basis, out_basis, grid)
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-13
+    lost, want_lost = got.provenance["truncation_losses"], want.provenance["truncation_losses"]
+    assert list(lost) == list(want_lost)
+    assert all(abs(lost[key] - want_lost[key]) <= 1e-12 for key in lost)
+
+
+def test_shared_basis_is_sampled_once(monkeypatch):
+    calls = []
+    original = modes.sample_field
+
+    def counting(label, *args, **kwargs):
+        calls.append(label)
+        return original(label, *args, **kwargs)
+
+    for module in (modes, diffraction):
+        if getattr(module, "sample_field", None) is original:
+            monkeypatch.setattr(module, "sample_field", counting)
+    basis = hermite_gaussian_basis(3, waist=1.0)
+    overlap_unitary(_phase_screen(GRID, np.random.default_rng(3)), basis, basis, GRID)
+    assert sorted(calls) == sorted(basis.labels)  # 16 calls, one per mode
+
+
+def test_stacked_overlap_holds_one_basis_and_one_block():
+    basis = hermite_gaussian_basis(3, waist=1.0)
+    screen = _phase_screen(GRID, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        overlap_unitary(screen, basis, basis, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16 sampled fields of 1 MiB, one 4 MiB block of transformed fields
+    assert peak <= 26e6
+
+
 # --------------------------------------------------------------------------
 # Unitarization
 
@@ -367,7 +438,7 @@ def test_unitarize_closed_form_matches_iterative_dilation(seed, svals):
     np.testing.assert_allclose(scattering, dilation_reference(c), rtol=0, atol=1e-7)
     assert abs(u.provenance["unitarization_distance"] - np.linalg.norm(c - c / scale)) < 1e-12
 
-    if np.min(s) > 2e-6:  # clear of the default smin_tol after rounding
+    if np.min(s) > 2e-6:  # clear of the 1e-6 singular-value floor after rounding
         assert np.array_equal(unitarize(c).matrix, polar_factor(c).T)
     elif np.min(s) == 0.0:
         with pytest.raises(SingularNetwork):

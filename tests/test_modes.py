@@ -9,6 +9,8 @@ from maskmodes.modes import (
     SampledField,
     apply_mask_to_field,
     boundary_energy_fraction,
+    centered_fft2,
+    centered_ifft2,
     field_overlap,
     gram_matrix,
     hermite_gaussian_basis,
@@ -134,6 +136,24 @@ def test_parseval_random_fields():
 def test_hg_gram_matrix_is_identity():
     g = gram_matrix(HG, GRID)
     assert np.max(np.abs(g - np.eye(HG.count))) < 1e-8
+
+
+@pytest.mark.parametrize("basis", [
+    HG, laguerre_gaussian_basis([(0, 0), (1, 0), (0, 1), (0, -1), (1, 2)], waist=1.0),
+], ids=["hg", "lg"])
+def test_gram_matrix_matches_per_pair_overlaps(basis):
+    fields = [sample_field(label, basis, GRID) for label in basis.labels]
+    pairs = np.array([[field_overlap(f, g) for g in fields] for f in fields])
+    assert np.max(np.abs(gram_matrix(basis, GRID) - pairs)) <= 1e-13
+
+
+def test_centered_transforms_of_a_stack_equal_each_slice():
+    grid = Grid2D(64, 32, 0.3, 0.2)
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(3, 32, 64)) + 1j * rng.normal(size=(3, 32, 64))
+    for transform in (centered_fft2, centered_ifft2):
+        whole = transform(stack, grid)
+        assert all(np.array_equal(whole[i], transform(stack[i], grid)) for i in range(3))
 
 
 def test_lg_gram_matrix_is_identity():

@@ -5,9 +5,18 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from maskmodes.diffraction import CircularAperture, CosineGrating, _interp_spectrum, mask_spectrum
+from maskmodes.diffraction import (
+    CircularAperture,
+    CosineGrating,
+    CouplingMatrix,
+    ImpulseResponse,
+    _interp_spectrum,
+    apply_impulse_response,
+    mask_spectrum,
+)
 from maskmodes.entanglement import bipartition_matrix
 from maskmodes.fock import row_codes
+from maskmodes.modes import apply_mask_to_field, field_overlap, sample_field
 
 
 def gauge_fix(m):
@@ -144,6 +153,38 @@ def plane_wave_coupling_columns(mask, input_grid, output_grid, k, match_tol=1e-9
             m[:, col] = np.abs(k * nz_out) * vals * w_in[col]
     scale = float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
     return (m / scale if scale > 0 else m), scale
+
+
+def overlap_unitary_pairs(element, in_basis, out_basis, grid, k=2 * np.pi, loss_threshold=0.05):
+    """Overlap coupling built one input field and one overlap at a time.
+
+    Reference for the stacked compile in ``diffraction.overlap_unitary``:
+    each input field is sampled, sent through the element on its own, and
+    every ``<out_n | element(in_m)>`` is its own ``field_overlap``.
+    """
+    out_fields = [sample_field(l, out_basis, grid, k=k) for l in out_basis.labels]
+    cols = []
+    losses = {}
+    for label in in_basis.labels:
+        f = sample_field(label, in_basis, grid, k=k)
+        if element is None:
+            tf = f
+        elif isinstance(element, ImpulseResponse):
+            tf = apply_impulse_response(element, f)
+        else:
+            tf = apply_mask_to_field(f, element)
+        col = np.array([field_overlap(g, tf) for g in out_fields])
+        captured = float(np.sum(np.abs(col) ** 2))
+        total = tf.norm_sq()
+        if total > 0 and 1.0 - captured / total > loss_threshold:
+            losses[str(label)] = 1.0 - captured / total
+        cols.append(col)
+    matrix = np.column_stack(cols)
+    top = float(np.max(np.linalg.norm(matrix, axis=0), initial=0.0))
+    if top > 1.0:
+        matrix = matrix / top
+    return CouplingMatrix(matrix, list(out_basis.labels), list(in_basis.labels),
+                          provenance={"truncation_losses": losses})
 
 
 def schmidt_dense_reference(state, part):
