@@ -1,6 +1,6 @@
 """maskmodes: diffractive screens as unitary mode-coupling networks,
-with exact Fock-state propagation, entanglement measures and the
-order-by-order no-entanglement criterion for separable inputs."""
+with exact Fock-state propagation, entanglement measures and the exact
+split-mode no-entanglement rule for separable inputs."""
 
 __version__ = "0.1.0"
 
@@ -53,10 +53,8 @@ from .modes import (
 )
 from .protocols import AtomPair, ScanResult, hom_coincidence, ifm_project, noon_fidelity_scan
 from .separability import (
-    BargmannInput,
     SeparabilityVerdict,
     check_no_entanglement,
-    coupled_input_modes,
     covariance_separable,
     gaussian_covariance_propagate,
 )

@@ -1,9 +1,9 @@
 """Randomized cross-validation of the separability checker against oracles.
 
-Each trial draws a network and a separable input, asks the symbolic checker
-for a verdict, and compares it with (i) the entropy of the exactly
-propagated, degree-capped Fock state and (ii), for all-Gaussian inputs, the
-covariance-matrix oracle.  Verdicts must agree on every trial.
+Each trial draws a network and a separable input, asks the closed-form
+split-mode checker for a verdict, and compares it with (i) the entropy of
+the exactly propagated, degree-capped Fock state and (ii), for all-Gaussian
+inputs, the covariance-matrix oracle.  Verdicts must agree on every trial.
 
 The ensembles keep clear of the region where a verdict would be numerically
 borderline: unitaries are redrawn until every entry magnitude is at least
@@ -24,7 +24,6 @@ from .diffraction import UnitaryMatrix, polar_factor
 from .entanglement import Bipartition, entanglement_report
 from .fock import Coherent, Fock, InputStateSpec, SqueezedVacuum, Vacuum, apply_unitary, build_input_state
 from .separability import (
-    BargmannInput,
     check_no_entanglement,
     covariance_separable,
     gaussian_covariance_propagate,
@@ -112,7 +111,7 @@ def run_trial(root_seed, index):
         size = int(rng.integers(1, n + 1))
         subset = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
         spec = InputStateSpec(descs)
-        checker = check_no_entanglement(BargmannInput.from_input_spec(spec), u, subset)
+        checker = check_no_entanglement(spec, u, subset)
         borderline = (
             not checker.separable
             and checker.witness.residual is not None

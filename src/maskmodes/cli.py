@@ -56,7 +56,7 @@ from .errors import CompileTooLarge, MaskModesError
 from .fock import InputStateSpec, MultimodeFockState, apply_unitary, build_input_state
 from .modes import Grid2D, ModeBasis, hermite_gaussian_basis, hermite_gaussian_mode, sample_field
 from .protocols import hom_coincidence, ifm_project, noon_fidelity_scan, noon_surface
-from .separability import BargmannInput, check_no_entanglement
+from .separability import check_no_entanglement
 
 
 #: Most bytes the largest arrays of a command may take: the sampled basis
@@ -434,11 +434,15 @@ def entropy_cmd(state_file, subset_text, scan, tolerance, out_file, csv_file):
 @click.option("--subset", "subset_text", required=True, help="Output subset mask, e.g. 1,1.")
 @click.option("--out", "out_file", required=True, help="Verdict JSON artifact.")
 def check_separability(inputs_text, unitary_file, subset_text, out_file):
-    """Symbolic no-entanglement verdict for a separable input and network."""
+    """Exact verdict: does each subset mode stay a product with the rest?
+
+    Entangled iff a Fock mode is split across the cut or the Bargmann
+    exponent couples the mode to another.
+    """
     unit = UnitaryMatrix.load(unitary_file)
     spec = _parse_inputs(inputs_text)
     subset = _parse_subset_mask(subset_text, unit.dim)
-    verdict = check_no_entanglement(BargmannInput.from_input_spec(spec), unit, subset)
+    verdict = check_no_entanglement(spec, unit, subset)
     _write_artifact(out_file, verdict.to_json())
     click.echo(f"wrote {out_file} (separable: {verdict.separable})")
 

@@ -59,15 +59,12 @@ class DimensionMismatch(MaskModesError):
 
 
 class EmptyPartition(MaskModesError):
-    """A bipartition whose subset is empty or covers every mode."""
+    """An output subset that is empty or names a mode the network lacks, or
+    a bipartition whose subset covers every mode."""
 
 
 class TooManyModes(MaskModesError):
     """A full bipartition scan was requested beyond the supported mode count."""
-
-
-class NonAnalyticInput(MaskModesError):
-    """Input-mode coefficients do not form a valid series expansion."""
 
 
 class NotPure(MaskModesError):

@@ -405,6 +405,11 @@ def build_input_state(spec):
 # Propagation
 
 
+def bargmann_exponent(U, lam):
+    """``B = Uᵀ diag(tanh lam) U``: the quadratic exponent of the squeezed part of the output."""
+    return U.T @ (np.tanh(lam)[:, None] * U)
+
+
 def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
     """Sectors ``0..top`` of ``C exp(½ zᵀBz + γᵀz) |vac>``, ``B = Uᵀ diag(tanh lam) U``, ``γ = Uᵀ alpha``.
 
@@ -418,7 +423,7 @@ def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
     amplitudes, sector after sector.
     """
     n_modes = len(U)
-    B = U.T @ (np.tanh(lam)[:, None] * U)
+    B = bargmann_exponent(U, lam)
     gamma = U.T @ alpha
     words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
     occ = np.zeros((1, n_modes), dtype=dtype)

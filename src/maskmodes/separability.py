@@ -1,21 +1,23 @@
-"""Order-by-order no-entanglement criterion and Gaussian oracles.
+"""Exact no-entanglement rule for separable inputs, and Gaussian oracles.
 
-A separable pure input is described per mode by the Maclaurin coefficients
-``lam_j[d]`` of the log of its amplitude generating function; degree 1 is
-displacement, degree 2 squeezing, anything above degree 2 (or a function
-with no such expansion at all, like a Fock state) is non-Gaussian.  For a
-chosen subset of output modes the criterion reads:
+A separable pure input is read from its :class:`~maskmodes.fock.InputStateSpec`:
+Fock photons, displacements ``alpha`` and squeezings ``lam`` per mode.  For
+an output mode ``k``, take the cut ``{k}`` versus the other modes.  Input
+mode ``j`` is *split* by that cut if ``|U[j,k]|`` and some ``|U[j,k']|``
+(``k' != k``) are both above ``TOL_COUPLE``.  The output is a product
+across the cut iff
 
-* modes that do not couple to the subset are unconstrained;
-* coupled modes must carry no degree-above-2 structure;
-* the degree-2 coefficients must leave no cross term:
-  ``sum_j lam_j U[j,k] U[j,k']`` must vanish for every subset ``k`` and
-  ``k' != k``.  For a unitary ``U`` this forces ``lam_j U[j,k] =
-  xi_k conj(U[j,k])`` (equal squeezing magnitudes on coupled modes), so no
-  separate phase condition is checked.
+* no split mode carries Fock photons, and
+* the output Bargmann exponent ``B = Uᵀ diag(tanh lam) U`` has no cross
+  term: ``|B[k,k']|/2 <= TOL_CROSS`` for every ``k' != k``.
 
-Degrees 0 and 1 impose nothing.  The Gaussian covariance propagation serves
-as an oracle that never truncates.
+This is the quantum Darmois-Skitovich condition: a non-Gaussian mode split
+by a passive network always entangles the two sides (Kim, Son, Bužek &
+Knight, PRA 65, 032323 (2002); Jiang, Lang & Caves, PRA 88, 044301
+(2013)), and a Gaussian output factorizes iff its exponent does.  A mode
+that is not split acts on one side only, and displacements never entangle.
+The Gaussian covariance propagation serves as an oracle that never
+truncates.
 """
 
 from dataclasses import dataclass
@@ -23,68 +25,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonAnalyticInput, NotPure
+from .errors import DimensionMismatch, EmptyPartition, NotPure
+from .fock import bargmann_exponent
 
-D_MAX_DEFAULT = 4
 TOL_COUPLE = 1e-12
-TOL_COEFF = 1e-12
-
-
-def squeezing_to_quadratic_coeff(lam):
-    """Degree-2 log-expansion coefficient of a squeezed vacuum: ``tanh(lam)/2``.
-
-    Single source of truth for the squeezing-strength map; the checker and
-    both oracles share it.
-    """
-    return np.tanh(lam) / 2.0
-
-
-class BargmannInput:
-    """Per-mode log-expansion coefficients of a separable pure input.
-
-    ``coefficients[j, d]`` holds ``lam_j[d]`` for ``d = 0..d_max``; modes
-    whose amplitude function has no valid log expansion (Fock states with
-    one photon or more) are flagged non-Gaussian instead.
-    """
-
-    def __init__(self, coefficients, non_gaussian=None, d_max=D_MAX_DEFAULT):
-        rows = []
-        for lst in coefficients:
-            row = np.zeros(d_max + 1, dtype=complex)
-            arr = np.asarray(list(lst), dtype=complex)
-            if len(arr) > d_max + 1:
-                raise ValueError(f"coefficient list longer than d_max={d_max}")
-            row[: len(arr)] = arr
-            rows.append(row)
-        self.coefficients = np.array(rows)
-        if not np.all(np.isfinite(self.coefficients)):
-            raise NonAnalyticInput("coefficients must be finite")
-        self.non_gaussian = (
-            [False] * len(rows) if non_gaussian is None else list(non_gaussian)
-        )
-        if len(self.non_gaussian) != len(rows):
-            raise DimensionMismatch("one non-Gaussian flag per mode")
-        self.d_max = d_max
-
-    @property
-    def mode_count(self):
-        return self.coefficients.shape[0]
-
-    @classmethod
-    def from_input_spec(cls, spec, d_max=D_MAX_DEFAULT):
-        """Read the spec's arrays; a mode with Fock photons is flagged non-Gaussian."""
-        coeffs = np.zeros((spec.mode_count, d_max + 1), dtype=complex)
-        coeffs[:, 0] = -np.abs(spec.alpha) ** 2 / 2.0 - 0.5 * np.log(np.cosh(spec.lam))
-        coeffs[:, 1] = spec.alpha
-        coeffs[:, 2] = squeezing_to_quadratic_coeff(spec.lam)
-        return cls(coeffs, non_gaussian=(spec.photons >= 1).tolist(), d_max=d_max)
+TOL_CROSS = 1e-12
 
 
 @dataclass(frozen=True)
 class Witness:
     """The condition a non-separable verdict violated."""
 
-    kind: str  # "non_gaussian" | "higher_order" | "d2_cross_term"
+    kind: str  # "non_gaussian" | "d2_cross_term"
     order: Optional[int]
     modes: tuple
     residual: Optional[float]
@@ -102,7 +54,7 @@ class Witness:
 class SeparabilityVerdict:
     separable: bool
     witness: Optional[Witness]
-    coupled_modes: frozenset
+    split_modes: frozenset
     subset: tuple
 
     def __post_init__(self):
@@ -112,68 +64,40 @@ class SeparabilityVerdict:
         return {
             "separable": bool(self.separable),
             "witness": None if self.witness is None else self.witness.to_json(),
-            "coupled_modes": sorted(self.coupled_modes),
+            "split_modes": sorted(self.split_modes),
             "subset": list(self.subset),
         }
 
 
-def coupled_input_modes(u, out_subset, tol_couple=TOL_COUPLE):
-    """Input modes with any coupling above ``tol_couple`` into the subset."""
-    subset = sorted(set(int(k) for k in out_subset))
-    m = np.abs(u.matrix[:, subset])
-    return frozenset(int(j) for j in np.nonzero(np.any(m > tol_couple, axis=1))[0])
+def check_no_entanglement(spec, u, out_subset):
+    """Whether every cut ``{k}`` versus the rest, ``k`` in the subset, stays separable.
 
-
-def check_no_entanglement(bargmann, u, out_subset, tol_coeff=TOL_COEFF,
-                          tol_couple=TOL_COUPLE):
-    """Decide whether the input leaves the chosen output modes separable.
-
-    The verdict is exact (symbolic in the coefficients, numeric only through
-    float arithmetic): uncoupled modes are ignored, coupled modes must be
-    Gaussian with no degree-above-2 coefficients, and the degree-2
-    coefficients must leave no cross term between a subset mode and any other.
+    The witness of an entangled verdict is the lowest split mode with Fock
+    photons (``non_gaussian``) or else the first cross term ``(k, k')`` in
+    subset-major order (``d2_cross_term``, residual ``|B[k,k']|/2``).
     """
-    if bargmann.mode_count != u.dim:
+    if spec.mode_count != u.dim:
         raise DimensionMismatch("input mode count does not match the network")
     subset = tuple(sorted(set(int(k) for k in out_subset)))
     if not subset or any(k < 0 or k >= u.dim for k in subset):
-        raise ValueError("output subset must be a nonempty set of valid mode indices")
-    U = u.matrix
-    coupled = coupled_input_modes(u, subset, tol_couple=tol_couple)
+        raise EmptyPartition("output subset must be a nonempty set of valid mode indices")
+    reach = np.abs(u.matrix) > TOL_COUPLE
+    split = np.any(reach[:, subset], axis=1) & (np.sum(reach, axis=1) > 1)
+    split_modes = frozenset(np.flatnonzero(split).tolist())
 
     def verdict(witness=None):
-        return SeparabilityVerdict(
-            separable=witness is None,
-            witness=witness,
-            coupled_modes=coupled,
-            subset=subset,
-        )
+        return SeparabilityVerdict(witness is None, witness, split_modes, subset)
 
-    # non-Gaussian inputs on coupled modes can never satisfy the expansion
-    for j in sorted(coupled):
-        if bargmann.non_gaussian[j]:
-            return verdict(Witness("non_gaussian", None, (j,), None))
-
-    # degree > 2 must vanish on coupled modes
-    for j in sorted(coupled):
-        for d in range(3, bargmann.d_max + 1):
-            mag = abs(bargmann.coefficients[j, d])
-            if mag > tol_coeff:
-                return verdict(Witness("higher_order", d, (j,), mag))
-
-    lam2 = bargmann.coefficients[:, 2].copy()
-    lam2[[j for j in range(u.dim) if j not in coupled]] = 0.0  # uncoupled: free
-
-    # cross terms z_k z_k' (k in subset, any k' != k) must not appear
-    for k in subset:
-        for kp in range(u.dim):
-            if kp == k:
-                continue
-            t = complex(np.sum(lam2 * U[:, k] * U[:, kp]))
-            if abs(t) > tol_coeff:
-                return verdict(Witness("d2_cross_term", 2, (k, kp), abs(t)))
-
-    return verdict(None)
+    fock = np.flatnonzero(split & (spec.photons >= 1))
+    if fock.size:
+        return verdict(Witness("non_gaussian", None, (int(fock[0]),), None))
+    cross = np.abs(bargmann_exponent(u.matrix, spec.lam)[subset, :]) / 2
+    cross[np.arange(len(subset)), subset] = 0.0
+    over = np.argwhere(cross > TOL_CROSS)
+    if over.size:
+        i, kp = over[0]
+        return verdict(Witness("d2_cross_term", 2, (subset[i], int(kp)), float(cross[i, kp])))
+    return verdict()
 
 
 # --------------------------------------------------------------------------

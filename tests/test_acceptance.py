@@ -37,7 +37,7 @@ from maskmodes.fock import (
 )
 from maskmodes.modes import Grid2D, PlaneWaveGrid, hermite_gaussian_basis, sample_field
 from maskmodes.protocols import hom_coincidence, ifm_project, noon_fidelity_scan
-from maskmodes.separability import BargmannInput, check_no_entanglement
+from maskmodes.separability import check_no_entanglement
 from util import haar_unitary, max_amplitude_diff
 
 
@@ -134,9 +134,7 @@ def test_criterion_06_equal_vs_opposite_squeezing():
     s_op = entanglement_report(out2, Bipartition((0,), 2)).entropy_bits
     assert s_op >= 0.1
 
-    verdict = check_no_entanglement(
-        BargmannInput.from_input_spec(opposite), block, {0, 1}
-    )
+    verdict = check_no_entanglement(opposite, block, {0, 1})
     assert not verdict.separable
     assert verdict.witness.kind == "d2_cross_term"
     report(6, f"equal: {s_eq:.2e} bits; opposite: {s_op:.4f} bits with cross-term witness")
@@ -234,6 +232,8 @@ def test_criterion_12_cli_determinism(tmp_path):
         files = {}
         for name, args in {
             "unitary": ["compile-mask", "--mask", "cosine", "--u", "0.6,0.0"],
+            "verdict": ["check-separability", "--inputs", "sq:0.3,fock:1", "--unitary",
+                        str(tmp_path / "unitary.json"), "--subset", "1,0"],
             "scan": ["scan-noon", "--photons", "2", "--grid", "64"],
             "agree": ["agreement-suite", "--trials", "6", "--seed", "13"],
         }.items():
@@ -246,4 +246,4 @@ def test_criterion_12_cli_determinism(tmp_path):
     first = run_all("a")
     second = run_all("b")
     assert first == second
-    report(12, "compile/scan/agreement artifacts byte-identical across repeated runs")
+    report(12, "compile/verdict/scan/agreement artifacts byte-identical across repeated runs")

@@ -122,6 +122,49 @@ def test_check_separability_verdict(runner, tmp_path):
     )
     doc = json.loads(v.read_text())
     assert doc["result"]["separable"] is False
+    assert doc["result"]["split_modes"] == [0, 1]
+
+    # a Fock photon that no network splits stays a product with the rest
+    eye = tmp_path / "eye.json"
+    UnitaryMatrix(np.eye(2, dtype=complex)).save(eye)
+    invoke(
+        runner,
+        "check-separability", "--inputs", "fock:1,vac",
+        "--unitary", str(eye), "--subset", "1,0", "--out", str(v),
+    )
+    doc = json.loads(v.read_text())
+    assert doc["result"] == {"separable": True, "witness": None, "split_modes": [], "subset": [0]}
+
+
+def test_pinhole_splits_a_photon_but_not_a_coherent_state(runner, tmp_path):
+    """The headline screen: one photon into a pinhole entangles its incident mode."""
+    u = tmp_path / "pinhole.json"
+    invoke(runner, "compile-mask", "--mask", "pinhole", "--radius", "0.5",
+           "--aperture-steps", "3", "--out", str(u))
+    unit = UnitaryMatrix.load(u)
+    assert unit.dim == 18 and np.all(np.abs(unit.matrix) > 1e-12)
+    lattice, _ = aperture_output_grid(CircularAperture(0.5), (0.0, 0.0), 2 * np.pi, 0.2, 3)
+    j = int(np.flatnonzero(np.all(lattice.transverse == 0.0, axis=1))[0])
+    mask = ",".join("1" if i == j else "0" for i in range(unit.dim))
+    v = tmp_path / "v.json"
+    out = tmp_path / "out.json"
+
+    def verdict(desc):
+        inputs = ",".join(desc if i == j else "vac" for i in range(unit.dim))
+        invoke(runner, "check-separability", "--inputs", inputs, "--unitary", str(u),
+               "--subset", mask, "--out", str(v))
+        return inputs, json.loads(v.read_text())["result"]
+
+    assert verdict("coh:0.5")[1]["separable"] is True
+    photon, doc = verdict("fock:1")
+    assert doc["separable"] is False
+    assert doc["witness"] == {"kind": "non_gaussian", "order": None, "modes": [j], "residual": None}
+    invoke(runner, "propagate", "--state", photon, "--unitary", str(u),
+           "--report", "entropy", "--subset", mask, "--out", str(out))
+    entropy = json.loads(out.read_text())["result"]["entropy"]["entropy_bits"]
+    p = abs(unit.matrix[j, j]) ** 2
+    assert 0 < p < 1
+    assert abs(entropy - (-p * np.log2(p) - (1 - p) * np.log2(1 - p))) < 1e-10
 
 
 def test_protocol_commands(runner, tmp_path):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from maskmodes import agreement
 from maskmodes.agreement import run_agreement_suite, run_trial
-from maskmodes.diffraction import UnitaryMatrix
+from maskmodes.diffraction import CosineGrating, UnitaryMatrix, grating_block
 from maskmodes.entanglement import Bipartition, entanglement_report
-from maskmodes.errors import DimensionMismatch, NonAnalyticInput, NotPure
+from maskmodes.errors import DimensionMismatch, EmptyPartition, NotPure
 from maskmodes.fock import (
     Coherent,
     Fock,
@@ -17,20 +17,19 @@ from maskmodes.fock import (
     SqueezedVacuum,
     Vacuum,
     apply_unitary,
+    bargmann_exponent,
     build_input_state,
 )
 from maskmodes.separability import (
-    BargmannInput,
     check_no_entanglement,
-    coupled_input_modes,
     covariance_separable,
     gaussian_covariance_propagate,
     gaussian_pairs_from_spec,
-    squeezing_to_quadratic_coeff,
 )
 from util import haar_unitary
 
 BALANCED = UnitaryMatrix.balanced_splitter()
+SWAP = UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def block_diag_unitary(*blocks):
@@ -44,74 +43,84 @@ def block_diag_unitary(*blocks):
     return UnitaryMatrix(m)
 
 
+def _split_modes(u, subset):
+    return check_no_entanglement(InputStateSpec([Vacuum()] * u.dim), u, subset).split_modes
+
+
 def test_coupled_modes_block_diagonal():
     rng = np.random.default_rng(31)
     u = block_diag_unitary(BALANCED.matrix, haar_unitary(rng, 2))
-    assert coupled_input_modes(u, {0}) == {0, 1}
-    assert coupled_input_modes(u, {0, 1}) == {0, 1}
-    assert coupled_input_modes(u, {2}) == {2, 3}
+    assert _split_modes(u, {0}) == {0, 1}
+    assert _split_modes(u, {0, 1}) == {0, 1}
+    assert _split_modes(u, {2}) == {2, 3}
 
 
 def test_coupled_modes_grating_block():
-    assert coupled_input_modes(BALANCED, {0}) == {0, 1}
+    assert _split_modes(BALANCED, {0}) == {0, 1}
+    # a mode that reaches the subset alone, or only the rest, is not split
+    assert _split_modes(SWAP, {1}) == set()
+    assert _split_modes(block_diag_unitary(np.eye(1), BALANCED.matrix), {0}) == set()
 
 
 def test_coupled_modes_fully_connected():
     rng = np.random.default_rng(32)
     u = UnitaryMatrix(haar_unitary(rng, 4))
-    assert coupled_input_modes(u, {2}) == {0, 1, 2, 3}
+    assert _split_modes(u, {2}) == {0, 1, 2, 3}
 
 
 def test_bargmann_conversion():
-    spec = InputStateSpec([Coherent(0.5 + 0.1j), SqueezedVacuum(0.3), Vacuum(), Fock(2)])
-    b = BargmannInput.from_input_spec(spec)
-    assert b.coefficients[0, 1] == 0.5 + 0.1j
-    assert abs(b.coefficients[1, 2] - np.tanh(0.3) / 2) < 1e-15
-    assert not any(b.non_gaussian[:3])
-    assert b.non_gaussian[3]
-    with pytest.raises(NonAnalyticInput):
-        BargmannInput([[np.nan]])
+    """The checker's exponent is the engine's: two-photon output amplitudes are ``C B``."""
+    spec = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(-0.2), Vacuum()])
+    assert spec.lam.tolist() == [0.3, -0.2, 0.0]
+    np.testing.assert_array_equal(bargmann_exponent(np.eye(3), spec.lam),
+                                  np.diag(np.tanh(spec.lam)))
+    u = UnitaryMatrix(haar_unitary(np.random.default_rng(38), 3))
+    B = bargmann_exponent(u.matrix, spec.lam)
+    amps = apply_unitary(build_input_state(spec), u).amplitudes
+    c = amps[(0, 0, 0)]
+    for k in range(3):
+        for kp in range(k, 3):
+            occ = [0, 0, 0]
+            occ[k] += 1
+            occ[kp] += 1
+            expected = c * B[k, kp] / (np.sqrt(2) if k == kp else 1)
+            assert abs(amps.get(tuple(occ), 0) - expected) < 1e-12
 
 
 def test_all_coherent_always_separable():
     rng = np.random.default_rng(33)
     spec = InputStateSpec([Coherent(1.2), Coherent(-0.3 + 0.8j), Coherent(0.1j)])
-    b = BargmannInput.from_input_spec(spec)
     for _ in range(5):
         u = UnitaryMatrix(haar_unitary(rng, 3))
         for subset in ({0}, {1, 2}, {0, 1, 2}):
-            assert check_no_entanglement(b, u, subset).separable
+            assert check_no_entanglement(spec, u, subset).separable
 
 
 def test_equal_squeezing_real_balanced_separable():
     spec = InputStateSpec([SqueezedVacuum(0.15), SqueezedVacuum(0.15)])
-    b = BargmannInput.from_input_spec(spec)
-    v = check_no_entanglement(b, BALANCED, {0, 1})
+    v = check_no_entanglement(spec, BALANCED, {0, 1})
     assert v.separable
-    assert v.coupled_modes == {0, 1}
+    assert v.split_modes == {0, 1}
 
 
 def test_opposite_squeezing_fails_with_cross_term_witness():
-    lam = squeezing_to_quadratic_coeff(0.15)
-    b = BargmannInput([[0, 0, lam], [0, 0, -lam]])
-    v = check_no_entanglement(b, BALANCED, {0, 1})
+    v = check_no_entanglement(InputStateSpec.parse("sq:0.15,sq:-0.15"), BALANCED, {0, 1})
     assert not v.separable
     assert v.witness.kind == "d2_cross_term"
     assert v.witness.order == 2
-    # |sum_j lam_j U[j,0] U[j,1]| = lam * (1/2 + 1/2)
-    assert abs(v.witness.residual - abs(lam)) < 1e-12
+    assert v.witness.modes == (0, 1)
+    # |B[0,1]|/2 = (tanh(0.15)/2 + tanh(0.15)/2) / 2
+    assert abs(v.witness.residual - np.tanh(0.15) / 2) < 1e-12
 
 
 def test_unequal_magnitude_squeezing_not_separable():
     spec = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(0.1)])
-    b = BargmannInput.from_input_spec(spec)
-    assert not check_no_entanglement(b, BALANCED, {0}).separable
+    assert not check_no_entanglement(spec, BALANCED, {0}).separable
 
 
 def test_fock_input_on_coupled_mode_not_separable():
     spec = InputStateSpec([Fock(1), Vacuum()])
-    b = BargmannInput.from_input_spec(spec)
-    v = check_no_entanglement(b, BALANCED, {0})
+    v = check_no_entanglement(spec, BALANCED, {0})
     assert not v.separable
     assert v.witness.kind == "non_gaussian"
     assert v.witness.modes == (0,)
@@ -119,19 +128,82 @@ def test_fock_input_on_coupled_mode_not_separable():
 
 def test_fock_two_on_coupled_mode_entangles_well_above_threshold():
     spec = InputStateSpec([Fock(2), Vacuum()])
-    v = check_no_entanglement(BargmannInput.from_input_spec(spec), BALANCED, {0})
+    v = check_no_entanglement(spec, BALANCED, {0})
     assert not v.separable
     out = apply_unitary(build_input_state(spec), BALANCED)
     rep = entanglement_report(out, Bipartition((0,), 2))
     assert rep.entropy_bits > 1e-3
 
 
-def test_higher_order_coefficient_rejected():
-    b = BargmannInput([[0, 0, 0, 0.2], [0, 0, 0]])
-    v = check_no_entanglement(b, BALANCED, {0})
-    assert not v.separable
-    assert v.witness.kind == "higher_order"
-    assert v.witness.order == 3
+_PASS_AND_SPLIT = block_diag_unitary(np.eye(1), BALANCED.matrix)
+
+
+@pytest.mark.parametrize("inputs, network, k", [
+    ("fock:1,vac", UnitaryMatrix(np.eye(2, dtype=complex)), 0),
+    ("fock:2,coh:0.5", UnitaryMatrix(np.eye(2, dtype=complex)), 0),
+    ("fock:1,vac", SWAP, 1),
+    ("fock:1,coh:0.5,vac", _PASS_AND_SPLIT, 0),
+    ("fock:1,sq:0.3,sq:0.3", _PASS_AND_SPLIT, 0),
+])
+def test_fock_mode_that_is_not_split_leaves_the_cut_separable(inputs, network, k):
+    spec = InputStateSpec.parse(inputs)
+    v = check_no_entanglement(spec, network, {k})
+    assert v.separable, v.to_json()
+    out = apply_unitary(build_input_state(spec), network)
+    rep = entanglement_report(out, Bipartition((k,), spec.mode_count), tol=agreement.ENTROPY_TOL)
+    assert rep.entropy_bits <= 1e-12
+
+
+def _structured_network(kind, rng, m):
+    """A phased permutation, a permuted block-diagonal Haar network or an embedded grating block."""
+    if kind == "permutation":
+        return np.exp(2j * np.pi * rng.random(m))[:, None] * np.eye(m)[rng.permutation(m)]
+    if kind == "blocks":
+        cuts = np.flatnonzero(rng.random(m - 1) < 0.5) + 1
+        sizes = np.diff(np.concatenate([[0], cuts, [m]]))
+        core = block_diag_unitary(*(haar_unitary(rng, int(d)) for d in sizes)).matrix
+        return core[rng.permutation(m)][:, rng.permutation(m)]
+    core = block_diag_unitary(grating_block(CosineGrating((0.6, 0.0))).matrix,
+                              np.eye(m - 2)).matrix
+    return core[rng.permutation(m)][:, rng.permutation(m)]
+
+
+_STRUCTURED_INPUTS = ("vac", "fock:1", "fock:2", "coh:0.7", "coh:-0.4+0.5j", "sq:0.3")
+
+
+@st.composite
+def _structured_cases(draw):
+    m = draw(st.integers(2, 4))
+    inputs = draw(st.lists(st.sampled_from(_STRUCTURED_INPUTS), min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["permutation", "blocks", "grating"]))
+    return ",".join(inputs), kind, draw(st.integers(0, 2**32 - 1))
+
+
+def test_structured_networks_match_both_oracles():
+    """Every single-mode cut of sparse networks, where both verdicts occur."""
+    verdicts = set()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=_structured_cases())
+    def check(case):
+        inputs, kind, seed = case
+        spec = InputStateSpec.parse(inputs)
+        m = spec.mode_count
+        u = UnitaryMatrix(_structured_network(kind, np.random.default_rng(seed), m))
+        out = apply_unitary(build_input_state(spec), u)
+        pairs = gaussian_pairs_from_spec(spec)
+        cov = None if pairs is None else gaussian_covariance_propagate(pairs, u)[1]
+        for k in range(m):
+            part = Bipartition((k,), m)
+            verdict = check_no_entanglement(spec, u, {k}).separable
+            verdicts.add(verdict)
+            rep = entanglement_report(out, part, tol=agreement.ENTROPY_TOL)
+            assert rep.separable == verdict, (inputs, kind, seed, k, rep.entropy_bits)
+            if cov is not None:
+                assert covariance_separable(cov, part, tol=agreement.COVARIANCE_TOL) == verdict
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_uncoupled_mode_freedom():
@@ -140,9 +212,9 @@ def test_uncoupled_mode_freedom():
     base = InputStateSpec([SqueezedVacuum(0.2), SqueezedVacuum(0.2), Vacuum()])
     wild = InputStateSpec([SqueezedVacuum(0.2), SqueezedVacuum(0.2), SqueezedVacuum(0.39)])
     for spec in (base, wild):
-        v = check_no_entanglement(BargmannInput.from_input_spec(spec), u, {0, 1})
+        v = check_no_entanglement(spec, u, {0, 1})
         assert v.separable
-        assert v.coupled_modes == {0, 1}
+        assert v.split_modes == {0, 1}
     # Fock oracle: subset-mode entropies unchanged by squeezing the spectator
     outs = [
         apply_unitary(build_input_state(spec), u) for spec in (base, wild)
@@ -157,30 +229,27 @@ def test_uncoupled_mode_freedom():
 def test_fock_on_uncoupled_mode_is_fine():
     u = block_diag_unitary(BALANCED.matrix, np.eye(1, dtype=complex))
     spec = InputStateSpec([SqueezedVacuum(0.2), SqueezedVacuum(0.2), Fock(2)])
-    v = check_no_entanglement(BargmannInput.from_input_spec(spec), u, {0, 1})
+    v = check_no_entanglement(spec, u, {0, 1})
     assert v.separable
 
 
 def test_verdict_invariant_under_paired_rephasing():
+    """Output phases, and input sign flips that leave every descriptor as it is, keep each verdict."""
     rng = np.random.default_rng(35)
-    u = UnitaryMatrix(haar_unitary(rng, 3))
-    spec = InputStateSpec([SqueezedVacuum(0.25), SqueezedVacuum(0.25), SqueezedVacuum(0.25)])
-    b = BargmannInput.from_input_spec(spec)
-    alphas = rng.uniform(0, 2 * np.pi, size=3)
-    betas = rng.uniform(0, 2 * np.pi, size=3)
-    # relabeling the modes by phases rotates both the network and the
-    # input coefficients: lam_j[d] -> lam_j[d] e^{i d alpha_j}
-    u2 = UnitaryMatrix(
-        np.diag(np.exp(-1j * alphas)) @ u.matrix @ np.diag(np.exp(1j * betas))
-    )
-    coeffs2 = b.coefficients * np.exp(
-        1j * np.outer(alphas, np.arange(b.d_max + 1))
-    )
-    b2 = BargmannInput(coeffs2, non_gaussian=b.non_gaussian)
-    for subset in ({0}, {0, 2}, {0, 1, 2}):
-        v1 = check_no_entanglement(b, u, subset)
-        v2 = check_no_entanglement(b2, u2, subset)
-        assert v1.separable == v2.separable
+    u = block_diag_unitary(haar_unitary(rng, 3), BALANCED.matrix)
+    signs = np.array([1, -1, -1, 1, -1])
+    betas = rng.uniform(0, 2 * np.pi, size=5)
+    u2 = UnitaryMatrix(signs[:, None] * u.matrix * np.exp(1j * betas))
+    for inputs in ("sq:0.25,sq:0.25,sq:0.25,fock:1,vac", "sq:0.25,sq:-0.25,vac,sq:0.1,sq:0.1",
+                   "fock:2,vac,vac,sq:0.2,sq:0.2", "vac,vac,vac,sq:0.2,sq:-0.2"):
+        spec = InputStateSpec.parse(inputs)
+        for subset in ({0}, {0, 2}, {3}, {0, 1, 2, 3, 4}):
+            v1 = check_no_entanglement(spec, u, subset)
+            v2 = check_no_entanglement(spec, u2, subset)
+            assert v1.separable == v2.separable
+            assert v1.split_modes == v2.split_modes
+            if v1.witness is not None:
+                assert (v1.witness.kind, v1.witness.modes) == (v2.witness.kind, v2.witness.modes)
 
 
 def _network(kind, rng, m):
@@ -222,7 +291,7 @@ def test_cross_term_test_alone_matches_both_oracles(trial):
     m = len(descs)
     u = _network(network, np.random.default_rng(seed), m)
     spec = InputStateSpec(descs)
-    verdict = check_no_entanglement(BargmannInput.from_input_spec(spec), u, subset)
+    verdict = check_no_entanglement(spec, u, subset)
     # keep clear of the numerically borderline band, as the agreement suite does
     assume(verdict.separable or verdict.witness.residual >= agreement.MIN_RESIDUAL)
     assert verdict.separable or verdict.witness.kind == "d2_cross_term"
@@ -236,9 +305,14 @@ def test_cross_term_test_alone_matches_both_oracles(trial):
 
 
 def test_checker_dimension_mismatch():
-    b = BargmannInput([[0, 0, 0.1]])
     with pytest.raises(DimensionMismatch):
-        check_no_entanglement(b, BALANCED, {0})
+        check_no_entanglement(InputStateSpec.parse("sq:0.1"), BALANCED, {0})
+
+
+@pytest.mark.parametrize("subset", [set(), {2}, {-1}, {0, 5}])
+def test_checker_subset_outside_the_network_is_an_empty_partition(subset):
+    with pytest.raises(EmptyPartition):
+        check_no_entanglement(InputStateSpec.parse("vac,vac"), BALANCED, subset)
 
 
 # --------------------------------------------------------------------------
@@ -325,8 +399,9 @@ def test_trial_records_borderline_draws(monkeypatch):
 
 def test_verdict_json_schema():
     spec = InputStateSpec([Fock(1), Vacuum()])
-    v = check_no_entanglement(BargmannInput.from_input_spec(spec), BALANCED, {0})
+    v = check_no_entanglement(spec, BALANCED, {0})
     doc = v.to_json()
     assert doc["separable"] is False
-    assert doc["witness"]["kind"] == "non_gaussian"
-    assert doc["coupled_modes"] == [0, 1]
+    assert doc["witness"] == {"kind": "non_gaussian", "order": None, "modes": [0], "residual": None}
+    assert doc["split_modes"] == [0, 1]
+    assert doc["subset"] == [0]
