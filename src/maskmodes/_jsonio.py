@@ -3,9 +3,11 @@ the reading guard.
 
 :func:`dumps` gives ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``,
 the text of every artifact and saved document.  Arrays (compiled matrices,
-sampled masks, impulse-response kernels) go into documents as one base64
-string of their little-endian, row-major ``complex128`` bytes:
-:func:`encode_array` and :func:`decode_array`.  The round trip is bit-exact.
+sampled masks, impulse-response kernels, the occupations and amplitudes of
+states) go into documents as one base64 string of their little-endian,
+row-major bytes, ``complex128`` unless a reader and its writer name another
+type: :func:`encode_array` and :func:`decode_array`.  The round trip is
+bit-exact.
 
 :func:`reading` turns every way a document can fail to be read into one
 typed :class:`~maskmodes.errors.MalformedDocument`.
@@ -29,17 +31,18 @@ def dumps(doc):
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def encode_array(values):
-    """Base64 text of the little-endian, row-major ``complex128`` bytes of ``values``."""
-    return base64.b64encode(np.ascontiguousarray(values, dtype=_COMPLEX).tobytes()).decode("ascii")
+def encode_array(values, dtype=_COMPLEX):
+    """Base64 text of the little-endian, row-major bytes of ``values`` as ``dtype``."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def decode_array(text, shape):
-    """The read-only ``complex128`` array of ``shape`` that :func:`encode_array` wrote as ``text``.
+def decode_array(text, shape, dtype=_COMPLEX):
+    """The read-only ``dtype`` array of ``shape`` that :func:`encode_array` wrote as ``text``.
 
     Text that is not strict base64, or whose bytes are not exactly the
     entries of ``shape``, raises :class:`MalformedDocument`.
     """
+    dtype = np.dtype(dtype)
     shape = tuple(operator.index(n) for n in shape)
     if min(shape, default=0) < 0:
         raise MalformedDocument(f"array shape {shape} has a negative extent")
@@ -47,10 +50,10 @@ def decode_array(text, shape):
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
         raise MalformedDocument(f"array payload is not base64 text ({e})") from None
-    if len(raw) != math.prod(shape) * _COMPLEX.itemsize:
+    if len(raw) != math.prod(shape) * dtype.itemsize:
         raise MalformedDocument(f"array payload holds {len(raw)} bytes; shape {shape} of "
-                                f"complex128 needs {math.prod(shape) * _COMPLEX.itemsize}")
-    return np.frombuffer(raw, dtype=_COMPLEX).reshape(shape)
+                                f"{dtype.name} needs {math.prod(shape) * dtype.itemsize}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 @contextlib.contextmanager

@@ -107,18 +107,6 @@ def _basis(state, rows, modes):
     return [tuple(r) for r in state.occupations[np.ix_(rows, modes)].tolist()]
 
 
-def bipartition_matrix(state, part):
-    """Dense amplitude matrix over (subset basis) x (complement basis).
-
-    Returns ``(matrix, row_basis, col_basis)`` where the bases list the
-    occupation tuples actually present in the state's support.
-    """
-    a_code, a_rows = _codes(state, part.subset)
-    b_code, b_rows = _codes(state, part.complement)
-    m = _dense(state, a_code, b_code)
-    return m, _basis(state, a_rows, part.subset), _basis(state, b_rows, part.complement)
-
-
 def reduced_density(state, part):
     """Reduced density matrix of the subset, with its occupation-tuple basis.
 

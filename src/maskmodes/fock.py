@@ -16,6 +16,7 @@ step ``w_j+ = sum_k U[j, k] a_k+``.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
@@ -23,13 +24,19 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from ._jsonio import dumps, reading
+from ._jsonio import decode_array, dumps, encode_array, reading
 from .errors import DimensionMismatch, MalformedDocument, NonPhysical, StateTooLarge
 
 #: Amplitudes below this magnitude are dropped from every state.
 DEFAULT_PRUNE = 1e-14
 #: Most terms a state may need before it is built (StateTooLarge beyond).
 MAX_TERMS = 1_000_000
+#: Version of the state document layout that :meth:`MultimodeFockState.to_json` writes.
+SCHEMA_VERSION = 2
+#: Stored occupations are little-endian int64, whatever type the state holds them in.
+_STORED_OCCUPATION = np.dtype("<i8")
+#: Largest ``|norm² - 1|`` of a stored state; every state the package writes is within ~1e-15.
+_STORED_NORM_TOL = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -184,6 +191,8 @@ class InputStateSpec:
 # Occupation rows packed into int64 words
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: Natural log of the smallest normal float64.
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
 def _layout(n_modes, top):
@@ -247,6 +256,23 @@ def row_codes(occ):
     codes = np.empty(len(occ), dtype=np.int64)
     codes[order] = np.cumsum(start) - 1
     return codes, order[start]
+
+
+def _check_stored_rows(occ):
+    """Refuse stored rows that no state holds (see :meth:`MultimodeFockState.from_json`)."""
+    negative = np.any(occ < 0, axis=1)
+    if negative.any():
+        raise NonPhysical(f"negative occupation in stored row {occ[negative][0].tolist()}")
+    step = np.diff(occ, axis=0)  # no overflow: every entry is at least 0
+    lead = (step != 0).argmax(axis=1)  # the first mode where a row differs from the one before
+    bad = np.flatnonzero(step[np.arange(len(step)), lead] <= 0)
+    if bad.size:
+        raise MalformedDocument(f"stored rows {bad[0]} and {bad[0] + 1} are not distinct and in "
+                                "strictly increasing lexicographic order")
+    if len(occ) and occ.max() > _INT64_MAX // occ.shape[1]:  # only then can a total pass int64
+        total = int(occ.astype(object).sum(axis=1).max())  # Python integers do not wrap
+        if total > _INT64_MAX:
+            raise MalformedDocument(f"a stored row holds {total} photons, more than int64 counts")
 
 
 # --------------------------------------------------------------------------
@@ -328,23 +354,51 @@ class MultimodeFockState:
         return {int(n): float(weights[n]) for n in np.unique(totals)}
 
     def to_json(self):
+        """The state document: ``terms`` x ``mode_count`` little-endian int64
+        occupations (rows lexicographic) and ``terms`` complex128 amplitudes,
+        each one base64 payload; the round trip is bit-exact."""
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "type": "state",
             "mode_count": self.mode_count,
-            "amplitudes": [[t, a.real, a.imag]
-                           for t, a in zip(self.occupations.tolist(), self.values.tolist())],
+            "terms": len(self.values),
+            "occupations_b64": encode_array(self.occupations, _STORED_OCCUPATION),
+            "values_b64": encode_array(self.values),
         }
 
     @classmethod
     def from_json(cls, doc):
+        """Read a state document, or the ``propagate`` artifact that holds one.
+
+        A document that :meth:`to_json` cannot have written is refused:
+        :class:`MalformedDocument` for a schema-1 pair list, rows that repeat
+        or break lexicographic order, or a row whose photon total passes
+        int64; :class:`NonPhysical` for a negative occupation or a norm²
+        further than ``1e-12`` from 1.
+        """
         with reading():
             if isinstance(doc, dict) and isinstance(doc.get("result"), dict):
                 doc = doc["result"].get("state")  # artifact envelope written by the CLI
             if not isinstance(doc, dict) or doc.get("type") != "state":
                 raise MalformedDocument("document is not a serialized state")
-            amps = {tuple(t): complex(re, im) for t, re, im in doc["amplitudes"]}
-            return cls(doc["mode_count"], amps, normalize=False)
+            if "amplitudes" in doc and "occupations_b64" not in doc:
+                raise MalformedDocument(
+                    "schema-1 [occupation, re, im] list state: states are now stored as base64 "
+                    "'occupations_b64' (int64) and 'values_b64' (complex128), "
+                    f"schema {SCHEMA_VERSION}"
+                )
+            mode_count, terms = operator.index(doc["mode_count"]), doc["terms"]
+            if mode_count < 1:
+                raise MalformedDocument(f"a state needs at least one mode, not {mode_count}")
+            occ = decode_array(doc["occupations_b64"], (terms, mode_count), _STORED_OCCUPATION)
+            vals = decode_array(doc["values_b64"], (terms,))
+        _check_stored_rows(occ)
+        state = cls._from_sorted(mode_count, occ, vals, normalize=False)
+        with np.errstate(over="ignore"):  # a huge amplitude gives an infinite norm, refused here
+            norm_sq = state.norm_sq()
+        if not abs(norm_sq - 1.0) <= _STORED_NORM_TOL:
+            raise NonPhysical(f"stored state has norm² {norm_sq!r}; a state has norm 1")
+        return state
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -419,18 +473,23 @@ def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
     ``A[n, l] = sqrt(n_l) ψ_{n-e_l}`` is scattered forward from the sector
     before, to the row every ``(l, n - e_l)`` pair was merged into.
     Candidates are laid out k-major, as sorted runs, so the stable sort
-    merges runs.  Returns packed rows, occupations (of ``dtype``) and
-    amplitudes, sector after sector.
+    merges runs.  A seed ``C`` below the smallest normal float
+    (``|alpha|² > 1416``) starts as a mantissa times ``2**e``, ``e < 0``, and
+    each sector is rescaled by an exact power of two, its largest mantissa
+    in [1/2, 1), until ``e`` reaches 0; nothing underflows on the way.
+    Returns packed rows, occupations (of ``dtype``) and amplitudes, sector
+    after sector.
     """
     n_modes = len(U)
     B = bargmann_exponent(U, lam)
     gamma = U.T @ alpha
     words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
     occ = np.zeros((1, n_modes), dtype=dtype)
-    psi = np.full(1, np.exp(-0.5 * np.sum(np.abs(alpha) ** 2 + np.log(np.cosh(lam)))),
-                  dtype=complex)
-    A = np.zeros((1, n_modes), dtype=complex)
-    sectors = [(words, occ, psi)]
+    log_seed = -0.5 * np.sum(np.abs(alpha) ** 2 + np.log(np.cosh(lam)))
+    e = 0 if log_seed >= _LOG_TINY else int(np.floor(log_seed / np.log(2.0)))
+    psi = np.full(1, np.exp(log_seed - e * np.log(2.0)), dtype=complex)
+    A = np.zeros((1, n_modes), dtype=complex)  # held on the same scale 2**e as psi
+    sectors = [(words, occ, psi * 2.0**e)]
     for _ in range(top):
         rows = len(psi)
         cand = (e_k[:, None, :] + words).reshape(-1, e_k.shape[1])
@@ -440,9 +499,12 @@ def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
         nxt = (gamma[k] * psi[parent] + (A @ B)[parent, k]) / root[parent, k]
         A = np.zeros((len(parent), n_modes), dtype=complex)
         A[np.cumsum(start) - 1, order // rows] = (root.T * psi).ravel()[order]
+        if e < 0:
+            shift = min(int(np.frexp(np.max(np.abs(nxt)))[1]), -e)
+            nxt, A, e = nxt * 2.0**-shift, A * 2.0**-shift, e + shift
         words, occ, psi = cand[order[start]], occ[parent], nxt
         occ[np.arange(len(parent)), k] += 1
-        sectors.append((words, occ, psi))
+        sectors.append((words, occ, psi * 2.0**e if e else psi))
     return [np.concatenate(part) for part in zip(*sectors)]
 
 

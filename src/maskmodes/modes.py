@@ -9,7 +9,6 @@ sandwich so that the discrete Fourier transform of samples at
 """
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,11 +23,6 @@ from .errors import (
     OutOfRange,
     UnknownLabel,
 )
-
-FIELD_MAGIC = b"MMFIELD1"
-
-#: Gram-matrix deviation a shipped basis is allowed on its documented grid.
-TOL_ORTH = 1e-8
 
 #: Largest share of a sampled mode's energy allowed on the grid's outer ring.
 _BOUNDARY_TOL = 1e-10
@@ -110,11 +104,6 @@ def centered_fft2(values, grid):
 def centered_ifft2(spectrum, grid):
     shifted = np.fft.ifftshift(spectrum, axes=_PLANE)
     return np.fft.fftshift(np.fft.ifft2(shifted), axes=_PLANE) / grid.cell_area
-
-
-def spectrum_norm_sq(spectrum, grid):
-    """Squared norm of a DC-centered spectrum, matching the field norm (Parseval)."""
-    return float(np.sum(np.abs(spectrum) ** 2)) / (grid.nx * grid.ny * grid.cell_area)
 
 
 class SampledField:
@@ -318,12 +307,6 @@ def _basis_samples(basis, grid, k):
     return np.fromiter(fields, dtype=(complex, grid.ny * grid.nx), count=basis.count)
 
 
-def gram_matrix(basis, grid, k=2 * np.pi):
-    """Pairwise overlaps of every basis mode on the grid, as one matrix product."""
-    flat = _basis_samples(basis, grid, k)
-    return (np.conj(flat) @ flat.T) * grid.cell_area
-
-
 # --------------------------------------------------------------------------
 # Plane-wave grids
 
@@ -406,25 +389,3 @@ class PlaneWaveGrid:
         s2 = np.sum(pts**2, axis=1)
         nz = np.sqrt(np.clip(1.0 - s2, 1e-12, None))
         return cls(pts, weights=d / nz)
-
-
-# --------------------------------------------------------------------------
-# Field import/export: magic + header(nx, ny, dx, dy, k) + row-major complex128
-
-
-def save_field(path, f):
-    header = struct.pack("<IIddd", f.grid.nx, f.grid.ny, f.grid.dx, f.grid.dy, f.k)
-    with open(path, "wb") as fh:
-        fh.write(FIELD_MAGIC)
-        fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype=np.complex128).tobytes())
-
-
-def load_field(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(len(FIELD_MAGIC))
-        if magic != FIELD_MAGIC:
-            raise ValueError(f"not a maskmodes field file (magic {magic!r})")
-        nx, ny, dx, dy, k = struct.unpack("<IIddd", fh.read(struct.calcsize("<IIddd")))
-        data = np.frombuffer(fh.read(), dtype=np.complex128).reshape(ny, nx)
-    return SampledField(Grid2D(nx=nx, ny=ny, dx=dx, dy=dy), data, k)

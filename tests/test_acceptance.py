@@ -234,6 +234,9 @@ def test_criterion_12_cli_determinism(tmp_path):
             "unitary": ["compile-mask", "--mask", "cosine", "--u", "0.6,0.0"],
             "verdict": ["check-separability", "--inputs", "sq:0.3,fock:1", "--unitary",
                         str(tmp_path / "unitary.json"), "--subset", "1,0"],
+            "state": ["propagate", "--state", "fock:2,coh:0.5", "--unitary",
+                      str(tmp_path / "unitary.json")],
+            "entropy": ["entropy", "--state-file", str(tmp_path / "state.json"), "--scan"],
             "scan": ["scan-noon", "--photons", "2", "--grid", "64"],
             "agree": ["agreement-suite", "--trials", "6", "--seed", "13"],
         }.items():
@@ -246,4 +249,5 @@ def test_criterion_12_cli_determinism(tmp_path):
     first = run_all("a")
     second = run_all("b")
     assert first == second
-    report(12, "compile/verdict/scan/agreement artifacts byte-identical across repeated runs")
+    report(12, "compile/verdict/state/entropy-scan/NOON-scan/agreement artifacts "
+               "byte-identical across repeated runs")

@@ -21,6 +21,7 @@ from maskmodes.diffraction import (
 )
 from maskmodes.fock import MultimodeFockState
 from maskmodes.modes import Grid2D
+from util import state_document
 
 
 @pytest.fixture
@@ -406,15 +407,41 @@ def test_opposite_squeezing_through_grating_is_two_mode_squeezed(runner, tmp_pat
 
 
 def test_non_finite_state_file_exits_1(runner, tmp_path):
-    for bad in ("NaN", "Infinity"):
+    for bad in (float("nan"), float("inf")):
         path = tmp_path / "state.json"
-        path.write_text('{"type": "state", "schema_version": 1, "mode_count": 2, "amplitudes": '
-                        f'[[[0, 1], 0.6, 0.0], [[1, 0], {bad}, 0.0]]}}')
+        path.write_text(json.dumps(state_document([[0, 1], [1, 0]], [0.6, bad])))
         result = runner.invoke(main, ["entropy", "--state-file", str(path),
                                       "--out", str(tmp_path / "r.json")])
         assert result.exit_code == 1, result.output
         assert "non-finite amplitude" in result.output
         assert _exited_cleanly(result)
+
+
+# state documents the reader refuses, and what its message says
+_FAULTY_STATES = {
+    "state_b64": ({**state_document([[0, 1]], [1.0]), "values_b64": "AAAA!"}, "not base64"),
+    "state_bytes": ({**state_document([[0, 1]], [1.0]), "terms": 2}, "bytes"),
+    "state_repeated": (state_document([[1, 0], [1, 0], [0, 1]], [0.6, 0.8, 0.8]), "not distinct"),
+    "state_order": (state_document([[1, 0], [0, 1]], [0.6, 0.8]), "lexicographic"),
+    "state_norm": (state_document([[0, 1], [1, 0]], [1.0, 1.0]), "norm² 2.0"),
+    "state_negative": (state_document([[0, 1], [-1, 2]], [0.6, 0.8]), "negative occupation"),
+    "state_total": (state_document([[2**62, 2**62]], [1.0]), "more than int64"),
+    "state_schema_1": ({"schema_version": 1, "type": "state", "mode_count": 2, "amplitudes":
+                        [[[0, 1], 0.6, 0.0], [[1, 0], 0.8, 0.0]]}, "occupations_b64"),
+}
+
+
+def test_faulty_state_files_exit_1(runner, tmp_path):
+    for name, (doc, message) in _FAULTY_STATES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for scan in ("--scan", "--no-scan"):
+            result = runner.invoke(main, ["entropy", "--state-file", str(path), scan,
+                                          "--out", str(tmp_path / "r.json")])
+            assert result.exit_code == 1, (name, result.output)
+            assert message in result.output, (name, result.output)
+            assert _exited_cleanly(result) and "Traceback" not in result.output
+    assert not (tmp_path / "r.json").exists()
 
 
 _NUMBERS = st.one_of(
@@ -449,6 +476,9 @@ def cli_files(tmp_path_factory):
            "--out", str(paths["state"]))
     paths["state_doc"] = base / "state_doc.json"
     MultimodeFockState.load(paths["state"]).save(paths["state_doc"])
+    for name, (doc, _) in _FAULTY_STATES.items():
+        paths[name] = base / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
     grid = Grid2D(16, 16, 14 / 16, 14 / 16)
     x, y = grid.meshgrid()
     paths["mask"] = base / "mask.json"
@@ -512,7 +542,8 @@ _FLAGS = {
         "--subset": (_SUBSETS, ("0,0", "1", "x", "")),
     },
     "entropy": {
-        "--state-file": (st.sampled_from(["@state", "@state_doc"]), _BAD_FILES),
+        "--state-file": (st.sampled_from(["@state", "@state_doc"]),
+                         _BAD_FILES + tuple(f"@{name}" for name in _FAULTY_STATES)),
         "--subset": (_SUBSETS, ("0,0", "1", "x", "")),
         "--scan": (st.sampled_from([None, True, False]), ("x",)),
         "--tolerance": (st.sampled_from([None, "0", "0.5"]), _BAD_NUMBERS),
@@ -619,7 +650,9 @@ def test_propagate_beyond_64_modes(runner, tmp_path):
     invoke(runner, "propagate", "--state", state_text, "--unitary", str(u),
            "--report", "entropy", "--out", str(st))
     doc = json.loads(st.read_text())
-    assert all(sum(t) == 1 for t, _, _ in doc["result"]["state"]["amplitudes"])
+    stored = doc["result"]["state"]
+    occ = decode_array(stored["occupations_b64"], (stored["terms"], unit.dim), "<i8")
+    assert len(occ) and np.all(occ.sum(axis=1) == 1)
     p = abs(unit.matrix[0, 0]) ** 2
     h2 = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
     assert abs(doc["result"]["entropy"]["entropy_bits"] - h2) <= 1e-9

@@ -10,7 +10,6 @@ from maskmodes.diffraction import UnitaryMatrix
 from maskmodes.entanglement import (
     Bipartition,
     all_bipartitions,
-    bipartition_matrix,
     entanglement_report,
     full_separability_scan,
     fully_separable,
@@ -29,7 +28,7 @@ from maskmodes.fock import (
     build_input_state,
     state_fidelity,
 )
-from util import haar_unitary, schmidt_dense_reference
+from util import bipartition_matrix, haar_unitary, schmidt_dense_reference
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 

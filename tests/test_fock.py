@@ -4,11 +4,12 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maskmodes._jsonio import decode_array, dumps, encode_array
 from maskmodes.diffraction import UnitaryMatrix
-from maskmodes.errors import DimensionMismatch, NonPhysical, StateTooLarge
+from maskmodes.errors import DimensionMismatch, MalformedDocument, NonPhysical, StateTooLarge
 from maskmodes.entanglement import Bipartition, entanglement_report
 from maskmodes.fock import (
     DEFAULT_PRUNE,
@@ -28,7 +29,13 @@ from maskmodes.fock import (
     two_mode_closed_form,
 )
 from maskmodes.separability import gaussian_covariance_propagate, gaussian_pairs_from_spec
-from util import gaussian_mode_entropy, haar_unitary, max_amplitude_diff, oracle_apply
+from util import (
+    gaussian_mode_entropy,
+    haar_unitary,
+    max_amplitude_diff,
+    oracle_apply,
+    state_document,
+)
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 
@@ -80,8 +87,8 @@ def test_non_finite_parameters_rejected():
         with pytest.raises(NonPhysical, match="non-finite"):
             MultimodeFockState(2, {(1, 0): 0.6, (0, 1): bad})
         with pytest.raises(NonPhysical, match="non-finite"):
-            MultimodeFockState.from_json({"type": "state", "mode_count": 1, "amplitudes": [
-                [[0], complex(bad).real, complex(bad).imag]]})
+            MultimodeFockState.from_json({**MultimodeFockState.vacuum(1).to_json(),
+                                          "values_b64": encode_array([bad])})
 
 
 def test_oversized_mode_refused_before_allocation():
@@ -250,6 +257,7 @@ def _gaussian_inputs(draw):
 
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(case=_gaussian_inputs())
+@example(case=([Coherent(12 * np.exp(0.4j)), SqueezedVacuum(0.5)], 5))  # 20272 terms
 def test_gaussian_inputs_match_covariance_oracle(case):
     descs, seed = case
     m = len(descs)
@@ -398,8 +406,9 @@ def test_state_json_round_trip(tmp_path):
     assert max(abs(s.amplitudes[k] - t.amplitudes[k]) for k in s.amplitudes) == 0.0
     # deterministic ordering: lexicographic occupation tuples
     doc = json.loads(p.read_text())
-    tuples = [tuple(e[0]) for e in doc["amplitudes"]]
-    assert tuples == sorted(tuples)
+    occ = decode_array(doc["occupations_b64"], (doc["terms"], doc["mode_count"]), "<i8")
+    tuples = [tuple(r) for r in occ.tolist()]
+    assert tuples == sorted(tuples) and len(tuples) == len(set(tuples)) == len(s.values)
 
 
 def test_pruning_threshold_recorded_and_applied():
@@ -444,3 +453,87 @@ def test_one_mode_at_dtype_edges_propagates(n):
                         UnitaryMatrix(np.array([[np.exp(0.3j)]])))
     assert out.occupations.tolist() == [[n]]
     assert abs(out.values[0] - np.exp(0.3j * n)) <= 1e-9
+
+
+def test_coherent_seed_below_the_float_range_propagates():
+    # exp(-|alpha|^2 / 2) = exp(-800) underflows; the sectors carry a binary exponent instead
+    out = apply_unitary(build_input_state(InputStateSpec([Coherent(40)])),
+                        UnitaryMatrix(np.array([[np.exp(0.3j)]])))
+    weights = np.abs(out.values) ** 2
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    assert abs(out.occupations[:, 0] @ weights / 1600 - 1.0) <= 1e-9
+    # n photons through the phase pick up exp(0.3j n) on a real, positive amplitude
+    n = out.occupations[:, 0].astype(float)
+    assert np.allclose(np.angle(out.values * np.exp(-0.3j * n)), 0.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# State documents
+
+_EDGE_OCCUPATIONS = st.sampled_from([126, 127, 32766, 32767])
+_EDGE_PARTS = st.sampled_from([-0.0, 0.0, DEFAULT_PRUNE, -DEFAULT_PRUNE,
+                               np.nextafter(DEFAULT_PRUNE, 1.0), np.nextafter(DEFAULT_PRUNE, 0.0)])
+
+
+@st.composite
+def _stored_states(draw):
+    """Occupations at the int8/int16/int32 edges; amplitudes with signed zeros and parts at
+    the prune threshold (those below it are dropped), the first row making the norm 1."""
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.one_of(st.integers(0, 3), _EDGE_OCCUPATIONS), min_size=m,
+                                  max_size=m).map(tuple), min_size=1, max_size=6, unique=True))
+    parts = draw(st.lists(st.one_of(_EDGE_PARTS, st.floats(-0.3, 0.3)),
+                          min_size=2 * len(rows) - 2, max_size=2 * len(rows) - 2))
+    small = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+    first = complex(draw(st.sampled_from([0.0, -0.0])),
+                    np.sqrt(1.0 - sum(abs(v) ** 2 for v in small)))
+    return MultimodeFockState(m, dict(zip(rows, [first] + small)), normalize=False)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(state=_stored_states())
+def test_state_documents_round_trip_bit_exactly(state, tmp_path_factory):
+    back = MultimodeFockState.from_json(json.loads(dumps(state.to_json())))
+    assert back.occupations.dtype == state.occupations.dtype
+    assert np.array_equal(back.occupations, state.occupations)
+    assert back.values.tobytes() == state.values.tobytes()
+    path = tmp_path_factory.mktemp("state") / "s.json"
+    state.save(path)
+    text = path.read_bytes()
+    MultimodeFockState.load(path).save(path)
+    assert path.read_bytes() == text
+
+
+@pytest.mark.parametrize("rows, values, error, match", [
+    ([[1, 0], [1, 0], [0, 1]], [0.6, 0.8, 0.8], MalformedDocument, "rows 0 and 1 are not distinct"),
+    ([[1, 0], [0, 1]], [0.6, 0.8], MalformedDocument, "rows 0 and 1 .* lexicographic"),
+    ([[0, 1], [1, 0], [1, 0]], [0.6, 0.0, 0.8], MalformedDocument, "rows 1 and 2"),
+    ([[0, 1], [1, 0]], [1.0, 1.0], NonPhysical, "norm² 2.0"),
+    ([[0, 1], [1, 0]], [1e200, 1.0], NonPhysical, "norm² inf"),
+    ([[0, 1], [-1, 2]], [0.6, 0.8], NonPhysical, "negative occupation"),
+    ([[2**62, 2**62]], [1.0], MalformedDocument, "9223372036854775808 photons"),
+])
+def test_reader_refuses_what_no_state_holds(rows, values, error, match):
+    with pytest.raises(error, match=match):
+        MultimodeFockState.from_json(state_document(rows, values))
+
+
+def test_reader_refuses_payloads_of_another_size_or_layout():
+    good = MultimodeFockState(2, {(0, 1): 0.6, (1, 0): 0.8}).to_json()
+    assert MultimodeFockState.from_json(good).amplitudes == {(0, 1): 0.6, (1, 0): 0.8}
+    for bad, match in (
+        ({"terms": 3}, "bytes"),
+        ({"mode_count": 3}, "shape \\(2, 3\\) of int64 needs 48"),
+        ({"mode_count": 0}, "at least one mode"),
+        ({"occupations_b64": encode_array(np.zeros(4), "<i4")}, "holds 16 bytes"),
+        ({"values_b64": good["values_b64"][:-4]}, "bytes"),
+        ({"occupations_b64": "%" + good["occupations_b64"]}, "not base64"),
+        ({"terms": 2.0}, "integer"),
+        ({"values_b64": 5}, "not base64"),
+    ):
+        with pytest.raises(MalformedDocument, match=match):
+            MultimodeFockState.from_json({**good, **bad})
+    schema_1 = {"schema_version": 1, "type": "state", "mode_count": 2,
+                "amplitudes": [[[0, 1], 0.6, 0.0], [[1, 0], 0.8, 0.0]]}
+    with pytest.raises(MalformedDocument, match="occupations_b64.*values_b64"):
+        MultimodeFockState.from_json(schema_1)

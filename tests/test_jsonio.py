@@ -48,6 +48,21 @@ def test_array_codec_round_trips_bit_exactly(values, extra, junk):
         decode_array(text + "A", values.shape)
 
 
+@settings(max_examples=100, derandomize=True)
+@given(values=st.lists(st.integers(-2**63, 2**63 - 1), max_size=12), cols=st.integers(1, 3))
+def test_array_codec_round_trips_int64(values, cols):
+    values = np.array(values[: len(values) // cols * cols], dtype=np.int64).reshape(-1, cols)
+    text = encode_array(values, "<i8")
+    got = decode_array(text, values.shape, "<i8")
+    assert got.dtype == np.int64 and np.array_equal(got, values)
+    assert encode_array(values.astype(">i8"), "<i8") == text  # the bytes are little-endian
+    with pytest.raises(MalformedDocument, match="of int64 needs"):
+        decode_array(text, (len(values) + 1, cols), "<i8")
+    if values.size:  # read as complex128, the same bytes hold half the entries
+        with pytest.raises(MalformedDocument, match="of complex128 needs"):
+            decode_array(text, values.shape)
+
+
 def test_array_codec_refuses_what_is_not_text_or_a_shape():
     with pytest.raises(MalformedDocument, match="not base64"):
         decode_array(5, (0,))
@@ -82,7 +97,8 @@ def test_compiled_matrices_round_trip_bit_exactly(matrix):
 _READERS = [
     (UnitaryMatrix.from_json, {"type": "unitary", "dim": 0}),
     (CouplingMatrix.from_json, {"type": "coupling", "rows": [], "cols": []}),
-    (MultimodeFockState.from_json, {"type": "state", "amplitudes": []}),
+    (MultimodeFockState.from_json,
+     {"type": "state", "terms": 0, "occupations_b64": "", "values_b64": ""}),
     (mask_from_json, {"kind": "custom"}),
     (ImpulseResponse.from_json, {"type": "impulse_response"}),
 ]

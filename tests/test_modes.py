@@ -12,14 +12,11 @@ from maskmodes.modes import (
     centered_fft2,
     centered_ifft2,
     field_overlap,
-    gram_matrix,
     hermite_gaussian_basis,
     laguerre_gaussian_basis,
-    load_field,
     sample_field,
-    save_field,
-    spectrum_norm_sq,
 )
+from util import gram_matrix, load_field, save_field, spectrum_norm_sq
 
 GRID = Grid2D(256, 256, 14.0 / 256, 14.0 / 256)
 HG = hermite_gaussian_basis(2, waist=1.0)

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+import struct
 from itertools import permutations, product
 from math import factorial, sqrt
 
 import numpy as np
 
+from maskmodes._jsonio import encode_array
 from maskmodes.diffraction import (
     CircularAperture,
     CosineGrating,
@@ -14,9 +16,16 @@ from maskmodes.diffraction import (
     apply_impulse_response,
     mask_spectrum,
 )
-from maskmodes.entanglement import bipartition_matrix
+from maskmodes.entanglement import _basis, _codes, _dense
 from maskmodes.fock import row_codes
-from maskmodes.modes import apply_mask_to_field, field_overlap, sample_field
+from maskmodes.modes import (
+    Grid2D,
+    SampledField,
+    _basis_samples,
+    apply_mask_to_field,
+    field_overlap,
+    sample_field,
+)
 
 
 def gauge_fix(m):
@@ -187,6 +196,25 @@ def overlap_unitary_pairs(element, in_basis, out_basis, grid, k=2 * np.pi, loss_
                           provenance={"truncation_losses": losses})
 
 
+def bipartition_matrix(state, part):
+    """Dense amplitude matrix over (subset basis) x (complement basis).
+
+    Returns ``(matrix, row_basis, col_basis)`` where the bases list the
+    occupation tuples actually present in the state's support.
+    """
+    a_code, a_rows = _codes(state, part.subset)
+    b_code, b_rows = _codes(state, part.complement)
+    m = _dense(state, a_code, b_code)
+    return m, _basis(state, a_rows, part.subset), _basis(state, b_rows, part.complement)
+
+
+def state_document(rows, values):
+    """A state document of occupation ``rows`` and amplitude ``values``, written as they are."""
+    occ = np.array(rows, dtype=np.int64)
+    return {"schema_version": 2, "type": "state", "mode_count": occ.shape[1], "terms": len(occ),
+            "occupations_b64": encode_array(occ, "<i8"), "values_b64": encode_array(values)}
+
+
 def schmidt_dense_reference(state, part):
     """Schmidt spectrum from one SVD of the whole dense amplitude matrix.
 
@@ -207,3 +235,37 @@ def gaussian_mode_entropy(cov, k):
     nu = np.sqrt(np.linalg.det(cov[np.ix_([k, n + k], [k, n + k])]))
     occ = max((nu - 1.0) / 2.0, 0.0)
     return float((occ + 1) * np.log2(occ + 1) - (occ * np.log2(occ) if occ > 0 else 0.0))
+
+
+def spectrum_norm_sq(spectrum, grid):
+    """Squared norm of a DC-centered spectrum, matching the field norm (Parseval)."""
+    return float(np.sum(np.abs(spectrum) ** 2)) / (grid.nx * grid.ny * grid.cell_area)
+
+
+def gram_matrix(basis, grid, k=2 * np.pi):
+    """Pairwise overlaps of every basis mode on the grid, as one matrix product."""
+    flat = _basis_samples(basis, grid, k)
+    return (np.conj(flat) @ flat.T) * grid.cell_area
+
+
+# Binary field files: magic, header (nx, ny, dx, dy, k), then row-major complex128 samples
+FIELD_MAGIC = b"MMFIELD1"
+_FIELD_HEADER = "<IIddd"
+
+
+def save_field(path, f):
+    header = struct.pack(_FIELD_HEADER, f.grid.nx, f.grid.ny, f.grid.dx, f.grid.dy, f.k)
+    with open(path, "wb") as fh:
+        fh.write(FIELD_MAGIC)
+        fh.write(header)
+        fh.write(np.ascontiguousarray(f.values, dtype=np.complex128).tobytes())
+
+
+def load_field(path):
+    with open(path, "rb") as fh:
+        magic = fh.read(len(FIELD_MAGIC))
+        if magic != FIELD_MAGIC:
+            raise ValueError(f"not a maskmodes field file (magic {magic!r})")
+        nx, ny, dx, dy, k = struct.unpack(_FIELD_HEADER, fh.read(struct.calcsize(_FIELD_HEADER)))
+        data = np.frombuffer(fh.read(), dtype=np.complex128).reshape(ny, nx)
+    return SampledField(Grid2D(nx=nx, ny=ny, dx=dx, dy=dy), data, k)
