@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the package raises on purpose is a :class:`MaskModesError`; the
+command line turns one into exit code 1 with its message.
+"""
 
 
 class MaskModesError(Exception):
@@ -44,6 +48,12 @@ class SpectralMismatch(MaskModesError):
 class OutOfRange(MaskModesError, ValueError):
     """A finite value beyond what float64 arithmetic on it can hold: a
     parameter whose square overflows, or a norm that over- or underflows."""
+
+
+class PrecisionLoss(MaskModesError):
+    """A result whose rounding error passes the documented 1e-10 amplitude
+    accuracy: a Gaussian input whose raw expansion has a norm² further than
+    2e-10 from 1 (strong squeezing, or large displacement with squeezing)."""
 
 
 class UnitarityError(MaskModesError):

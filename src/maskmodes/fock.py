@@ -10,22 +10,36 @@ One routine expands every state, in normalized amplitudes.  The Gaussian
 part of a product input (its displacements and squeezings) becomes the
 output Bargmann exponent ``exp(½ zᵀBz + γᵀz)`` with ``B = Uᵀ diag(tanh lam) U``
 and ``γ = Uᵀ alpha``; its sectors come from the multidimensional Hermite
-recurrence (Miatto & Quesada, Quantum 4, 366 (2020)).  Every Fock photon,
-of a product input or of a stored state's row, then goes in as one creation
-step ``w_j+ = sum_k U[j, k] a_k+``.
+recurrence (Miatto & Quesada, Quantum 4, 366 (2020)), read off sector
+tables that hold, per mode count and degree, the rows and their links to the
+degree below; the tables are built once and cached up to
+``SECTOR_TABLE_BYTES``.  A Gaussian part whose amplitudes lose their norm in
+the recurrence raises :class:`~maskmodes.errors.PrecisionLoss`.  Every Fock
+photon, of a product input or of a stored state's row, then goes in as one
+creation step ``w_j+ = sum_k U[j, k] a_k+``.
 """
 
+import bisect
 import json
 import operator
+import sys
 from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
 from ._jsonio import decode_array, dumps, encode_array, reading
-from .errors import DimensionMismatch, MalformedDocument, NonPhysical, StateTooLarge
+from .errors import (
+    DimensionMismatch,
+    MalformedDocument,
+    NonPhysical,
+    OutOfRange,
+    PrecisionLoss,
+    StateTooLarge,
+)
 
 #: Amplitudes below this magnitude are dropped from every state.
 DEFAULT_PRUNE = 1e-14
@@ -37,6 +51,10 @@ SCHEMA_VERSION = 2
 _STORED_OCCUPATION = np.dtype("<i8")
 #: Largest ``|norm² - 1|`` of a stored state; every state the package writes is within ~1e-15.
 _STORED_NORM_TOL = 1e-12
+#: Largest ``|Σ|ψ|² - 1|`` of a Gaussian seed (PrecisionLoss beyond); sound seeds are within ~1e-14.
+_SEED_NORM_TOL = 2e-10
+#: Bytes of sector tables kept between calls (arrays plus per-table overhead).
+SECTOR_TABLE_BYTES = 4 * 2**20
 
 
 # --------------------------------------------------------------------------
@@ -210,9 +228,14 @@ def _layout(n_modes, top):
     return strides
 
 
+def _int_type(n):
+    """The narrowest signed integer type that holds ``n`` (int64 at most)."""
+    return np.min_scalar_type(-min(int(n) + 1, 2**63))
+
+
 def _occupation_type(top):
     """The narrowest signed integer type that holds ``top + 1`` (int64 at most)."""
-    return np.min_scalar_type(-min(int(top) + 2, 2**63))
+    return _int_type(top + 1)
 
 
 def _pack(occ, strides, masks=None):
@@ -317,7 +340,11 @@ class MultimodeFockState:
         if not len(vals):
             raise NonPhysical("state has no amplitude above the prune threshold")
         if normalize:
-            vals = vals / np.linalg.norm(vals)
+            with np.errstate(over="ignore"):  # a norm past the float range is refused below
+                norm = np.linalg.norm(vals)
+            if not np.isfinite(norm):
+                raise OutOfRange("state amplitudes are too large for their norm to be computed")
+            vals = vals / norm
         occ = occ.astype(_occupation_type(occ.max(initial=0)), copy=False)
         occ.flags.writeable = vals.flags.writeable = False
         self.mode_count, self.occupations, self.values = mode_count, occ, vals
@@ -464,48 +491,122 @@ def bargmann_exponent(U, lam):
     return U.T @ (np.tanh(lam)[:, None] * U)
 
 
+class _SectorTable(NamedTuple):
+    """The rows of one total degree d over M modes and their links to degree d - 1.
+
+    ``occ`` holds the rows in lexicographic order and ``sqrt_n`` their
+    ``sqrt(n)``.  ``down[r, l]`` is the index of ``n - e_l`` in degree
+    d - 1, or that degree's row count (a zero slot) where ``n_l = 0``.  A
+    row n is built from its first mode ``k`` with ``n_k >= 1`` and its parent
+    ``n - e_k``: ``rk`` is the flat index of ``(r, k)`` in ``down`` (so
+    ``down.take(rk)`` is the parent) and in ``sqrt_n``, ``pk`` that of
+    ``(parent, k)`` in a (degree d - 1) x M matrix.  ``cum_bytes`` counts
+    this table and those of the degrees below it.
+    """
+
+    occ: np.ndarray
+    k: np.ndarray
+    rk: np.ndarray
+    pk: np.ndarray
+    down: np.ndarray
+    sqrt_n: np.ndarray
+    cum_bytes: int
+
+
+def _sector_table(prev, n_modes, degree):
+    """The read-only table of ``degree`` over ``n_modes`` modes; ``prev`` is that of ``degree - 1``."""
+    if prev is None:
+        occ = np.zeros((1, n_modes), dtype=np.int8)
+        arrays = (occ,) + tuple(np.zeros(0, dtype=np.int8) for _ in range(4)) + (occ + 0.0,)
+    else:
+        rows = len(prev.occ)
+        # n + e_k for every row n and mode k, k-major: the first of equal rows has the least k
+        cand = (prev.occ[None] + np.eye(n_modes, dtype=np.int64)[:, None]).reshape(-1, n_modes)
+        order, start = _lex_runs(_pack(cand, _layout(n_modes, degree)))
+        k, parent = np.divmod(order[start], rows)
+        occ = cand[order[start]].astype(_occupation_type(degree))
+        down = np.full((len(occ), n_modes), rows, dtype=_int_type(rows))
+        down[np.cumsum(start) - 1, order // rows] = order % rows
+        rk = np.arange(len(occ)) * n_modes + k
+        pk = parent * n_modes + k
+        arrays = (occ, k.astype(_int_type(n_modes - 1)), rk.astype(_int_type(rk[-1])),
+                  pk.astype(_int_type(rows * n_modes)), down, np.sqrt(occ, dtype=float))
+    for a in arrays:
+        a.flags.writeable = False
+    size = sum(map(sys.getsizeof, arrays)) + sys.getsizeof(arrays)
+    return _SectorTable(*arrays, size + (prev.cum_bytes if prev else 0))
+
+
+#: Sector tables per mode count, degrees 0, 1, ... in order; least recently used first.
+_sector_tables_cache = {}
+#: The slot after a sector's amplitudes that ``down`` points at where ``n_l = 0``.
+_ZERO = np.zeros(1, dtype=complex)
+
+
+def _sector_tables(n_modes, top):
+    """The sector tables of degrees ``0..top`` (or more) over ``n_modes`` modes.
+
+    Each degree is built once from the one before, and the cache holds at
+    most ``SECTOR_TABLE_BYTES``.  Tables that fit the budget make room by
+    dropping the least recently used mode counts; tables that do not keep
+    only the degrees that fit the room left, so they never push out the
+    others, and the rest are built for this call only.
+    """
+    tables = _sector_tables_cache.pop(n_modes, None) or [_sector_table(None, n_modes, 0)]
+    while len(tables) <= top:
+        tables.append(_sector_table(tables[-1], n_modes, len(tables)))
+    others = sum(t[-1].cum_bytes for t in _sector_tables_cache.values())
+    keep = tables
+    if tables[-1].cum_bytes <= SECTOR_TABLE_BYTES:
+        while others + tables[-1].cum_bytes > SECTOR_TABLE_BYTES:
+            others -= _sector_tables_cache.pop(next(iter(_sector_tables_cache)))[-1].cum_bytes
+    else:
+        room = SECTOR_TABLE_BYTES - others
+        keep = tables[: bisect.bisect_right([t.cum_bytes for t in tables], room)]
+    if keep:
+        _sector_tables_cache[n_modes] = keep
+    return tables
+
+
 def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
     """Sectors ``0..top`` of ``C exp(½ zᵀBz + γᵀz) |vac>``, ``B = Uᵀ diag(tanh lam) U``, ``γ = Uᵀ alpha``.
 
     ``C`` normalizes the input.  In normalized amplitudes the Hermite
     recurrence reads ``sqrt(n_k+1) ψ_{n+e_k} = γ_k ψ_n + Σ_l B_kl sqrt(n_l) ψ_{n-e_l}``.
-    Each row of the next sector is taken from its first ``(k, n)`` pair;
-    ``A[n, l] = sqrt(n_l) ψ_{n-e_l}`` is scattered forward from the sector
-    before, to the row every ``(l, n - e_l)`` pair was merged into.
-    Candidates are laid out k-major, as sorted runs, so the stable sort
-    merges runs.  A seed ``C`` below the smallest normal float
-    (``|alpha|² > 1416``) starts as a mantissa times ``2**e``, ``e < 0``, and
-    each sector is rescaled by an exact power of two, its largest mantissa
-    in [1/2, 1), until ``e`` reaches 0; nothing underflows on the way.
-    Returns packed rows, occupations (of ``dtype``) and amplitudes, sector
-    after sector.
+    The rows of each degree and their links to the degree below come from
+    the cached :class:`_SectorTable` of the mode count: a row n is taken
+    from its first mode k with ``n_k >= 1``, and
+    ``A[n, l] = sqrt(n_l) ψ_{n-e_l}`` is one gather of the sector before.  A
+    seed ``C`` below the smallest normal float (``|alpha|² > 1416``) starts
+    as a mantissa times ``2**e``, ``e < 0``, and each sector is rescaled by
+    an exact power of two, its largest mantissa in [1/2, 1), until ``e``
+    reaches 0; nothing underflows on the way.  Returns packed rows,
+    occupations (of ``dtype``) and amplitudes of the rows that are not
+    exactly 0 (every odd sector when ``γ = 0``), sector after sector.
     """
     n_modes = len(U)
     B = bargmann_exponent(U, lam)
     gamma = U.T @ alpha
-    words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
-    occ = np.zeros((1, n_modes), dtype=dtype)
+    tables = _sector_tables(n_modes, top)[: top + 1]
     log_seed = -0.5 * np.sum(np.abs(alpha) ** 2 + np.log(np.cosh(lam)))
     e = 0 if log_seed >= _LOG_TINY else int(np.floor(log_seed / np.log(2.0)))
     psi = np.full(1, np.exp(log_seed - e * np.log(2.0)), dtype=complex)
     A = np.zeros((1, n_modes), dtype=complex)  # held on the same scale 2**e as psi
-    sectors = [(words, occ, psi * 2.0**e)]
-    for _ in range(top):
-        rows = len(psi)
-        cand = (e_k[:, None, :] + words).reshape(-1, e_k.shape[1])
-        order, start = _lex_runs(cand)
-        k, parent = np.divmod(order[start], rows)
-        root = np.sqrt(occ + 1.0)
-        nxt = (gamma[k] * psi[parent] + (A @ B)[parent, k]) / root[parent, k]
-        A = np.zeros((len(parent), n_modes), dtype=complex)
-        A[np.cumsum(start) - 1, order // rows] = (root.T * psi).ravel()[order]
-        if e < 0:
-            shift = min(int(np.frexp(np.max(np.abs(nxt)))[1]), -e)
-            nxt, A, e = nxt * 2.0**-shift, A * 2.0**-shift, e + shift
-        words, occ, psi = cand[order[start]], occ[parent], nxt
-        occ[np.arange(len(parent)), k] += 1
-        sectors.append((words, occ, psi * 2.0**e if e else psi))
-    return [np.concatenate(part) for part in zip(*sectors)]
+    sectors = [psi * 2.0**e]
+    with np.errstate(over="ignore", invalid="ignore"):  # _expand refuses a runaway recurrence
+        for t in tables[1:]:
+            low = np.concatenate((psi, _ZERO)).take(t.down)  # ψ_{n-e_l}
+            nxt = (gamma.take(t.k) * low.take(t.rk) + (A @ B).take(t.pk)) / t.sqrt_n.take(t.rk)
+            A = t.sqrt_n * low
+            if e < 0:
+                shift = min(int(np.frexp(np.max(np.abs(nxt)))[1]), -e)
+                nxt, A, e = nxt * 2.0**-shift, A * 2.0**-shift, e + shift
+            psi = nxt
+            sectors.append(psi * 2.0**e if e else psi)
+    vals = np.concatenate(sectors)
+    nonzero = np.flatnonzero(vals)
+    occ = np.concatenate([t.occ for t in tables], dtype=dtype)[nonzero]
+    return _pack(occ, e_k), occ, vals[nonzero]
 
 
 def _expand(U, top, rows, scales, seed=None):
@@ -514,7 +615,10 @@ def _expand(U, top, rows, scales, seed=None):
     ``rows`` holds the photon numbers ``n_r`` and ``w_j+ = Σ_k U[j, k] a_k+``.
     The seed is the vacuum, or for ``seed = (alpha, lam)`` (a product input:
     one row of scale 1) the :func:`_gaussian_sectors` up to degree
-    ``top - Σ_j n_rj``.  A creation
+    ``top - Σ_j n_rj``.  Those carry at least ``1 - 1e-20`` of the input's
+    weight and a passive network keeps it, so only rounding in the
+    recurrence can move their norm²: further than ``2e-10`` from 1 raises
+    :class:`~maskmodes.errors.PrecisionLoss`.  A creation
     step by ``w_j+ / sqrt(i)`` (the i-th photon of mode j) adds the packed
     ``e_k`` to every row, weights it by ``U[j, k] sqrt(n_k + 1) / sqrt(i)``
     and merges equal rows; degrees never fall, so every sector up to ``top``
@@ -531,6 +635,11 @@ def _expand(U, top, rows, scales, seed=None):
             vals = np.full(1, scale, dtype=complex)
         else:
             words, occ, vals = _gaussian_sectors(U, *seed, top - int(row.sum()), e_k, dtype)
+            norm_sq = float(np.vdot(vals, vals).real)
+            if not abs(norm_sq - 1.0) <= _SEED_NORM_TOL:
+                raise PrecisionLoss(
+                    "the Hermite recurrence lost the Gaussian input's precision: its amplitudes "
+                    f"have norm² {norm_sq!r}, not 1 within {_SEED_NORM_TOL}")
         for j in np.flatnonzero(row):
             ks = np.flatnonzero(U[j])
             for i in range(1, int(row[j]) + 1):

@@ -21,7 +21,7 @@ from maskmodes.diffraction import (
 )
 from maskmodes.fock import MultimodeFockState
 from maskmodes.modes import Grid2D
-from util import state_document
+from util import haar_unitary, state_document
 
 
 @pytest.fixture
@@ -309,6 +309,19 @@ def test_numerical_failure_exits_1(runner, tmp_path, grating):
         assert result.exit_code == 1, (state, result.output)
         assert message in result.output, (state, result.output)
         assert _exited_cleanly(result) and "Traceback" not in result.output
+
+
+def test_imprecise_gaussian_expansion_exits_1(runner, tmp_path):
+    # strong opposite squeezing through a Haar network: the Hermite recurrence loses precision
+    u = tmp_path / "haar.json"
+    UnitaryMatrix(haar_unitary(np.random.default_rng(5), 2)).save(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _propagate(runner, tmp_path, "sq:1.5,sq:-1.5", u)
+    assert result.exit_code == 1, result.output
+    assert "lost the Gaussian input's precision" in result.output
+    assert _exited_cleanly(result) and "Traceback" not in result.output
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,5 +1,8 @@
+import itertools
 import json
+import sys
 import tracemalloc
+import warnings
 from math import comb, sqrt
 
 import numpy as np
@@ -7,13 +10,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maskmodes import fock
 from maskmodes._jsonio import decode_array, dumps, encode_array
 from maskmodes.diffraction import UnitaryMatrix
-from maskmodes.errors import DimensionMismatch, MalformedDocument, NonPhysical, StateTooLarge
+from maskmodes.errors import (
+    DimensionMismatch,
+    MalformedDocument,
+    NonPhysical,
+    OutOfRange,
+    PrecisionLoss,
+    StateTooLarge,
+)
 from maskmodes.entanglement import Bipartition, entanglement_report
 from maskmodes.fock import (
     DEFAULT_PRUNE,
     MAX_TERMS,
+    SECTOR_TABLE_BYTES,
     Coherent,
     Fock,
     InputStateSpec,
@@ -25,6 +37,11 @@ from maskmodes.fock import (
     parse_descriptor,
     state_fidelity,
     _expand,
+    _gaussian_amplitudes,
+    _gaussian_sectors,
+    _layout,
+    _occupation_type,
+    _pack,
     _total_degree_cap,
     two_mode_closed_form,
 )
@@ -465,6 +482,141 @@ def test_coherent_seed_below_the_float_range_propagates():
     # n photons through the phase pick up exp(0.3j n) on a real, positive amplitude
     n = out.occupations[:, 0].astype(float)
     assert np.allclose(np.angle(out.values * np.exp(-0.3j * n)), 0.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian sectors: sector tables and the precision guard
+
+
+def _sectors(u, alpha, lam, top):
+    return _gaussian_sectors(np.asarray(u, dtype=complex), np.asarray(alpha, dtype=complex),
+                             np.asarray(lam, dtype=float), top, _layout(len(u), top),
+                             _occupation_type(top))
+
+
+@st.composite
+def _permuted_gaussian_inputs(draw):
+    """Up to 4 coherent, squeezed or vacuum modes, a phased permutation and a degree cap."""
+    m = draw(st.integers(1, 4))
+    alpha, lam = np.zeros(m, dtype=complex), np.zeros(m)
+    for j, kind in enumerate(draw(st.lists(st.sampled_from("vcs"), min_size=m, max_size=m))):
+        if kind == "c":
+            alpha[j] = draw(st.floats(0, 1.5)) * np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+        elif kind == "s":
+            lam[j] = draw(st.floats(-0.8, 0.8))
+    perm = draw(st.permutations(range(m)))
+    phases = draw(st.lists(st.floats(0, 2 * np.pi), min_size=m, max_size=m))
+    return alpha, lam, perm, phases, draw(st.integers(0, 12))
+
+
+@settings(max_examples=40)
+@given(case=_permuted_gaussian_inputs())
+@example(case=([0.9, 0.3j, 0.0], [0.0, 0.0, 0.6], [0, 1, 2], [0.0] * 3, 12))  # identity
+def test_sectors_through_a_permutation_are_the_per_mode_product(case):
+    alpha, lam, perm, phases, top = case
+    m = len(alpha)
+    u = np.zeros((m, m), dtype=complex)
+    u[np.arange(m), perm] = np.exp(1j * np.array(phases))  # input j leaves in mode perm[j]
+    words, occ, vals = _sectors(u, alpha, lam, top)
+    assert np.array_equal(words, _pack(occ, _layout(m, top)))
+    got = dict(zip(map(tuple, occ.tolist()), vals))
+    assert len(got) == len(vals) and np.all(vals != 0)
+    amps = [np.pad(_gaussian_amplitudes(a, l), (0, top + 1))[: top + 1] for a, l in zip(alpha, lam)]
+    for n in itertools.product(range(top + 1), repeat=m):
+        if sum(n) <= top:
+            want = np.prod([amps[j][n[perm[j]]] * np.exp(1j * phases[j] * n[perm[j]])
+                            for j in range(m)])
+            assert abs(got.get(n, 0.0) - want) <= 1e-13, n
+
+
+def test_sector_table_cache_hit_matches_a_cold_build(monkeypatch):
+    u = haar_unitary(np.random.default_rng(3), 3)
+    alpha, lam = [0.7 - 0.2j, 0.0, 0.0], [0.0, 0.3, -0.25]
+    monkeypatch.setattr(fock, "_sector_tables_cache", {})
+    cold = _sectors(u, alpha, lam, 24)
+    hit = _sectors(u, alpha, lam, 24)
+    monkeypatch.setattr(fock, "_sector_tables_cache", {})
+    _sectors(u, alpha, lam, 9)
+    grown = _sectors(u, alpha, lam, 24)  # degrees 10..24 built on the cached ones
+    for a, b, c in zip(cold, hit, grown):
+        assert a.dtype == b.dtype == c.dtype and a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_sector_tables_are_read_only_and_within_budget(monkeypatch):
+    monkeypatch.setattr(fock, "_sector_tables_cache", {})
+    _sectors(haar_unitary(np.random.default_rng(4), 3), [0.5, 0, 0], [0, 0.4, 0.2], 30)
+    # coh:60 through a phase runs 4170 one-row sectors
+    apply_unitary(build_input_state(InputStateSpec([Coherent(60)])),
+                  UnitaryMatrix(np.array([[np.exp(0.3j)]])))
+    cache = fock._sector_tables_cache
+    assert sorted(cache) == [1, 3] and len(cache[1]) == 4171
+    total = 0
+    for tables in cache.values():
+        for t in tables:
+            arrays = tuple(t)[:-1]
+            assert not any(a.flags.writeable for a in arrays)
+            total += sum(map(sys.getsizeof, arrays)) + sys.getsizeof(arrays)
+    assert total == sum(tables[-1].cum_bytes for tables in cache.values())
+    assert total <= SECTOR_TABLE_BYTES <= 4 * 2**20
+    with pytest.raises(ValueError, match="read-only"):
+        cache[3][5].down[0, 0] = 0
+
+
+def test_degrees_past_the_budget_are_built_for_the_call_only(monkeypatch):
+    u = haar_unitary(np.random.default_rng(8), 3)
+    alpha, lam = [0.0, 1.1, 0.0], [0.2, 0.0, 0.0]
+    monkeypatch.setattr(fock, "_sector_tables_cache", {})
+    want = _sectors(u, alpha, lam, 25)
+    monkeypatch.setattr(fock, "SECTOR_TABLE_BYTES", fock._sector_tables_cache[3][10].cum_bytes)
+    monkeypatch.setattr(fock, "_sector_tables_cache", {})
+    got = _sectors(u, alpha, lam, 25)
+    assert len(fock._sector_tables_cache[3]) == 11  # degrees 0..10 fit, 11..25 were dropped
+    for a, b in zip(want, got):
+        assert a.tobytes() == b.tobytes()
+    # tables that fit make room by dropping the least recently used mode count
+    _sectors(haar_unitary(np.random.default_rng(9), 2), [0.3, 0.0], [0.0, 0.0], 4)
+    assert list(fock._sector_tables_cache) == [2]
+    # tables that do not fit take only the room left
+    got = _sectors(u, alpha, lam, 25)
+    assert list(fock._sector_tables_cache) == [2, 3]
+    assert 0 < len(fock._sector_tables_cache[3]) < 11
+    assert sum(t[-1].cum_bytes for t in fock._sector_tables_cache.values()) <= fock.SECTOR_TABLE_BYTES
+    for a, b in zip(want, got):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_undisplaced_seed_holds_no_zero_row():
+    # gamma = 0: every odd sector is exactly 0 and is left out
+    words, occ, vals = _sectors(haar_unitary(np.random.default_rng(2), 3), np.zeros(3),
+                                [0.5, -0.3, 0.0], 20)
+    assert np.all(vals != 0)
+    assert np.all(occ.sum(axis=1) % 2 == 0)
+    assert len(vals) == sum(comb(d + 2, 2) for d in range(0, 21, 2))
+
+
+@pytest.mark.parametrize("seed, text", [
+    (5, "sq:1.5,sq:-1.5"),  # raw norm² 1.10: 2.95 bits where the covariance oracle gives 2.41
+    (5, "sq:1.5,sq:1.5"),  # 3.5e3: 4.14 bits against 2.60
+    (6, "sq:1.5,sq:-1.5"),  # 8.3e15
+    (5, "coh:25,sq:-0.7"),  # 2.0e37
+    (5, "coh:20,sq:0.5"),  # 1 + 6.6e-9
+])
+def test_imprecise_gaussian_expansion_raises_precision_loss(seed, text):
+    u = UnitaryMatrix(haar_unitary(np.random.default_rng(seed), 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionLoss, match="norm²"):
+            apply_unitary(build_input_state(InputStateSpec.parse(text)), u)
+
+
+def test_huge_amplitude_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="too large"):
+            MultimodeFockState(2, {(1, 0): 1e200, (0, 1): 1.0})
+        # a large but finite norm still normalizes
+        state = MultimodeFockState(2, {(1, 0): 1e150, (0, 1): 1e150})
+    assert np.allclose(state.values, np.sqrt(0.5))
 
 
 # ---------------------------------------------------------------------------
