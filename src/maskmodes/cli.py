@@ -29,7 +29,7 @@ import click
 import numpy as np
 
 from . import __version__
-from ._jsonio import dumps, reading
+from ._jsonio import reading, text_pieces
 from .agreement import run_agreement_suite
 from .diffraction import (
     CircularAperture,
@@ -77,8 +77,8 @@ def _config_hash(resolved):
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _atomic_write(path, text):
-    """Write ``text`` to a temp file, then rename it onto ``path``."""
+def _atomic_write(path, pieces):
+    """Write the strings ``pieces`` to a temp file, then rename it onto ``path``."""
     base = os.environ.get("MASKMODES_OUTPUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
@@ -88,7 +88,7 @@ def _atomic_write(path, text):
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".maskmodes-")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
         tmp = None
     except OSError as e:
@@ -110,14 +110,14 @@ def _write_artifact(path, result, seed=None):
         "seed": seed,
         "result": result,
     }
-    _atomic_write(path, dumps(doc))
+    _atomic_write(path, text_pieces(doc))
 
 
 def _write_csv(path, header, rows):
     config = _config_hash(click.get_current_context().params)
     lines = [f"# maskmodes {__version__} config={config} seed=None", header]
     lines.extend(rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 # --------------------------------------------------------------------------
@@ -329,12 +329,7 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
         unit = unitarize(coupling, flux_faithful=True)
     _write_artifact(out_file, unit.to_json())
     if csv_file:
-        rows = [
-            f"{i},{j},{float(v.real)!r},{float(v.imag)!r}"
-            for i, row in enumerate(unit.matrix)
-            for j, v in enumerate(row)
-        ]
-        _write_csv(csv_file, "row,col,re,im", rows)
+        _write_csv(csv_file, "row,col,re,im", unit.csv_rows())
     click.echo(f"wrote {out_file} (dim {unit.dim}, unitarity residual {unit.residual:.2e})")
 
 

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import j1
 
-from ._jsonio import decode_array, dumps, encode_array, reading
+from ._jsonio import decode_array, encode_array, reading, text_pieces
 from .errors import (
     AliasingDetected,
     DimensionMismatch,
@@ -340,7 +340,7 @@ class UnitaryMatrix:
             raise DimensionMismatch("a unitary must be square")
         if not np.all(np.isfinite(m)):
             raise UnitarityError("a unitary must have finite entries")
-        residual = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+        residual = _unitarity_residual(m)
         if residual > self.RESIDUAL_TOL:
             raise UnitarityError(
                 f"unitarity residual {residual:.3e} above {self.RESIDUAL_TOL:.1e}"
@@ -350,8 +350,9 @@ class UnitaryMatrix:
         self.residual = residual
         # a unit-magnitude entry is a perfect one-to-one transfer, i.e. a
         # split-off subnetwork: never marked connected
-        self.connected = _is_connected(np.abs(m) > _TOL_COUPLE) and bool(
-            np.max(np.abs(m)) < 1.0
+        magnitude = np.abs(m)
+        self.connected = _is_connected(magnitude > _TOL_COUPLE) and bool(
+            np.max(magnitude) < 1.0
         )
         self.provenance = dict(provenance or {})
 
@@ -402,20 +403,43 @@ class UnitaryMatrix:
 
     def save(self, path):
         with open(path, "w") as fh:
-            fh.write(dumps(self.to_json()))
+            fh.writelines(text_pieces(self.to_json()))
 
     @classmethod
     def load(cls, path):
         with open(path) as fh, reading(path):
             return cls.from_json(json.load(fh))
 
+    def csv_rows(self):
+        """One ``row,col,re,im`` line per entry, row-major, floats as their ``repr``."""
+        return [
+            f"{i},{j},{re!r},{im!r}"
+            for i, (re_row, im_row) in enumerate(zip(self.matrix.real.tolist(),
+                                                     self.matrix.imag.tolist()))
+            for j, (re, im) in enumerate(zip(re_row, im_row))
+        ]
+
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("row,col,re,im\n")
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    v = self.matrix[i, j]
-                    fh.write(f"{i},{j},{float(v.real)!r},{float(v.imag)!r}\n")
+            fh.writelines(f"{line}\n" for line in ["row,col,re,im", *self.csv_rows()])
+
+
+def _unitarity_residual(m):
+    """``||U+ U - I||_F`` of a finite square complex matrix, from real products.
+
+    With ``U = X + iY`` and ``Z = [X; Y]``, ``Re(U+ U) = Z^T Z`` (one
+    symmetric product) and ``Im(U+ U) = X^T Y - (X^T Y)^T``.
+    """
+    n = m.shape[0]
+    z = np.empty((2 * n, n))
+    z[:n] = m.real
+    z[n:] = m.imag
+    re = z.T @ z
+    re.flat[:: n + 1] -= 1.0
+    sq = np.vdot(re, re)
+    xy = z[:n].T @ z[n:]
+    im = np.subtract(xy, xy.T, out=re)  # the real part is summed: its buffer is reused
+    return math.sqrt(sq + np.vdot(im, im))
 
 
 def _is_connected(adj):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from ._jsonio import decode_array, dumps, encode_array, reading
+from ._jsonio import decode_array, encode_array, reading, text_pieces
 from .errors import (
     DimensionMismatch,
     MalformedDocument,
@@ -429,7 +429,7 @@ class MultimodeFockState:
 
     def save(self, path):
         with open(path, "w") as fh:
-            fh.write(dumps(self.to_json()))
+            fh.writelines(text_pieces(self.to_json()))
 
     @classmethod
     def load(cls, path):

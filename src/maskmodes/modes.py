@@ -106,6 +106,13 @@ def centered_ifft2(spectrum, grid):
     return np.fft.fftshift(np.fft.ifft2(shifted), axes=_PLANE) / grid.cell_area
 
 
+def _check_shape(values, grid):
+    if values.shape != (grid.ny, grid.nx):
+        raise GridMismatch(
+            f"values shape {values.shape} does not match grid ({grid.ny}, {grid.nx})"
+        )
+
+
 class SampledField:
     """Complex scalar field sampled on a :class:`Grid2D`.
 
@@ -120,15 +127,22 @@ class SampledField:
 
     def __init__(self, grid, values, k):
         values = np.asarray(values, dtype=complex)
-        if values.shape != (grid.ny, grid.nx):
-            raise GridMismatch(
-                f"values shape {values.shape} does not match grid ({grid.ny}, {grid.nx})"
-            )
+        _check_shape(values, grid)
+        self._adopt(grid, values.copy(), k)
+
+    @classmethod
+    def _of(cls, grid, values, k):
+        """The field over ``values``, a new complex array of the grid's shape, not copied."""
+        field = cls.__new__(cls)
+        field._adopt(grid, values, k)
+        return field
+
+    def _adopt(self, grid, values, k):
         if not k > 0:
             raise ValueError("wavenumber k must be positive")
+        values.setflags(write=False)
         self.grid = grid
-        self.values = values.copy()
-        self.values.setflags(write=False)
+        self.values = values
         self.k = float(k)
 
     def norm_sq(self):
@@ -136,13 +150,6 @@ class SampledField:
 
     def norm(self):
         return float(np.sqrt(self.norm_sq()))
-
-    def normalized(self):
-        n = self.norm()
-        if n == 0:
-            raise OutOfRange("cannot normalize a field whose norm is 0 "
-                             "(identically zero, or its samples underflow when squared)")
-        return SampledField(self.grid, self.values / n, self.k)
 
     def spectrum(self):
         """DC-centered spectrum of the field (see :func:`centered_fft2`)."""
@@ -180,15 +187,6 @@ def apply_mask_to_field(field, mask):
     """
     mv = mask.sample(field.grid, k=field.k)
     return SampledField(field.grid, mv * field.values, field.k)
-
-
-def boundary_energy_fraction(values):
-    """Fraction of total |values|^2 living in the outermost ring of pixels."""
-    total = float(np.sum(np.abs(values) ** 2))
-    if total == 0:
-        return 0.0
-    inner = np.abs(values[1:-1, 1:-1]) ** 2
-    return 1.0 - float(np.sum(inner)) / total
 
 
 # --------------------------------------------------------------------------
@@ -238,19 +236,31 @@ def sample_field(mode_label, basis, grid, k=2 * np.pi):
         i.e. the grid does not contain the mode.
     MaskModesError
         If a sample is not finite (a mode order beyond float64 range).
+    GridMismatch
+        If the sampler's array is not of the grid's shape.
+    OutOfRange
+        If the samples have norm 0 (all zero, or underflowing when squared).
     """
     # a mode order beyond float64 range leaves inf/nan samples: rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        values = basis.raw_values(mode_label, grid)
+        values = np.ascontiguousarray(basis.raw_values(mode_label, grid), dtype=complex)
     if not np.all(np.isfinite(values)):
         raise MaskModesError(f"mode {mode_label!r}: samples are not finite at this order")
-    frac = boundary_energy_fraction(values)
+    _check_shape(values, grid)
+    power = np.abs(values)
+    np.multiply(power, power, out=power)  # |v|^2 once, for the rim fraction and the norm
+    total = float(np.sum(power))
+    # the inner block is copied out so that its sum rounds as a contiguous block's
+    frac = 1.0 - float(np.sum(power[1:-1, 1:-1].copy())) / total if total else 0.0
     if frac > _BOUNDARY_TOL:
         raise GridTooSmall(
             f"mode {mode_label!r}: boundary energy fraction {frac:.3e} above {_BOUNDARY_TOL:.1e}"
         )
-    f = SampledField(grid, values, k)
-    return f.normalized()
+    norm = float(np.sqrt(total * grid.cell_area))
+    if norm == 0:
+        raise OutOfRange("cannot normalize a field whose norm is 0 "
+                         "(identically zero, or its samples underflow when squared)")
+    return SampledField._of(grid, values / norm, k)
 
 
 def _hg_1d(order, coords, waist):

@@ -71,6 +71,18 @@ def test_compile_mask_circular_flux_faithful(runner, tmp_path):
     assert doc["result"]["dim"] >= 25  # lattice plus loss ancillas
 
 
+def test_compile_mask_csv_body_is_the_unitarys_csv(runner, tmp_path):
+    out, csv, plain = tmp_path / "ap.json", tmp_path / "ap.csv", tmp_path / "plain.csv"
+    invoke(runner, "compile-mask", "--mask", "circular", "--radius", "2.0",
+           "--aperture-steps", "3", "--aperture-extent", "0.15",
+           "--out", str(out), "--csv", str(csv))
+    u = UnitaryMatrix.load(out)
+    u.to_csv(plain)
+    comment, body = csv.read_text().split("\n", 1)
+    assert comment.startswith("# maskmodes") and body == plain.read_text()
+    assert len(body.splitlines()) == 1 + u.dim**2
+
+
 def test_propagate_reports_entropy(runner, tmp_path):
     u = tmp_path / "u.json"
     st = tmp_path / "state.json"

@@ -16,6 +16,7 @@ from maskmodes.diffraction import (
     ImpulseResponse,
     UnitaryMatrix,
     _is_connected,
+    _unitarity_residual,
     aperture_output_grid,
     apply_impulse_response,
     complete_to_unitary,
@@ -460,6 +461,41 @@ def test_matrices_refuse_non_finite_entries(bad):
             CouplingMatrix(m / 2, ["a", "b"], ["a", "b"])
     with pytest.raises(ValueError):
         CosineGrating((bad, 0.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.one_of(st.integers(1, 8), st.integers(9, 300)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 3e-11]))
+def test_unitarity_residual_matches_the_complex_gram(dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    m = haar_unitary(rng, dim)
+    m = m + scale * (rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape))
+    reference = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
+    residual = _unitarity_residual(m)
+    assert abs(residual - reference) <= 1e-15 * dim
+    if residual > UnitaryMatrix.RESIDUAL_TOL:
+        with pytest.raises(UnitarityError):
+            UnitaryMatrix(m)
+    else:
+        assert UnitaryMatrix(m).residual == residual
+
+
+@pytest.mark.parametrize("dim", [1, 7, 300])
+def test_a_unitary_just_past_the_residual_tolerance_is_refused(dim):
+    u = haar_unitary(np.random.default_rng(dim), dim)
+    # scaling one column by 1 + t puts (1 + t)^2 - 1 ~ 2t on one diagonal entry of U+ U
+    for t, refused in ((0.49e-10, False), (0.51e-10, True)):
+        m = u.copy()
+        m[:, 0] *= 1.0 + t
+        if refused:
+            with pytest.raises(UnitarityError, match="unitarity residual 1.0"):
+                UnitaryMatrix(m)
+        else:
+            assert 0.97e-10 < UnitaryMatrix(m).residual <= 1e-10
+        # a non-finite entry is refused before any residual is taken
+        m[-1, -1] = np.nan
+        with pytest.raises(UnitarityError, match="finite entries"):
+            UnitaryMatrix(m)
 
 
 def test_connectivity_flag():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskmodes._jsonio import decode_array, dumps, encode_array
+from maskmodes._jsonio import decode_array, dumps, encode_array, text_pieces
 from maskmodes.diffraction import CouplingMatrix, ImpulseResponse, UnitaryMatrix, mask_from_json
 from maskmodes.errors import MalformedDocument
 from maskmodes.fock import MultimodeFockState
@@ -121,3 +121,52 @@ def test_load_names_a_file_that_is_not_json(tmp_path):
     for reader in (UnitaryMatrix.load, MultimodeFockState.load):
         with pytest.raises(MalformedDocument, match=f"{path}: not JSON"):
             reader(path)
+
+
+# strings the splice could mistake for its stub: the stubs themselves, a stub after a quote,
+# and text that needs escaping
+_AWKWARD = ["\0", "\0\0", "\0\0\0", '"\0', 'x"\0\0', "\\", '"', "\n\t\x1f", "é", "日本", "\ud800",
+            "\U0001f600", ""]
+_payloads = st.builds(lambda n: encode_array(np.arange(n) * (1 + 0.5j)), st.integers(0, 5))
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.sampled_from(_AWKWARD), st.text(max_size=6), _payloads)
+_keys = st.one_of(st.sampled_from(_AWKWARD), st.text(max_size=4))
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_keys, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(doc=_documents)
+def test_dumps_is_json_dumps_with_sorted_keys_and_one_space_indent(doc):
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    encode_array(np.zeros(0)),
+    {"payload": encode_array(np.ones(3)), "\0": "\0", "list": ["\0", encode_array(np.ones(1))]},
+    [encode_array(np.ones(2)), '"\0', {"a": ['"\0\0', "\0\0", encode_array(np.zeros(1))]}],
+    ("\0", encode_array(np.ones(1))),
+])
+def test_dumps_splices_around_strings_equal_to_its_stub(doc):
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert json.loads(dumps(doc)) == json.loads(json.dumps(doc))
+
+
+def test_payloads_are_plain_base64_text():
+    text = encode_array(np.array([1 + 2j]))
+    assert isinstance(text, str) and text == "AAAAAAAA8D8AAAAAAAAAQA=="
+    assert json.dumps(text) == f'"{text}"'
+
+
+def test_writer_documents_hand_their_payloads_to_the_file_uncopied():
+    state, unit = MultimodeFockState.from_occupation([1, 0]), UnitaryMatrix.su2(0.7)
+    doc = {"result": {"state": state.to_json(), "unitary": unit.to_json()}, "seed": None}
+    pieces = text_pieces(doc)
+    for payload in (doc["result"]["state"]["occupations_b64"], doc["result"]["state"]["values_b64"],
+                    doc["result"]["unitary"]["matrix_b64"]):
+        assert any(piece is payload for piece in pieces)
+    assert "".join(pieces) == dumps(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"

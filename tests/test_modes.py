@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from maskmodes.diffraction import CosineGrating, CustomSampled, Pinhole
-from maskmodes.errors import EmptyGrid, GridMismatch, GridTooSmall, UnknownLabel
+from maskmodes.errors import (
+    EmptyGrid,
+    GridMismatch,
+    GridTooSmall,
+    MaskModesError,
+    OutOfRange,
+    UnknownLabel,
+)
 from maskmodes.modes import (
     Grid2D,
+    ModeBasis,
     PlaneWaveGrid,
     SampledField,
+    _basis_samples,
     apply_mask_to_field,
-    boundary_energy_fraction,
     centered_fft2,
     centered_ifft2,
     field_overlap,
@@ -16,7 +24,15 @@ from maskmodes.modes import (
     laguerre_gaussian_basis,
     sample_field,
 )
-from util import gram_matrix, load_field, save_field, spectrum_norm_sq
+from util import (
+    basis_samples_reference,
+    boundary_energy_fraction,
+    gram_matrix,
+    load_field,
+    sample_field_reference,
+    save_field,
+    spectrum_norm_sq,
+)
 
 GRID = Grid2D(256, 256, 14.0 / 256, 14.0 / 256)
 HG = hermite_gaussian_basis(2, waist=1.0)
@@ -168,6 +184,72 @@ def test_sample_field_grid_too_small():
     tiny = Grid2D(32, 32, 0.05, 0.05)  # extent 1.6 around a waist-1 mode
     with pytest.raises(GridTooSmall):
         sample_field((0, 0), HG, tiny)
+
+
+LG = laguerre_gaussian_basis([(p, l) for p in range(3) for l in range(-2, 3)], waist=1.0)
+
+
+def _speckle(label, grid):
+    """Seeded complex noise under a Gaussian envelope: real and imaginary parts both matter."""
+    rng = np.random.default_rng(label)
+    x, y = np.meshgrid(grid.x_axis(), grid.y_axis())
+    noise = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+    return noise * np.exp(-(x**2 + y**2) / 2.0)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("basis", [hermite_gaussian_basis(4, waist=1.0), LG,
+                                   ModeBasis(range(4), _speckle)], ids=["hg4", "lg", "speckle"])
+def test_sampled_modes_are_bit_identical_to_the_reference(n, basis):
+    grid = Grid2D(n, n, 14.0 / n, 14.0 / n)
+    k = 3.7
+    for label in basis.labels:
+        got, ref = sample_field(label, basis, grid, k=k), sample_field_reference(label, basis, grid, k=k)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert (got.grid, got.k) == (ref.grid, ref.k) and not got.values.flags.writeable
+    stack = _basis_samples(basis, grid, k)
+    assert stack.shape == (basis.count, n * n)
+    assert stack.tobytes() == basis_samples_reference(basis, grid, k).tobytes()
+
+
+def _raised(call):
+    with pytest.raises(MaskModesError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _gaussian_on_the_default_grid(label, grid):
+    return np.exp(-np.add.outer(GRID.y_axis() ** 2, GRID.x_axis() ** 2))
+
+
+@pytest.mark.parametrize("basis, label, grid, expected", [
+    (HG, (0, 0), Grid2D(32, 32, 0.05, 0.05), GridTooSmall),  # energy on the rim
+    (hermite_gaussian_basis(400, waist=1.0), (400, 0), GRID, MaskModesError),  # not finite
+    (ModeBasis(["zero"], lambda label, grid: np.zeros((grid.ny, grid.nx))), "zero", GRID,
+     OutOfRange),
+    (ModeBasis(["tiny"], lambda label, grid: np.full((grid.ny, grid.nx), 1e-170)), "tiny", GRID,
+     OutOfRange),  # underflows when squared
+    (ModeBasis(["shape"], _gaussian_on_the_default_grid), "shape", Grid2D(64, 64, 0.25, 0.25),
+     GridMismatch),
+], ids=["rim", "order", "zero", "underflow", "shape"])
+def test_sampling_errors_keep_their_type_and_message(basis, label, grid, expected):
+    got = _raised(lambda: sample_field(label, basis, grid))
+    assert got == _raised(lambda: sample_field_reference(label, basis, grid))
+    assert got[0] is expected
+
+
+def test_a_flat_sampler_is_a_grid_mismatch():
+    flat = ModeBasis(["flat"], lambda label, grid: np.ones(grid.nx * grid.ny))
+    with pytest.raises(GridMismatch, match=r"values shape \(65536,\)"):
+        sample_field("flat", flat, GRID)
+
+
+def test_sampling_leaves_the_samplers_array_untouched():
+    values = np.exp(-np.add.outer(GRID.y_axis() ** 2, GRID.x_axis() ** 2)).astype(complex)
+    before = values.copy()
+    f = sample_field("own", ModeBasis(["own"], lambda label, grid: values), GRID)
+    assert values.flags.writeable and values.tobytes() == before.tobytes()
+    assert f.values is not values and abs(f.norm() - 1.0) < 1e-12
 
 
 def test_boundary_energy_fraction_concentrated_center():

@@ -18,6 +18,7 @@ from maskmodes.diffraction import (
 )
 from maskmodes.entanglement import _basis, _codes, _dense
 from maskmodes.fock import row_codes
+from maskmodes.errors import GridTooSmall, MaskModesError, OutOfRange
 from maskmodes.modes import (
     Grid2D,
     SampledField,
@@ -240,6 +241,43 @@ def gaussian_mode_entropy(cov, k):
 def spectrum_norm_sq(spectrum, grid):
     """Squared norm of a DC-centered spectrum, matching the field norm (Parseval)."""
     return float(np.sum(np.abs(spectrum) ** 2)) / (grid.nx * grid.ny * grid.cell_area)
+
+
+def boundary_energy_fraction(values):
+    """Fraction of total |values|^2 living in the outermost ring of pixels."""
+    total = float(np.sum(np.abs(values) ** 2))
+    if total == 0:
+        return 0.0
+    inner = np.abs(values[1:-1, 1:-1]) ** 2
+    return 1.0 - float(np.sum(inner)) / total
+
+
+def sample_field_reference(mode_label, basis, grid, k=2 * np.pi):
+    """One basis mode as a unit-norm field, one array pass per step.
+
+    Reference for the one-pass ``modes.sample_field``: the rim fraction and
+    the norm each take their own ``|v|^2``, and the samples are copied into
+    one field, then divided into a second.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = basis.raw_values(mode_label, grid)
+    if not np.all(np.isfinite(values)):
+        raise MaskModesError(f"mode {mode_label!r}: samples are not finite at this order")
+    frac = boundary_energy_fraction(values)
+    if frac > 1e-10:
+        raise GridTooSmall(f"mode {mode_label!r}: boundary energy fraction {frac:.3e} above 1.0e-10")
+    field = SampledField(grid, values, k)
+    norm = float(np.sqrt(float(np.sum(np.abs(field.values) ** 2)) * grid.cell_area))
+    if norm == 0:
+        raise OutOfRange("cannot normalize a field whose norm is 0 "
+                         "(identically zero, or its samples underflow when squared)")
+    return SampledField(grid, field.values / norm, k)
+
+
+def basis_samples_reference(basis, grid, k=2 * np.pi):
+    """Every mode of a basis through :func:`sample_field_reference`, one flattened mode per row."""
+    return np.array([sample_field_reference(label, basis, grid, k).values.ravel()
+                     for label in basis.labels])
 
 
 def gram_matrix(basis, grid, k=2 * np.pi):
