@@ -13,13 +13,15 @@ mask spectrum.  Compiled matrices come in two orientations:
 
 :func:`unitarize` bridges the two, transposing its unitary projection into
 the operator orientation.
+
+``scipy.special`` is imported inside :func:`jinc`, its one user, so importing
+this module does not load it.
 """
 
 import json
 import math
 
 import numpy as np
-from scipy.special import j1
 
 from ._jsonio import decode_array, encode_array, reading, text_pieces
 from .errors import (
@@ -67,6 +69,8 @@ _TOL_COUPLE = 1e-12
 
 def jinc(x):
     """``J1(x)/x`` with the exact limit value 1/2 at x = 0."""
+    from scipy.special import j1
+
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = np.abs(x) < 1e-6

@@ -6,6 +6,9 @@ sandwich so that the discrete Fourier transform of samples at
 ``x_n = (n - N/2) dx`` is evaluated exactly at angular spatial frequencies
 ``f_k = 2*pi*(k - N/2)/(N dx)`` with the sign convention
 ``sum E(x) exp(-i x f) dx dy``.
+
+``scipy.special`` is imported inside the mode samplers that use it, so
+importing this module does not load it.
 """
 
 import math
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_hermite, gammaln
 
 from .errors import (
     EmptyGrid,
@@ -264,6 +266,8 @@ def sample_field(mode_label, basis, grid, k=2 * np.pi):
 
 
 def _hg_1d(order, coords, waist):
+    from scipy.special import eval_hermite, gammaln
+
     if not math.isfinite(waist * waist):
         raise OutOfRange(f"waist {waist!r}: its square overflows")
     xi = np.sqrt(2.0) * coords / waist
@@ -299,6 +303,8 @@ def laguerre_gaussian_basis(labels, waist):
     """Laguerre-Gaussian modes addressed by ``(p, l)`` (radial, azimuthal)."""
 
     def sampler(label, grid):
+        from scipy.special import eval_genlaguerre, gammaln
+
         p, l = label
         X, Y = grid.meshgrid()
         r2 = (X**2 + Y**2) / waist**2

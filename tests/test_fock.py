@@ -398,6 +398,16 @@ def test_closed_form_domain_checks():
         two_mode_closed_form(1, 0, 4.0, 0.0)
 
 
+def test_closed_form_raises_past_its_rounding_bound():
+    # at |n,n> and theta = pi/2 the odd-na amplitudes vanish exactly; the
+    # cancelling sum leaves ~7e-13 of them at n = 15 (bound 1.7e-11) and
+    # ~5e-10 at n = 20 (bound 6.1e-10), past the 1e-10 accuracy
+    out = two_mode_closed_form(15, 15, np.pi / 2, 0.0)
+    assert max(abs(out.amplitude((na, 30 - na))) for na in range(1, 30, 2)) <= 1e-10
+    with pytest.raises(PrecisionLoss, match="rounding bound"):
+        two_mode_closed_form(20, 20, np.pi / 2, 0.0)
+
+
 # --------------------------------------------------------------------------
 # Fidelity and serialization
 
