@@ -26,7 +26,6 @@ from .entanglement import (
     EntanglementReport,
     entanglement_report,
     full_separability_scan,
-    reduced_density,
 )
 from .fock import (
     Coherent,

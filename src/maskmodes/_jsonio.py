@@ -8,10 +8,10 @@ sampled masks, impulse-response kernels, the occupations and amplitudes of
 states) go into documents as one base64 string of their little-endian,
 row-major bytes, ``complex128`` unless a reader and its writer name another
 type: :func:`encode_array` and :func:`decode_array`.  The round trip is
-bit-exact.  Base64 text never needs JSON escaping, so :func:`text_pieces`
-writes a stub in place of each payload that :func:`encode_array` made and
-splices the text back in, instead of sending megabytes through json's
-escaping scan.
+bit-exact.  The text is written by a direct emitter, not json's
+pure-Python indenting encoder, and each payload that :func:`encode_array`
+made is spliced in as it is: base64 text never needs JSON escaping, so
+megabytes never go through json's escaping scan.
 
 :func:`reading` turns every way a document can fail to be read into one
 typed :class:`~maskmodes.errors.MalformedDocument`.
@@ -36,52 +36,159 @@ class _Payload(str):
     __slots__ = ()
 
 
-def _stubbed(doc, stub, payloads):
-    """A copy of the dictionary ``doc`` with each :class:`_Payload` value replaced by ``stub``.
+class _LeftToJson(Exception):
+    """A document :func:`_emit` does not write: json writes it, or raises its own error."""
 
-    Values that are dictionaries are walked in turn; the payloads are
-    appended to ``payloads``.  Keys are walked in sorted order, the order
-    ``sort_keys`` writes them in, so ``payloads`` lists the payloads as the
-    text holds them.  Every writer puts its payloads at dictionary values,
-    so lists are not walked: a payload in a list is written as any other
-    string is, escaping scan included.
+
+_encode_str = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+_float_repr = float.__repr__
+
+
+def _float_text(x):
+    """A float as json writes it: its repr, or ``NaN``, ``Infinity``, ``-Infinity``."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return _float_repr(x)
+
+
+#: The text of a value of exactly these types; subclasses take the general path.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: _int_text,
+    float: _float_text,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _flat_text(values, level):
+    """The text of a nonempty list of only ints or only floats at ``level``, else ``None``."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    inner = "\n" + " " * (level + 1)
+    if kind is float:
+        text = ("," + inner).join(map(_float_repr, values))
+        if "n" in text:  # nan or inf: no finite repr holds an "n"
+            text = ("," + inner).join(map(_float_text, values))
+    elif kind is int:
+        text = ("," + inner).join(map(_int_text, values))
+    else:
+        return None
+    return "[" + inner + text + inner[:-1] + "]"
+
+
+def _write(o, level, buf, pieces):
+    """Append the text of ``o`` at nesting ``level`` to ``buf``.
+
+    A payload ends the text in ``buf``: that is joined onto ``pieces``, then
+    the payload itself.  Raises :class:`_LeftToJson` for what :func:`_emit`
+    leaves to json.
     """
-    out = {}
-    for key, value in sorted(doc.items()):
-        if isinstance(value, _Payload):
-            payloads.append(value)
-            value = stub
-        elif isinstance(value, dict):
-            value = _stubbed(value, stub, payloads)
-        out[key] = value
-    return out
+    out = buf.append
+    text = _SCALAR_TEXT.get(type(o))
+    if text is not None:
+        out(text(o))
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        try:
+            items = sorted(o.items())
+        except TypeError:  # keys of several types
+            raise _LeftToJson from None
+        inner = "\n" + " " * (level + 1)
+        out("{")
+        sep = inner
+        for key, value in items:
+            if not isinstance(key, str):
+                raise _LeftToJson
+            head = sep + _encode_str(key) + ": "
+            sep = "," + inner
+            text = _SCALAR_TEXT.get(type(value))
+            if text is not None:
+                out(head + text(value))
+            elif type(value) is list and value and (flat := _flat_text(value, level + 1)):
+                out(head + flat)
+            else:
+                out(head)
+                _write(value, level + 1, buf, pieces)
+        out("\n" + " " * level + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        text = _flat_text(o, level)
+        if text is not None:
+            out(text)
+            return
+        inner = "\n" + " " * (level + 1)
+        out("[")
+        sep = inner
+        for value in o:
+            out(sep)
+            sep = "," + inner
+            _write(value, level + 1, buf, pieces)
+        out("\n" + " " * level + "]")
+    elif isinstance(o, _Payload):
+        out('"')
+        pieces.append("".join(buf))
+        buf.clear()
+        pieces.append(o)
+        out('"')
+    elif isinstance(o, str):
+        out(_encode_str(o))
+    elif isinstance(o, int):  # bool is an exact type above
+        out(_int_text(o))
+    elif isinstance(o, float):
+        out(_float_text(o))
+    else:
+        raise _LeftToJson
+
+
+def _emit(doc):
+    """The text of ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"`` as a list of strings.
+
+    Each :class:`_Payload` is one string of the list, between the pieces
+    that hold its quotes; the text between payloads is joined.  Dictionaries
+    with str keys, lists, tuples, strings, ints, floats, booleans and
+    ``None`` are written as json's own encoder writes them (strings through
+    its C escaper); a list of only ints or only floats is joined by one
+    ``str.join``.  Any other key or value raises :class:`_LeftToJson`; a
+    container inside itself recurses to ``RecursionError``.  The writer is a
+    plain recursive function, not a closure over the pieces: a recursive
+    closure is a reference cycle, which would keep every payload alive until
+    the garbage collector ran.
+    """
+    pieces, buf = [], []
+    _write(doc, 0, buf, pieces)
+    buf.append("\n")
+    pieces.append("".join(buf))
+    return pieces
 
 
 def text_pieces(doc):
     """The text of a document as a list of strings, each payload one of them.
 
-    The text is ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``.  Each
-    payload is written as a stub string and spliced back in, in the order
-    the stubs appear.  The quoted stub can occur in the text only as a
-    string that equals it or ends in a quote and it, so a count of one
-    match per payload proves no other string does; otherwise the stub
-    grows and the document is written again.  A file takes the pieces one
-    by one (``fh.writelines``), so no joined copy of a payload is made.
+    The text is ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``.  It
+    is written by :func:`_emit` without json's pure-Python encoder (the one
+    json runs for any indentation), each payload spliced in as it is: base64
+    text never needs escaping.  A document :func:`_emit` does not write (a
+    key that is not a str, a value of another type, a cycle or nesting past
+    the recursion limit) goes to ``json.dumps`` whole, so json raises its
+    own errors.  A file takes the pieces one by one (``fh.writelines``), so
+    no joined copy of a payload is made.
     """
-    stub = "\0"
-    while True:
-        payloads = []
-        stubbed = _stubbed(doc, stub, payloads) if isinstance(doc, dict) else doc
-        text = json.dumps(stubbed, sort_keys=True, indent=1)
-        parts = text.split(json.dumps(stub)) if payloads else [text]
-        if len(parts) == len(payloads) + 1:
-            break
-        stub += "\0"
-    pieces = [parts[0]]
-    for payload, part in zip(payloads, parts[1:]):
-        pieces += ['"', payload, '"', part]
-    pieces.append("\n")
-    return pieces
+    try:
+        return _emit(doc)
+    except (_LeftToJson, RecursionError):
+        return [json.dumps(doc, sort_keys=True, indent=1), "\n"]
 
 
 def dumps(doc):

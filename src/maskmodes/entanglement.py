@@ -16,9 +16,10 @@ A scan and a single report share one core that takes a chunk of cuts at
 once (the report is the one-cut chunk).  Integer products of the
 occupations with every cut's mask, one per int64 key word over that word's
 modes, give each term's packed (block label, occupations) keys, and one
-more its subset photon count; the block labels come from one stacked
-closure of the count link matrices (counts that outnumber the terms are
-ranked first); one sort per row ranks the keys; and every block of the
+more its subset photon count; at one photon number the counts are the
+block labels, and otherwise one stacked closure of the count link
+matrices gives them (counts that outnumber the terms are ranked first);
+one sort per row ranks the keys; and every block of the
 chunk is scattered into one zero-filled stack per block shape for one
 ``np.linalg.svd`` call.
 The gufunc makes the same LAPACK call per matrix as a lone SVD, so spectra
@@ -26,12 +27,14 @@ are bit-identical to one SVD per block.  Chunks are capped by
 ``_CHUNK_ENTRIES`` (terms plus link-matrix entries, per cut, times cuts).
 """
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import EmptyPartition, TooManyModes
-from .fock import _layout, _pack, row_codes
+from .fock import _layout, _pack
 
 #: Entropy threshold (bits) for verdicts on truncated coherent/squeezed
 #: inputs; exact Fock inputs support the tighter 1e-9.
@@ -40,7 +43,6 @@ DEFAULT_TOL_EXACT = 1e-9
 
 _EIG_FLOOR = 1e-18
 _MAX_SCAN_MODES = 12
-_MAX_DENSITY_DIM = 4096
 _CHUNK_ENTRIES = 1 << 14  # per-cut entries x cuts handled at once by a scan
 
 
@@ -52,22 +54,48 @@ class Bipartition:
     mode_count: int
 
     def __post_init__(self):
-        s = tuple(sorted(set(int(i) for i in self.subset)))
+        n = _index(self.mode_count, "mode count")
+        try:
+            entries = tuple(self.subset)
+        except TypeError:
+            raise EmptyPartition(f"bipartition subset {self.subset!r} is not a sequence") from None
+        s = tuple(sorted({_index(i, "subset entry") for i in entries}))
         object.__setattr__(self, "subset", s)
+        object.__setattr__(self, "mode_count", n)
         if not s:
             raise EmptyPartition("bipartition subset is empty")
-        if any(i < 0 or i >= self.mode_count for i in s):
+        if s[0] < 0 or s[-1] >= n:
             raise EmptyPartition("subset indices outside the mode range")
-        if len(s) >= self.mode_count:
+        if len(s) >= n:
             raise EmptyPartition("subset must be a proper subset of the modes")
+
+    @classmethod
+    def _trusted(cls, subset, mode_count):
+        """The bipartition of a sorted, proper ``subset`` tuple of ints, not checked again."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "subset", subset)
+        object.__setattr__(part, "mode_count", mode_count)
+        return part
 
     @property
     def complement(self):
-        return tuple(i for i in range(self.mode_count) if i not in self.subset)
+        inside = set(self.subset)
+        return tuple(i for i in range(self.mode_count) if i not in inside)
 
     def mask(self):
         """0/1 membership list, subset marked 1."""
-        return [1 if i in self.subset else 0 for i in range(self.mode_count)]
+        mask = [0] * self.mode_count
+        for i in self.subset:
+            mask[i] = 1
+        return mask
+
+
+def _index(value, what):
+    """``value`` as a Python int, or :class:`EmptyPartition` naming it when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise EmptyPartition(f"bipartition {what} {value!r} is not an integer") from None
 
 
 @dataclass
@@ -88,39 +116,6 @@ class EntanglementReport:
             "separable": bool(self.separable),
             "tolerance": self.tolerance,
         }
-
-
-def _codes(state, modes):
-    """Lexicographic rank per term of its occupations on ``modes``, and a state
-    row per rank."""
-    return row_codes(state.occupations[:, list(modes)])
-
-
-def _dense(state, a_code, b_code):
-    """The whole amplitude matrix, given each term's row and column rank."""
-    m = np.zeros((a_code.max() + 1, b_code.max() + 1), dtype=complex)
-    m[a_code, b_code] = state.values
-    return m
-
-
-def _basis(state, rows, modes):
-    return [tuple(r) for r in state.occupations[np.ix_(rows, modes)].tolist()]
-
-
-def reduced_density(state, part):
-    """Reduced density matrix of the subset, with its occupation-tuple basis.
-
-    Positive semidefinite with unit trace (up to float error); the basis is
-    restricted to tuples present in the state's support.
-    """
-    a_code, a_rows = _codes(state, part.subset)
-    if len(a_rows) > _MAX_DENSITY_DIM:
-        raise TooManyModes(
-            f"subset basis has {len(a_rows)} tuples; reduced density capped at "
-            f"{_MAX_DENSITY_DIM} (use entanglement_report instead)"
-        )
-    m = _dense(state, a_code, _codes(state, part.complement)[0])
-    return m @ m.conj().T, _basis(state, a_rows, part.subset)
 
 
 def _dense_ranks(x):
@@ -151,6 +146,23 @@ def _count_blocks(k, j):
     while (closed := np.minimum(link @ link, 1.0)).sum() > link.sum():
         link = closed
     return link.argmax(axis=2).ravel()[row]
+
+
+def _block_labels(k, total):
+    """Per cut and term, its block's label, given the subset photon counts ``k``
+    (cuts x terms) and the terms' photon numbers ``total``.
+
+    At one photon number N a count k links only to N - k, so each k is its
+    own block and labels itself; otherwise :func:`_count_blocks` closes the
+    links.  When the counts may outnumber the terms they are ranked first,
+    which bounds the link matrices by the terms."""
+    ranked = int(total.max()) >= k.shape[1]
+    if total.min() == total.max():
+        return _dense_ranks(k) if ranked else k
+    j = total - k
+    if ranked:
+        k, j = _dense_ranks(k), _dense_ranks(j)
+    return _count_blocks(k, j)
 
 
 def _ranks(keys, lead, labels):
@@ -187,11 +199,7 @@ def _chunk_spectra(occ, total, values, masks):
     digits = _layout(occ.shape[1] + 1, top)
     subset = _pack(occ, digits[1:], masks)
     keys = np.concatenate([subset, _pack(occ, digits[1:]) - subset])  # then complements
-    k = masks @ occ.T  # subset photon counts
-    j = total - k
-    if top >= len(occ):  # counts may outnumber the terms: bound the link matrices by terms
-        k, j = _dense_ranks(k), _dense_ranks(j)
-    label = _count_blocks(k, j)
+    label = _block_labels(masks @ occ.T, total)
     labels = int(label.max()) + 1
     keys += np.concatenate([label, label])[:, :, None] * digits[0]
     rank, size = _ranks(keys, digits[0, 0], labels)
@@ -223,9 +231,11 @@ def _chunk_spectra(occ, total, values, masks):
     return -np.sort(-s, axis=1), width
 
 
-def _reports(state, parts, tol):
-    """One :class:`EntanglementReport` per bipartition, chunk by chunk of cuts."""
-    masks = np.array([part.mask() for part in parts], dtype=np.int64)
+def _reports(state, parts, tol, masks=None):
+    """One :class:`EntanglementReport` per bipartition, chunk by chunk of cuts;
+    ``masks`` holds the parts' masks as int64 rows when the caller has them."""
+    if masks is None:
+        masks = np.array([part.mask() for part in parts], dtype=np.int64)
     occ = state.occupations.astype(np.int64)
     total = occ.sum(axis=1)
     # per cut: a rank per term and side, and a (k, j) link matrix of the counts
@@ -263,17 +273,25 @@ def entanglement_report(state, part, tol=DEFAULT_TOL_TRUNCATED):
     return _reports(state, [part], tol)[0]
 
 
-def all_bipartitions(mode_count):
-    """Every distinct bipartition, canonicalized to subsets containing mode 0."""
+def _bipartitions(mode_count):
+    """:func:`all_bipartitions` and their masks, one int64 row per cut.
+
+    Cut b holds mode 0 and mode i + 1 where bit i of b is set, for b below
+    ``2^(M-1) - 1`` (all bits set would leave no complement)."""
     if mode_count > _MAX_SCAN_MODES:
         raise TooManyModes(f"bipartition scan supports at most {_MAX_SCAN_MODES} modes")
-    parts = []
-    others = list(range(1, mode_count))
-    for bits in range(2 ** (mode_count - 1)):
-        subset = (0,) + tuple(others[i] for i in range(mode_count - 1) if bits >> i & 1)
-        if len(subset) < mode_count:
-            parts.append(Bipartition(subset, mode_count))
-    return parts
+    others = max(mode_count - 1, 0)
+    masks = np.ones((2**others - 1, mode_count), dtype=np.int64)
+    masks[:, 1:] = np.arange(len(masks))[:, None] >> np.arange(others) & 1
+    modes = range(mode_count)
+    parts = [Bipartition._trusted(tuple(compress(modes, row)), mode_count)
+             for row in masks.tolist()]
+    return parts, masks
+
+
+def all_bipartitions(mode_count):
+    """Every distinct bipartition, canonicalized to subsets containing mode 0."""
+    return _bipartitions(mode_count)[0]
 
 
 def full_separability_scan(state, tol=DEFAULT_TOL_TRUNCATED):
@@ -281,8 +299,8 @@ def full_separability_scan(state, tol=DEFAULT_TOL_TRUNCATED):
 
     The state is fully separable iff every report's verdict is separable.
     """
-    parts = all_bipartitions(state.mode_count)
-    return list(zip(parts, _reports(state, parts, tol)))
+    parts, masks = _bipartitions(state.mode_count)
+    return list(zip(parts, _reports(state, parts, tol, masks)))
 
 
 def fully_separable(scan):

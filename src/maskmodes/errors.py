@@ -71,8 +71,9 @@ class DimensionMismatch(MaskModesError):
 
 
 class EmptyPartition(MaskModesError):
-    """An output subset that is empty or names a mode the network lacks, or
-    a bipartition whose subset covers every mode."""
+    """An output subset that is empty or names a mode the network lacks, a
+    bipartition whose subset covers every mode, or one whose subset entries
+    or mode count are not integers."""
 
 
 class TooManyModes(MaskModesError):

@@ -586,9 +586,14 @@ def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
     seed ``C`` below the smallest normal float (``|alpha|² > 1416``) starts
     as a mantissa times ``2**e``, ``e < 0``, and each sector is rescaled by
     an exact power of two, its largest mantissa in [1/2, 1), until ``e``
-    reaches 0; nothing underflows on the way.  Returns packed rows,
-    occupations (of ``dtype``) and amplitudes of the rows that are not
-    exactly 0 (every odd sector when ``γ = 0``), sector after sector.
+    reaches 0; nothing underflows on the way.
+
+    With no displacement (``γ = 0``) every odd sector is exactly 0, so
+    degree d + 2 is made from degree d: ``A`` of degree d + 1 from its
+    table's ``down`` and ``sqrt_n``, then the new sector through the ``pk``
+    and ``rk`` of degree d + 2.  The only term left out is ``γ_k ψ_{n-e_k}``,
+    a signed zero.  Returns packed rows, occupations (of ``dtype``) and
+    amplitudes of the rows that are not exactly 0, sector after sector.
     """
     n_modes = len(U)
     B = bargmann_exponent(U, lam)
@@ -599,11 +604,19 @@ def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
     psi = np.full(1, np.exp(log_seed - e * np.log(2.0)), dtype=complex)
     A = np.zeros((1, n_modes), dtype=complex)  # held on the same scale 2**e as psi
     sectors = [psi * 2.0**e]
+    displaced = gamma.any()
+    step = 1 if displaced else 2
     with np.errstate(over="ignore", invalid="ignore"):  # _expand refuses a runaway recurrence
-        for t in tables[1:]:
-            low = np.concatenate((psi, _ZERO)).take(t.down)  # ψ_{n-e_l}
-            nxt = (gamma.take(t.k) * low.take(t.rk) + (A @ B).take(t.pk)) / t.sqrt_n.take(t.rk)
-            A = t.sqrt_n * low
+        for d in range(step, top + 1, step):
+            t = tables[d]
+            if displaced:
+                low = np.concatenate((psi, _ZERO)).take(t.down)  # ψ_{n-e_l}
+                nxt = (gamma.take(t.k) * low.take(t.rk) + (A @ B).take(t.pk)) / t.sqrt_n.take(t.rk)
+                A = t.sqrt_n * low
+            else:  # ψ of degree d - 1 is 0: A of that degree from ψ of d - 2
+                odd = tables[d - 1]
+                A = odd.sqrt_n * np.concatenate((psi, _ZERO)).take(odd.down)
+                nxt = (A @ B).take(t.pk) / t.sqrt_n.take(t.rk)
             if e < 0:
                 shift = min(int(np.frexp(np.max(np.abs(nxt)))[1]), -e)
                 nxt, A, e = nxt * 2.0**-shift, A * 2.0**-shift, e + shift
@@ -611,7 +624,7 @@ def _gaussian_sectors(U, alpha, lam, top, e_k, dtype):
             sectors.append(psi * 2.0**e if e else psi)
     vals = np.concatenate(sectors)
     nonzero = np.flatnonzero(vals)
-    occ = np.concatenate([t.occ for t in tables], dtype=dtype)[nonzero]
+    occ = np.concatenate([t.occ for t in tables[::step]], dtype=dtype)[nonzero]
     return _pack(occ, e_k), occ, vals[nonzero]
 
 

@@ -244,6 +244,8 @@ def test_criterion_12_cli_determinism(tmp_path):
             r = runner.invoke(cli_main, args + ["--out", str(path)])
             assert r.exit_code == 0, r.output
             files[name] = path.read_bytes()
+            text = files[name].decode()  # the writer's text is json's, byte for byte
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
         return files
 
     first = run_all("a")

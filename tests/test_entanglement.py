@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import log2, sqrt
 
@@ -6,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskmodes import entanglement
 from maskmodes.diffraction import UnitaryMatrix
 from maskmodes.entanglement import (
     Bipartition,
+    _bipartitions,
+    _block_labels,
+    _count_blocks,
+    _dense_ranks,
     all_bipartitions,
     entanglement_report,
     full_separability_scan,
     fully_separable,
-    reduced_density,
 )
 from maskmodes.errors import EmptyPartition, TooManyModes
 from maskmodes.fock import (
@@ -28,7 +33,7 @@ from maskmodes.fock import (
     build_input_state,
     state_fidelity,
 )
-from util import bipartition_matrix, haar_unitary, schmidt_dense_reference
+from util import bipartition_matrix, haar_unitary, reduced_density, schmidt_dense_reference
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 
@@ -51,6 +56,27 @@ def test_bipartition_validation():
     assert part.subset == (0, 2)
     assert part.complement == (1, 3)
     assert part.mask() == [1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("subset, modes, bad", [
+    ((1.7,), 3, "entry 1.7"),
+    (("1",), 3, "entry '1'"),
+    ((0,), 2.5, "mode count 2.5"),
+    ((0, None), 3, "entry None"),
+    ((0, 1.0), 3, "entry 1.0"),
+    (0, 3, "subset 0 is not a sequence"),
+])
+def test_bipartition_takes_only_integer_indices(subset, modes, bad):
+    with pytest.raises(EmptyPartition, match=re.escape(bad)):
+        Bipartition(subset, modes)
+
+
+def test_bipartition_reads_integer_types_as_python_ints():
+    part = Bipartition((np.int64(2), np.int8(0), True), np.int64(4))
+    assert part.subset == (0, 1, 2) and part.mode_count == 4
+    assert all(type(i) is int for i in (*part.subset, part.mode_count))
+    assert part.complement == (3,) and part.mask() == [1, 1, 1, 0]
+    assert part == Bipartition((0, 1, 2), 4)
 
 
 def test_reduced_density_product_state():
@@ -191,6 +217,29 @@ def test_all_bipartitions_count_and_canonical_form():
     parts = all_bipartitions(4)
     assert len(parts) == 2 ** 3 - 1
     assert all(0 in p.subset for p in parts)
+
+
+def _bipartitions_by_loop(mode_count):
+    """The cuts in the order of the earlier per-bit loop, each a checked Bipartition."""
+    others = list(range(1, mode_count))
+    parts = []
+    for bits in range(2 ** (mode_count - 1)):
+        subset = (0,) + tuple(others[i] for i in range(mode_count - 1) if bits >> i & 1)
+        if len(subset) < mode_count:
+            parts.append(Bipartition(subset, mode_count))
+    return parts
+
+
+@pytest.mark.parametrize("modes", range(1, 13))
+def test_all_bipartitions_keep_their_order(modes):
+    parts, masks = _bipartitions(modes)
+    assert parts == all_bipartitions(modes) == _bipartitions_by_loop(modes)
+    assert masks.dtype == np.int64 and masks.shape == (len(parts), modes)
+    assert masks.tolist() == [part.mask() for part in parts]
+    for part in parts:
+        assert all(type(i) is int for i in part.subset)
+        assert set(part.complement) == set(range(modes)) - set(part.subset)
+        assert part.complement == tuple(sorted(part.complement))
 
 
 def test_too_many_modes_guard():
@@ -395,3 +444,39 @@ def test_link_matrices_are_bounded_by_terms():
     assert rep.schmidt_coefficients.tolist() == [0.8, 0.6]
     assert scan[0][1].schmidt_coefficients.tolist() == [0.8, 0.6]
     assert peak < 1e6
+
+
+@st.composite
+def fixed_number_states(draw):
+    """1-30 random terms of one photon number N (1-40) on 2-7 modes: N often
+    reaches the number of terms, so the counts are ranked first."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes, photons = int(rng.integers(2, 8)), int(rng.integers(1, 41))
+    occ = rng.multinomial(photons, rng.dirichlet(np.ones(modes)), size=int(rng.integers(1, 31)))
+    return MultimodeFockState(modes, {tuple(t): complex(*rng.normal(size=2)) for t in occ.tolist()})
+
+
+def _closure_labels(k, total):
+    """Block labels by the closure of the count links, with no fixed-number rule."""
+    j = total - k
+    if int(total.max()) >= k.shape[1]:
+        k, j = _dense_ranks(k), _dense_ranks(j)
+    return _count_blocks(k, j)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(fixed_number_states())
+def test_fixed_photon_number_labels_match_the_closure(state):
+    occ = state.occupations.astype(np.int64)
+    total = occ.sum(axis=1)
+    k = _bipartitions(state.mode_count)[1] @ occ.T
+    assert np.array_equal(_block_labels(k, total), _closure_labels(k, total))
+    scan = full_separability_scan(state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entanglement, "_block_labels", _closure_labels)
+        closed = [entanglement_report(state, part) for part, _ in scan]
+    for (part, rep), ref in zip(scan, closed):
+        assert rep.schmidt_coefficients.tobytes() == ref.schmidt_coefficients.tobytes()
+        assert rep.entropy_bits == ref.entropy_bits
+        np.testing.assert_allclose(rep.schmidt_coefficients, schmidt_dense_reference(state, part),
+                                   rtol=0, atol=1e-12)

@@ -48,6 +48,7 @@ from maskmodes.fock import (
 from maskmodes.separability import gaussian_covariance_propagate, gaussian_pairs_from_spec
 from util import (
     gaussian_mode_entropy,
+    gaussian_sectors_full_recurrence,
     haar_unitary,
     max_amplitude_diff,
     oracle_apply,
@@ -602,6 +603,44 @@ def test_undisplaced_seed_holds_no_zero_row():
     assert np.all(vals != 0)
     assert np.all(occ.sum(axis=1) % 2 == 0)
     assert len(vals) == sum(comb(d + 2, 2) for d in range(0, 21, 2))
+
+
+@st.composite
+def _gaussian_seeds(draw):
+    """A 1-4-mode network (Haar, real orthogonal or a phased or plain permutation)
+    with undisplaced, unsqueezed, both or neither inputs, and a degree cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(1, 5))
+    u = haar_unitary(rng, m)
+    network = draw(st.sampled_from(["haar", "real", "phased", "plain"]))
+    if network == "real":
+        u = np.linalg.qr(rng.normal(size=(m, m)))[0].astype(complex)
+    elif network != "haar":
+        u = np.eye(m, dtype=complex)[rng.permutation(m)]
+        if network == "phased":
+            u = u * np.exp(1j * rng.uniform(0, 2 * np.pi, size=m))
+    alpha, lam = np.zeros(m, dtype=complex), np.zeros(m)
+    if draw(st.booleans()):
+        alpha = rng.uniform(-1.2, 1.2, size=m) * np.where(rng.random(m) < 0.5, 1, 1j)
+        alpha[rng.random(m) < 0.3] = 0
+    if draw(st.booleans()):
+        lam = rng.uniform(-0.7, 0.7, size=m) * (rng.random(m) < 0.7)
+    return u, alpha, lam, draw(st.integers(0, 14))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(case=_gaussian_seeds())
+@example(case=(np.eye(2, dtype=complex)[::-1], np.full(2, -0.7 + 0j), np.zeros(2), 12))
+@example(case=(np.eye(1, dtype=complex), np.zeros(1, dtype=complex), np.array([0.5]), 13))
+def test_sector_shortcut_matches_the_full_recurrence_bit_for_bit(case):
+    """γ = 0 steps two degrees at a time; every row, amplitude bit and signed
+    zero part stays that of the full recurrence (the other inputs take it)."""
+    u, alpha, lam, top = case
+    got = _sectors(u, alpha, lam, top)
+    want = gaussian_sectors_full_recurrence(u, alpha, lam, top, _layout(len(u), top),
+                                            _occupation_type(top))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("seed, text", [

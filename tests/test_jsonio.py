@@ -1,3 +1,5 @@
+import enum
+import gc
 import json
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskmodes._jsonio import decode_array, dumps, encode_array, text_pieces
+from maskmodes._jsonio import _Payload, decode_array, dumps, encode_array, text_pieces
 from maskmodes.diffraction import CouplingMatrix, ImpulseResponse, UnitaryMatrix, mask_from_json
 from maskmodes.errors import MalformedDocument
 from maskmodes.fock import MultimodeFockState
@@ -128,20 +130,93 @@ def test_load_names_a_file_that_is_not_json(tmp_path):
 _AWKWARD = ["\0", "\0\0", "\0\0\0", '"\0', 'x"\0\0', "\\", '"', "\n\t\x1f", "é", "日本", "\ud800",
             "\U0001f600", ""]
 _payloads = st.builds(lambda n: encode_array(np.arange(n) * (1 + 0.5j)), st.integers(0, 5))
-_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                    st.sampled_from(_AWKWARD), st.text(max_size=6), _payloads)
-_keys = st.one_of(st.sampled_from(_AWKWARD), st.text(max_size=4))
-_documents = st.recursive(
-    _leaves,
-    lambda children: st.one_of(st.lists(children, max_size=4),
-                               st.dictionaries(_keys, children, max_size=4)),
-    max_leaves=24,
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+# scalars json writes through a subclass of its types: bool, IntEnum, np.float64, _Payload
+_subclassed = st.one_of(st.booleans(), st.sampled_from(list(_Level)),
+                        st.floats().map(np.float64), _payloads)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from(_AWKWARD),
+    st.text(max_size=6), _payloads, _subclassed,
+    # lists the writer joins whole, non-finite floats among them, and near misses
+    st.lists(st.floats(), min_size=1, max_size=5),
+    st.lists(st.sampled_from([0.5, -0.0, float("nan"), float("inf"), -float("inf")]), min_size=1,
+             max_size=4),
+    st.lists(st.integers(), min_size=1, max_size=5),
+    st.lists(st.one_of(st.integers(), st.floats(), _subclassed), min_size=1, max_size=5),
 )
+_str_keys = st.one_of(st.sampled_from(_AWKWARD), st.text(max_size=4))
+# keys json turns into strings; one kind per dictionary, or a mix that json refuses to sort
+_other_keys = st.one_of(st.integers(), st.floats(), st.booleans(), st.none())
 
 
-@settings(max_examples=400, derandomize=True)
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_str_keys, children, max_size=4),
+        st.dictionaries(_other_keys, children, max_size=3),
+        st.dictionaries(st.one_of(_str_keys, _other_keys), children, max_size=2),
+    )
+
+
+@st.composite
+def _deep(draw, leaves):
+    """A leaf under 20-150 levels of lists, tuples and one-key dictionaries."""
+    doc = draw(leaves)
+    for kind in draw(st.lists(st.sampled_from("ltd"), min_size=20, max_size=150)):
+        doc = [doc] if kind == "l" else (doc, 1) if kind == "t" else {"k": doc}
+    return doc
+
+
+_documents = st.one_of(st.recursive(_leaves, _containers, max_leaves=24), _deep(_leaves))
+
+
+def _outcome(write, doc):
+    """What ``write(doc)`` returns, or the type and message of what it raises."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=600, derandomize=True)
 @given(doc=_documents)
 def test_dumps_is_json_dumps_with_sorted_keys_and_one_space_indent(doc):
+    want = _outcome(lambda d: json.dumps(d, sort_keys=True, indent=1) + "\n", doc)
+    assert _outcome(dumps, doc) == want
+    assert _outcome(lambda d: "".join(text_pieces(d)), doc) == want
+
+
+def test_a_cycle_raises_jsons_own_error():
+    looped_list, looped_dict = [1.0], {"a": [2]}
+    looped_list.append(looped_list)
+    looped_dict["a"].append(looped_dict)
+    for doc in (looped_list, looped_dict, {"x": {"y": looped_list}}):
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            json.dumps(doc, sort_keys=True, indent=1)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            dumps(doc)
+    shared = [1, 2]  # the same list twice is no cycle
+    assert dumps([shared, {"s": shared}]) == json.dumps([shared, {"s": shared}], indent=1) + "\n"
+
+
+def test_objects_json_cannot_write_raise_its_own_error():
+    for doc in ({"a": np.int64(3)}, [1j], {(1, 2): 0}, {"a": {1, 2}}, {1: 0, "b": 1}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, sort_keys=True, indent=1)
+        with pytest.raises(TypeError) as got:
+            dumps(doc)
+        assert str(got.value) == str(want.value)
+
+
+def test_payload_subclass_is_written_as_text():
+    doc = {"p": _Payload("QUJD"), "l": [_Payload(""), "x"], "t": (_Payload("QQ=="),)}
     assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
@@ -170,3 +245,16 @@ def test_writer_documents_hand_their_payloads_to_the_file_uncopied():
                     doc["result"]["unitary"]["matrix_b64"]):
         assert any(piece is payload for piece in pieces)
     assert "".join(pieces) == dumps(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_writer_leaves_no_reference_cycle():
+    """A payload is freed with its document and pieces, not at the next garbage collection."""
+    doc = {"a": encode_array(np.ones(4)), "b": [{"c": [1, 2.5, "x"]}, (None, True), [[1.0]]]}
+    gc.collect()
+    gc.disable()
+    try:
+        text_pieces(doc)
+        dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -16,9 +16,8 @@ from maskmodes.diffraction import (
     apply_impulse_response,
     mask_spectrum,
 )
-from maskmodes.entanglement import _basis, _codes, _dense
-from maskmodes.fock import row_codes
-from maskmodes.errors import GridTooSmall, MaskModesError, OutOfRange
+from maskmodes.fock import _LOG_TINY, _ZERO, _pack, _sector_tables, bargmann_exponent, row_codes
+from maskmodes.errors import GridTooSmall, MaskModesError, OutOfRange, TooManyModes
 from maskmodes.modes import (
     Grid2D,
     SampledField,
@@ -197,6 +196,44 @@ def overlap_unitary_pairs(element, in_basis, out_basis, grid, k=2 * np.pi, loss_
                           provenance={"truncation_losses": losses})
 
 
+def _codes(state, modes):
+    """Lexicographic rank per term of its occupations on ``modes``, and a state
+    row per rank."""
+    return row_codes(state.occupations[:, list(modes)])
+
+
+def _dense(state, a_code, b_code):
+    """The whole amplitude matrix, given each term's row and column rank."""
+    m = np.zeros((a_code.max() + 1, b_code.max() + 1), dtype=complex)
+    m[a_code, b_code] = state.values
+    return m
+
+
+def _basis(state, rows, modes):
+    return [tuple(r) for r in state.occupations[np.ix_(rows, modes)].tolist()]
+
+
+_MAX_DENSITY_DIM = 4096
+
+
+def reduced_density(state, part):
+    """Reduced density matrix of the subset, with its occupation-tuple basis.
+
+    Positive semidefinite with unit trace (up to float error); the basis is
+    restricted to tuples present in the state's support.  A subset basis
+    above ``_MAX_DENSITY_DIM`` tuples raises ``TooManyModes`` before the
+    dense matrix is allocated.
+    """
+    a_code, a_rows = _codes(state, part.subset)
+    if len(a_rows) > _MAX_DENSITY_DIM:
+        raise TooManyModes(
+            f"subset basis has {len(a_rows)} tuples; reduced density capped at "
+            f"{_MAX_DENSITY_DIM} (use entanglement_report instead)"
+        )
+    m = _dense(state, a_code, _codes(state, part.complement)[0])
+    return m @ m.conj().T, _basis(state, a_rows, part.subset)
+
+
 def bipartition_matrix(state, part):
     """Dense amplitude matrix over (subset basis) x (complement basis).
 
@@ -207,6 +244,34 @@ def bipartition_matrix(state, part):
     b_code, b_rows = _codes(state, part.complement)
     m = _dense(state, a_code, b_code)
     return m, _basis(state, a_rows, part.subset), _basis(state, b_rows, part.complement)
+
+
+def gaussian_sectors_full_recurrence(U, alpha, lam, top, e_k, dtype):
+    """Reference for ``fock._gaussian_sectors``: every sector by the full Hermite
+    recurrence, one degree at a time, the odd sectors of ``γ = 0`` included."""
+    n_modes = len(U)
+    B = bargmann_exponent(U, lam)
+    gamma = U.T @ alpha
+    tables = _sector_tables(n_modes, top)[: top + 1]
+    log_seed = -0.5 * np.sum(np.abs(alpha) ** 2 + np.log(np.cosh(lam)))
+    e = 0 if log_seed >= _LOG_TINY else int(np.floor(log_seed / np.log(2.0)))
+    psi = np.full(1, np.exp(log_seed - e * np.log(2.0)), dtype=complex)
+    A = np.zeros((1, n_modes), dtype=complex)
+    sectors = [psi * 2.0**e]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in tables[1:]:
+            low = np.concatenate((psi, _ZERO)).take(t.down)
+            nxt = (gamma.take(t.k) * low.take(t.rk) + (A @ B).take(t.pk)) / t.sqrt_n.take(t.rk)
+            A = t.sqrt_n * low
+            if e < 0:
+                shift = min(int(np.frexp(np.max(np.abs(nxt)))[1]), -e)
+                nxt, A, e = nxt * 2.0**-shift, A * 2.0**-shift, e + shift
+            psi = nxt
+            sectors.append(psi * 2.0**e if e else psi)
+    vals = np.concatenate(sectors)
+    nonzero = np.flatnonzero(vals)
+    occ = np.concatenate([t.occ for t in tables], dtype=dtype)[nonzero]
+    return _pack(occ, e_k), occ, vals[nonzero]
 
 
 def state_document(rows, values):
