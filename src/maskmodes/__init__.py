@@ -37,7 +37,6 @@ from .fock import (
     apply_unitary,
     build_input_state,
     state_fidelity,
-    two_mode_closed_form,
 )
 from .modes import (
     Grid2D,

@@ -33,7 +33,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import EmptyPartition, TooManyModes
+from .errors import DimensionMismatch, EmptyPartition, TooManyModes
 from .fock import _layout, _pack
 
 #: Entropy threshold (bits) for verdicts on truncated coherent/squeezed
@@ -54,12 +54,8 @@ class Bipartition:
     mode_count: int
 
     def __post_init__(self):
-        n = _index(self.mode_count, "mode count")
-        try:
-            entries = tuple(self.subset)
-        except TypeError:
-            raise EmptyPartition(f"bipartition subset {self.subset!r} is not a sequence") from None
-        s = tuple(sorted({_index(i, "subset entry") for i in entries}))
+        n = _index(self.mode_count, "bipartition mode count")
+        s = _indices(self.subset, "bipartition subset")
         object.__setattr__(self, "subset", s)
         object.__setattr__(self, "mode_count", n)
         if not s:
@@ -95,7 +91,17 @@ def _index(value, what):
     try:
         return operator.index(value)
     except TypeError:
-        raise EmptyPartition(f"bipartition {what} {value!r} is not an integer") from None
+        raise EmptyPartition(f"{what} {value!r} is not an integer") from None
+
+
+def _indices(subset, what):
+    """The distinct entries of ``subset`` as sorted Python ints, or :class:`EmptyPartition`
+    naming ``subset`` when it is no sequence or an entry when it is no integer."""
+    try:
+        entries = tuple(subset)
+    except TypeError:
+        raise EmptyPartition(f"{what} {subset!r} is not a sequence") from None
+    return tuple(sorted({_index(i, f"{what} entry") for i in entries}))
 
 
 @dataclass
@@ -269,7 +275,11 @@ def entanglement_report(state, part, tol=DEFAULT_TOL_TRUNCATED):
     descending and padded with exact zeros to ``min(rows, cols)``; the dense
     matrix is never allocated.  A one-block state gives the dense SVD's values
     bit for bit.  This is the one-cut case of :func:`full_separability_scan`.
+    A bipartition of another mode count raises :class:`DimensionMismatch`.
     """
+    if part.mode_count != state.mode_count:
+        raise DimensionMismatch(
+            f"bipartition has {part.mode_count} modes, state has {state.mode_count}")
     return _reports(state, [part], tol)[0]
 
 

@@ -53,9 +53,10 @@ class OutOfRange(MaskModesError, ValueError):
 class PrecisionLoss(MaskModesError):
     """A result whose rounding error passes the documented 1e-10 amplitude
     accuracy: a Gaussian input whose raw expansion has a norm² further than
-    2e-10 from 1 (strong squeezing, or large displacement with squeezing), or
-    a two-mode closed form whose cancelling sum has a rounding bound above
-    1e-10 (some twenty photons per port)."""
+    2e-10 from 1 (strong squeezing, or large displacement with squeezing).
+    The test suite's two-mode closed-form oracle raises it too, where its
+    cancelling sum has a rounding bound above 1e-10 (some twenty photons per
+    port)."""
 
 
 class UnitarityError(MaskModesError):

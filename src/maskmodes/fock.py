@@ -15,8 +15,8 @@ tables that hold, per mode count and degree, the rows and their links to the
 degree below; the tables are built once and cached up to
 ``SECTOR_TABLE_BYTES``.  A Gaussian part whose amplitudes lose their norm in
 the recurrence raises :class:`~maskmodes.errors.PrecisionLoss`.  Every Fock
-photon, of a product input or of a stored state's row, then goes in as one
-creation step ``w_j+ = sum_k U[j, k] a_k+``.
+photon then goes in as one creation step ``w_j+ = sum_k U[j, k] a_k+``, in
+one pass over all rows of a state: a product input is its one-row case.
 
 ``scipy.special`` is imported inside the functions that use it, so
 propagating Fock and vacuum inputs and reading stored states never load it.
@@ -55,8 +55,6 @@ _STORED_OCCUPATION = np.dtype("<i8")
 _STORED_NORM_TOL = 1e-12
 #: Largest ``|Σ|ψ|² - 1|`` of a Gaussian seed (PrecisionLoss beyond); sound seeds are within ~1e-14.
 _SEED_NORM_TOL = 2e-10
-#: Largest rounding bound on an amplitude of :func:`two_mode_closed_form` (PrecisionLoss beyond).
-_AMPLITUDE_TOL = 1e-10
 #: Bytes of sector tables kept between calls (arrays plus per-table overhead).
 SECTOR_TABLE_BYTES = 4 * 2**20
 
@@ -266,17 +264,17 @@ def _pack(occ, strides, masks=None):
 def _lex_runs(words):
     """Lexicographic order of packed rows and where each run of equal rows starts."""
     order = np.lexsort(words.T[::-1])
-    w = words[order]
+    w = words.take(order, axis=0)
     start = np.ones(len(w), dtype=bool)
-    start[1:] = np.any(w[1:] != w[:-1], axis=1)
+    start[1:] = (w[1:] != w[:-1]).any(axis=1)
     return order, start
 
 
 def _merge(words, vals):
     """Index of each distinct packed row (in lexicographic order) and its summed amplitude."""
     order, start = _lex_runs(words)
-    first = np.flatnonzero(start)
-    return order[first], np.add.reduceat(vals[order], first)
+    first = start.nonzero()[0]
+    return order.take(first), np.add.reduceat(vals.take(order), first)
 
 
 def row_codes(occ):
@@ -379,12 +377,6 @@ class MultimodeFockState:
             return 0.0 + 0.0j
         hit = np.flatnonzero(np.all(self.occupations == np.asarray(tup), axis=1))
         return complex(self.values[hit[0]]) if hit.size else 0.0 + 0.0j
-
-    def sector_norms(self):
-        """Squared norm per total photon number."""
-        totals = self.occupations.sum(axis=1)
-        weights = np.bincount(totals, weights=np.abs(self.values) ** 2)
-        return {int(n): float(weights[n]) for n in np.unique(totals)}
 
     def to_json(self):
         """The state document: ``terms`` x ``mode_count`` little-endian int64
@@ -637,41 +629,51 @@ def _expand(U, top, rows, scales, seed=None):
     ``top - Σ_j n_rj``.  Those carry at least ``1 - 1e-20`` of the input's
     weight and a passive network keeps it, so only rounding in the
     recurrence can move their norm²: further than ``2e-10`` from 1 raises
-    :class:`~maskmodes.errors.PrecisionLoss`.  A creation
-    step by ``w_j+ / sqrt(i)`` (the i-th photon of mode j) adds the packed
-    ``e_k`` to every row, weights it by ``U[j, k] sqrt(n_k + 1) / sqrt(i)``
-    and merges equal rows; degrees never fall, so every sector up to ``top``
-    is exact.  Returns lexicographic occupation rows and their amplitudes.
+    :class:`~maskmodes.errors.PrecisionLoss`.
+
+    All rows go through one creation pass.  A term's packed key holds the
+    photons it has still to create (one leading digit per input mode that
+    some row fills) and then its output occupations; terms are merged into
+    key order first and stay in it.  The i-th step of input mode j takes
+    ``w_j+ / sqrt(i)`` from every term with a photon of j left: it moves that
+    photon to output mode k, weights the term by
+    ``U[j, k] sqrt(n_k + 1) / sqrt(i)`` and merges equal keys, so rows that
+    share what is left share its work (Horner's scheme).  The modes before j
+    are done, so the terms with none of j left sort first and the active
+    terms are a suffix.  A product input is the one-row case: every term is
+    active at every step.  Degrees never fall, so every sector up to
+    ``top`` is exact.  Returns lexicographic occupation rows and their
+    amplitudes.
     """
-    n_modes = len(U)
-    e_k = _layout(n_modes, top)
-    dtype = _occupation_type(top)
-    out = []
-    for row, scale in zip(rows, scales):
-        if seed is None:
-            words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
-            occ = np.zeros((1, n_modes), dtype=dtype)
-            vals = np.full(1, scale, dtype=complex)
-        else:
-            words, occ, vals = _gaussian_sectors(U, *seed, top - int(row.sum()), e_k, dtype)
-            norm_sq = float(np.vdot(vals, vals).real)
-            if not abs(norm_sq - 1.0) <= _SEED_NORM_TOL:
-                raise PrecisionLoss(
-                    "the Hermite recurrence lost the Gaussian input's precision: its amplitudes "
-                    f"have norm² {norm_sq!r}, not 1 within {_SEED_NORM_TOL}")
-        for j in np.flatnonzero(row):
-            ks = np.flatnonzero(U[j])
-            for i in range(1, int(row[j]) + 1):
-                cand = (e_k[ks][:, None, :] + words).reshape(-1, e_k.shape[1])
-                idx, vals = _merge(cand, (U[j, ks, None] / np.sqrt(i)
-                                          * np.sqrt(occ[:, ks].T + 1.0) * vals).ravel())
-                at, parent = np.divmod(idx, len(words))
-                words, occ = cand[idx], occ[parent]
-                occ[np.arange(len(idx)), ks[at]] += 1
-        out.append((words, occ, vals))
-    words, occ, vals = (np.concatenate(part) for part in zip(*out))
-    idx, vals = _merge(words, vals)
-    return occ[idx], vals
+    filled = rows.any(axis=0).nonzero()[0]
+    keys = _layout(len(filled) + len(U), top)
+    left, e_k = keys[: len(filled)], keys[len(filled):]
+    if seed is None:
+        words, occ = 0, np.zeros((len(rows), len(U)), dtype=_occupation_type(top))
+        vals = np.asarray(scales, dtype=complex)
+    else:
+        words, occ, vals = _gaussian_sectors(U, *seed, top - int(rows.sum()), e_k,
+                                             _occupation_type(top))
+        norm_sq = float(np.vdot(vals, vals).real)
+        if not abs(norm_sq - 1.0) <= _SEED_NORM_TOL:
+            raise PrecisionLoss("the Hermite recurrence lost the Gaussian input's precision: its "
+                                f"amplitudes have norm² {norm_sq!r}, not 1 within {_SEED_NORM_TOL}")
+    words = words + _pack(rows[:, filled], left)
+    idx, vals = _merge(words, vals)  # terms stay in key order from here on
+    words, occ = words[idx], occ[idx]
+    for j, digit in zip(filled, left):
+        ks = U[j].nonzero()[0]
+        u_j, w, shift = U[j, ks, None], int(digit.argmax()), (e_k[ks] - digit)[:, None, :]
+        for i in range(1, int(rows[:, j].max()) + 1):
+            p = int(words[:, w].searchsorted(digit[w]))  # terms with no photon of j left
+            cand = np.concatenate((words[:p], (shift + words[p:]).reshape(-1, e_k.shape[1])))
+            idx, vals = _merge(cand, np.concatenate((vals[:p], (
+                u_j / np.sqrt(i) * np.sqrt(occ[p:].take(ks, axis=1).T + 1.0) * vals[p:]).ravel())))
+            at, parent = np.divmod(idx - p, len(words) - p)  # at < 0: a term kept as it was
+            words, occ = cand.take(idx, axis=0), occ.take(np.minimum(idx, parent + p), axis=0)
+            moved = (at >= 0).nonzero()[0]
+            occ[moved, ks.take(at.take(moved))] += 1
+    return occ, vals
 
 
 def apply_unitary(state, u):
@@ -680,9 +682,11 @@ def apply_unitary(state, u):
     A product input from :func:`build_input_state` is expanded from its spec
     up to the total photon number T above which its weight is at most 1e-20
     (so no dropped amplitude exceeds 1e-10): the Gaussian modes as the
-    output Bargmann exponent, then one creation step per Fock photon.  Any
-    other state is expanded exactly, row by row, by creation steps (see
-    :func:`_expand`).  Amplitudes are pruned and renormalized.  Raises
+    output Bargmann exponent, then one creation step per Fock photon: the
+    one-row case of :func:`_expand`.  Any other state, such as the output of
+    an earlier network, goes through the same creation pass with all its
+    rows at once, so a cascade of networks needs no composed matrix.
+    Amplitudes are pruned and renormalized.  Raises
     :class:`~maskmodes.errors.StateTooLarge` before expanding when
     ``C(T + M, M)`` over M modes exceeds ``MAX_TERMS``.
     """
@@ -703,52 +707,7 @@ def apply_unitary(state, u):
 
 
 # --------------------------------------------------------------------------
-# Exact two-mode output of |m> x |n> through an SU(2) block
-
-
-def two_mode_closed_form(m, n, theta, phi):
-    """Closed-form output of ``|m> x |n>`` through the two-mode splitter.
-
-    The splitter convention is that of :meth:`UnitaryMatrix.su2`:
-    ``a+ -> cos(t/2) a+ + e^{i phi} sin(t/2) b+`` and
-    ``b+ -> -e^{-i phi} sin(t/2) a+ + cos(t/2) b+``.  The double sum runs
-    over binomial contributions landing on kets ``|n+k-l> x |m+l-k>``; pairs
-    with equal ``k - l`` interfere (Hong-Ou-Mandel at ``m = n = 1``).
-
-    The alternating sum cancels terms far larger than its result.  At most
-    ``min(m, n) + 1`` terms land on one ket, so its rounding error is bounded
-    by ``eps (min(m, n) + 1) Σ|term|`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 4); a bound above ``1e-10`` raises
-    :class:`~maskmodes.errors.PrecisionLoss`.  At ``|n, n>`` and
-    ``theta = pi/2`` it is 1.7e-11 at n = 15 and 6.1e-10 at n = 20.
-    """
-    if m < 0 or n < 0:
-        raise NonPhysical("negative photon numbers")
-    if not (0.0 <= theta <= np.pi):
-        raise ValueError("theta must lie in [0, pi]")
-    from scipy.special import xlogy
-
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    k = np.arange(m + 1)[:, None]
-    l = np.arange(n + 1)[None, :]
-    na, nb = n + k - l, m + l - k
-    # comb(m, k) comb(n, l) sqrt(na! nb! / (m! n!)) c^(k+l) s^(m+n-k-l), in log space
-    log_mag = (
-        0.5 * (_log_factorial(m) + _log_factorial(n) + _log_factorial(na) + _log_factorial(nb))
-        - _log_factorial(k) - _log_factorial(m - k) - _log_factorial(l) - _log_factorial(n - l)
-        + xlogy(k + l, c) + xlogy(m + n - k - l, s)
-    )
-    terms = (np.exp(log_mag + 1j * phi * (m - n + l - k)) * (-1.0) ** (n - l)).ravel()
-    # kets |na, m+n-na> in lexicographic order, na = 0 .. m+n; pairs sum in loop order
-    na = na.ravel()
-    vals = np.bincount(na, weights=terms.real) + 1j * np.bincount(na, weights=terms.imag)
-    bound = np.finfo(float).eps * (min(m, n) + 1) * np.bincount(na, weights=np.abs(terms)).max()
-    if bound > _AMPLITUDE_TOL:
-        raise PrecisionLoss(
-            f"the closed form of |{m},{n}> cancels too far: its amplitudes' rounding bound "
-            f"{bound:.2e} passes {_AMPLITUDE_TOL}")
-    occ = np.column_stack([np.arange(m + n + 1), m + n - np.arange(m + n + 1)])
-    return MultimodeFockState._from_sorted(2, occ, vals)
+# NOON-state overlaps of a two-mode split
 
 
 def noon_overlap_amplitudes(m, n, theta):

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyPartition, NotPure
+from .entanglement import _indices
 from .fock import bargmann_exponent
 
 TOL_COUPLE = 1e-12
@@ -74,11 +75,13 @@ def check_no_entanglement(spec, u, out_subset):
 
     The witness of an entangled verdict is the lowest split mode with Fock
     photons (``non_gaussian``) or else the first cross term ``(k, k')`` in
-    subset-major order (``d2_cross_term``, residual ``|B[k,k']|/2``).
+    subset-major order (``d2_cross_term``, residual ``|B[k,k']|/2``).  A
+    subset that is no sequence, or an entry that is no integer, raises
+    :class:`EmptyPartition` naming it.
     """
     if spec.mode_count != u.dim:
         raise DimensionMismatch("input mode count does not match the network")
-    subset = tuple(sorted(set(int(k) for k in out_subset)))
+    subset = _indices(out_subset, "output subset")
     if not subset or any(k < 0 or k >= u.dim for k in subset):
         raise EmptyPartition("output subset must be a nonempty set of valid mode indices")
     reach = np.abs(u.matrix) > TOL_COUPLE
@@ -145,10 +148,15 @@ def covariance_separable(sigma, part, tol=1e-9, purity_tol=1e-8):
 
     A pure Gaussian state is a product across a partition iff every
     inter-partition covariance entry vanishes; the purity precondition is
-    checked first since the criterion certifies only pure products.
+    checked first since the criterion certifies only pure products.  A
+    covariance that is not ``2n x 2n`` for the bipartition's ``n`` modes
+    raises :class:`DimensionMismatch`.
     """
     sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0] // 2
+    n = part.mode_count
+    if sigma.shape != (2 * n, 2 * n):
+        raise DimensionMismatch(f"covariance of shape {sigma.shape} for a {n}-mode "
+                                f"bipartition; it needs {(2 * n,) * 2}")
     res = symplectic_purity_residual(sigma)
     if res > purity_tol:
         raise NotPure(f"purity residual {res:.3e} above {purity_tol:.1e}")

@@ -20,7 +20,7 @@ from maskmodes.entanglement import (
     full_separability_scan,
     fully_separable,
 )
-from maskmodes.errors import EmptyPartition, TooManyModes
+from maskmodes.errors import DimensionMismatch, EmptyPartition, TooManyModes
 from maskmodes.fock import (
     Coherent,
     Fock,
@@ -77,6 +77,12 @@ def test_bipartition_reads_integer_types_as_python_ints():
     assert all(type(i) is int for i in (*part.subset, part.mode_count))
     assert part.complement == (3,) and part.mask() == [1, 1, 1, 0]
     assert part == Bipartition((0, 1, 2), 4)
+
+
+@pytest.mark.parametrize("modes", [2, 4])
+def test_report_on_another_mode_count_is_a_dimension_mismatch(modes):
+    with pytest.raises(DimensionMismatch, match=f"bipartition has {modes} modes, state has 3"):
+        entanglement_report(W_STATE, Bipartition((0,), modes))
 
 
 def test_reduced_density_product_state():

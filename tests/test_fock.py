@@ -43,16 +43,18 @@ from maskmodes.fock import (
     _occupation_type,
     _pack,
     _total_degree_cap,
-    two_mode_closed_form,
 )
 from maskmodes.separability import gaussian_covariance_propagate, gaussian_pairs_from_spec
 from util import (
+    expand_row_by_row,
     gaussian_mode_entropy,
     gaussian_sectors_full_recurrence,
     haar_unitary,
     max_amplitude_diff,
     oracle_apply,
+    sector_norms,
     state_document,
+    two_mode_closed_form,
 )
 
 BALANCED = UnitaryMatrix.balanced_splitter()
@@ -170,9 +172,9 @@ def test_photon_sectors_conserved_exactly():
     u = UnitaryMatrix(haar_unitary(rng, 3))
     st = MultimodeFockState(3, {(1, 0, 0): 0.6, (0, 2, 1): 0.8})
     out = apply_unitary(st, u)
-    assert set(out.sector_norms()) == {1, 3}
-    for total, weight in st.sector_norms().items():
-        assert abs(out.sector_norms()[total] - weight) < 1e-10
+    assert set(sector_norms(out)) == {1, 3}
+    for total, weight in sector_norms(st).items():
+        assert abs(sector_norms(out)[total] - weight) < 1e-10
 
 
 def test_composition_is_matrix_product_in_application_order():
@@ -331,9 +333,104 @@ def test_engine_matches_permanent_oracle(data):
     assert max_amplitude_diff(seq, par) < 1e-12
 
     assert abs(out.norm_sq() - 1.0) < 1e-12
-    sectors = state.sector_norms()
-    assert out.sector_norms().keys() == sectors.keys()
-    assert all(abs(out.sector_norms()[n] - w) < 1e-12 for n, w in sectors.items())
+    sectors = sector_norms(state)
+    assert sector_norms(out).keys() == sectors.keys()
+    assert all(abs(sector_norms(out)[n] - w) < 1e-12 for n, w in sectors.items())
+
+
+@st.composite
+def _networks(draw, m):
+    """A Haar, real-orthogonal or phased-permutation network on ``m`` modes.
+
+    A phased permutation gives every row of U a single nonzero entry."""
+    kind = draw(st.sampled_from(["haar", "orthogonal", "permutation"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "haar":
+        return haar_unitary(rng, m)
+    if kind == "orthogonal":
+        return np.linalg.qr(rng.normal(size=(m, m)))[0].astype(complex)
+    u = np.zeros((m, m), dtype=complex)
+    u[np.arange(m), rng.permutation(m)] = np.exp(2j * np.pi * rng.random(m))
+    return u
+
+
+@st.composite
+def _one_row_inputs(draw):
+    """Fock photons on some of 1-4 modes, the others vacuum, coherent or squeezed."""
+    m = draw(st.integers(1, 4))
+    descs = []
+    for _ in range(m):
+        kind = draw(st.sampled_from("fvcs"))
+        if kind == "f":
+            descs.append(Fock(draw(st.integers(1, 3))))
+        elif kind == "c":
+            phase = np.exp(2j * np.pi * draw(st.floats(0, 1)))
+            descs.append(Coherent(draw(st.floats(0.05, 0.8)) * phase))
+        elif kind == "s":
+            sign = draw(st.sampled_from([-1, 1]))
+            descs.append(SqueezedVacuum(sign * draw(st.floats(0.05, 0.4))))
+        else:
+            descs.append(Vacuum())
+    return InputStateSpec(descs), draw(_networks(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_one_row_inputs())
+@example(case=(InputStateSpec.parse("fock:2,coh:0.5,sq:0.3"),
+               haar_unitary(np.random.default_rng(3), 3)))
+def test_one_row_pass_is_bit_identical_to_the_row_by_row_reference(case):
+    spec, u = case
+    seed = (spec.alpha, spec.lam) if spec.alpha.any() or spec.lam.any() else None
+    args = (u, spec._top, spec.photons[None], [1.0], seed)
+    occ, vals = _expand(*args)
+    ref_occ, ref_vals = expand_row_by_row(*args)
+    assert occ.dtype == ref_occ.dtype and np.array_equal(occ, ref_occ)
+    assert vals.tobytes() == ref_vals.tobytes()  # signed zeros included
+
+
+@st.composite
+def _multi_row_states(draw):
+    """A normalized state of 2-5 rows over 2-5 modes, each row 0-4 photons."""
+    m = draw(st.integers(2, 5))
+    rows = draw(st.lists(_occupations(m), min_size=2, max_size=5, unique_by=tuple))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = {tuple(t): complex(rng.normal(), rng.normal()) for t in rows}
+    return MultimodeFockState(m, amps), draw(_networks(m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_multi_row_states())
+@example(case=(MultimodeFockState(3, {(0, 0, 0): 0.6, (1, 0, 2): 0.48, (2, 1, 1): 0.64j}),
+               haar_unitary(np.random.default_rng(5), 3)))
+def test_multi_row_pass_matches_the_reference_and_the_permanent_oracle(case):
+    state, u = case
+    top = int(state.occupations.sum(axis=1).max())
+    occ, vals = _expand(u, top, state.occupations, state.values)
+    ref_occ, ref_vals = expand_row_by_row(u, top, state.occupations, state.values)
+    assert np.array_equal(occ, ref_occ)
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-12
+    got = dict(zip(map(tuple, occ.tolist()), vals))
+    want = oracle_apply(state.amplitudes, u)
+    assert all(abs(got.get(t, 0.0) - a) <= 1e-12 for t, a in want.items())
+    assert all(abs(a) <= 1e-12 for t, a in got.items() if t not in want)
+
+
+def test_cascade_of_two_networks_stays_small():
+    # a (9 modes, 5 photons) Haar output, 1287 rows, through a second Haar network
+    rng = np.random.default_rng(21)
+    u, v = UnitaryMatrix(haar_unitary(rng, 9)), UnitaryMatrix(haar_unitary(rng, 9))
+    first = apply_unitary(MultimodeFockState.from_occupation((1, 0, 2, 0, 1, 0, 0, 1, 0)), u)
+    assert len(first.values) == 1287
+    tracemalloc.start()
+    try:
+        second = apply_unitary(first, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+    composed = apply_unitary(MultimodeFockState.from_occupation((1, 0, 2, 0, 1, 0, 0, 1, 0)),
+                             UnitaryMatrix(u.matrix @ v.matrix))
+    assert max_amplitude_diff(second, composed) < 1e-12
 
 
 def test_photon_loss_through_flux_faithful_dilation():

@@ -3,13 +3,13 @@ import pytest
 
 from maskmodes.diffraction import UnitaryMatrix
 from maskmodes.errors import DimensionMismatch, InvalidEfficiency
-from maskmodes.fock import two_mode_closed_form
 from maskmodes.protocols import (
     hom_coincidence,
     ifm_project,
     noon_fidelity_scan,
     noon_surface,
 )
+from util import two_mode_closed_form
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 BELL = np.array([0, 1, 1, 0]) / np.sqrt(2)

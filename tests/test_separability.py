@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,23 @@ def test_checker_subset_outside_the_network_is_an_empty_partition(subset):
         check_no_entanglement(InputStateSpec.parse("vac,vac"), BALANCED, subset)
 
 
+@pytest.mark.parametrize("subset, bad", [
+    ((1.7,), "entry 1.7"),
+    (("1",), "entry '1'"),
+    ((None,), "entry None"),
+    ((0, 1.0), "entry 1.0"),
+    (1, "output subset 1 is not a sequence"),
+])
+def test_checker_takes_only_integer_modes(subset, bad):
+    with pytest.raises(EmptyPartition, match=re.escape(bad)):
+        check_no_entanglement(InputStateSpec.parse("vac,vac"), BALANCED, subset)
+
+
+def test_checker_reads_integer_types_as_python_ints():
+    verdict = check_no_entanglement(InputStateSpec.parse("vac,vac"), BALANCED, (np.int64(1), True))
+    assert verdict.subset == (1,) and type(verdict.subset[0]) is int
+
+
 # --------------------------------------------------------------------------
 # Gaussian covariance oracle
 
@@ -359,6 +377,15 @@ def test_covariance_separable_identity_and_blocks():
 def test_covariance_not_pure_raises():
     with pytest.raises(NotPure):
         covariance_separable(2 * np.eye(4), Bipartition((0,), 2))
+
+
+@pytest.mark.parametrize("modes", [2, 4])
+def test_covariance_of_another_mode_count_is_a_dimension_mismatch(modes):
+    u = UnitaryMatrix(haar_unitary(np.random.default_rng(8), 3))
+    _, cov = gaussian_covariance_propagate([(0, 0.3), (0, -0.3), (0, 0.0)], u)
+    assert not covariance_separable(cov, Bipartition((0,), 3))
+    with pytest.raises(DimensionMismatch, match="3-mode|6, 6"):
+        covariance_separable(cov, Bipartition((0,), modes))
 
 
 def test_fock_oracle_matches_gaussian_oracle_on_squeezed_pair():

@@ -16,8 +16,29 @@ from maskmodes.diffraction import (
     apply_impulse_response,
     mask_spectrum,
 )
-from maskmodes.fock import _LOG_TINY, _ZERO, _pack, _sector_tables, bargmann_exponent, row_codes
-from maskmodes.errors import GridTooSmall, MaskModesError, OutOfRange, TooManyModes
+from maskmodes.fock import (
+    _LOG_TINY,
+    _SEED_NORM_TOL,
+    _ZERO,
+    MultimodeFockState,
+    _gaussian_sectors,
+    _layout,
+    _log_factorial,
+    _merge,
+    _occupation_type,
+    _pack,
+    _sector_tables,
+    bargmann_exponent,
+    row_codes,
+)
+from maskmodes.errors import (
+    GridTooSmall,
+    MaskModesError,
+    NonPhysical,
+    OutOfRange,
+    PrecisionLoss,
+    TooManyModes,
+)
 from maskmodes.modes import (
     Grid2D,
     SampledField,
@@ -272,6 +293,105 @@ def gaussian_sectors_full_recurrence(U, alpha, lam, top, e_k, dtype):
     nonzero = np.flatnonzero(vals)
     occ = np.concatenate([t.occ for t in tables], dtype=dtype)[nonzero]
     return _pack(occ, e_k), occ, vals[nonzero]
+
+
+def expand_row_by_row(U, top, rows, scales, seed=None):
+    """Reference for ``fock._expand``: one full expansion per row, then one merge.
+
+    Each row ``n_r`` starts from the vacuum scaled by ``scales[r]``, or for
+    ``seed = (alpha, lam)`` (one row of scale 1) from the Gaussian sectors up
+    to degree ``top - Σ_j n_rj``, whose norm² must be within the engine's
+    tolerance of 1.  Every photon is one creation step ``w_j+ / sqrt(i)``
+    over the row's own terms; the rows' outputs are joined and merged at
+    the end.  Returns lexicographic occupation rows and their amplitudes.
+    """
+    n_modes = len(U)
+    e_k = _layout(n_modes, top)
+    dtype = _occupation_type(top)
+    out = []
+    for row, scale in zip(rows, scales):
+        if seed is None:
+            words = np.zeros((1, e_k.shape[1]), dtype=np.int64)
+            occ = np.zeros((1, n_modes), dtype=dtype)
+            vals = np.full(1, scale, dtype=complex)
+        else:
+            words, occ, vals = _gaussian_sectors(U, *seed, top - int(row.sum()), e_k, dtype)
+            norm_sq = float(np.vdot(vals, vals).real)
+            if not abs(norm_sq - 1.0) <= _SEED_NORM_TOL:
+                raise PrecisionLoss(
+                    "the Hermite recurrence lost the Gaussian input's precision: its amplitudes "
+                    f"have norm² {norm_sq!r}, not 1 within {_SEED_NORM_TOL}")
+        for j in np.flatnonzero(row):
+            ks = np.flatnonzero(U[j])
+            for i in range(1, int(row[j]) + 1):
+                cand = (e_k[ks][:, None, :] + words).reshape(-1, e_k.shape[1])
+                idx, vals = _merge(cand, (U[j, ks, None] / np.sqrt(i)
+                                          * np.sqrt(occ[:, ks].T + 1.0) * vals).ravel())
+                at, parent = np.divmod(idx, len(words))
+                words, occ = cand[idx], occ[parent]
+                occ[np.arange(len(idx)), ks[at]] += 1
+        out.append((words, occ, vals))
+    words, occ, vals = (np.concatenate(part) for part in zip(*out))
+    idx, vals = _merge(words, vals)
+    return occ[idx], vals
+
+
+def sector_norms(state):
+    """Squared norm of a state per total photon number."""
+    totals = state.occupations.sum(axis=1)
+    weights = np.bincount(totals, weights=np.abs(state.values) ** 2)
+    return {int(n): float(weights[n]) for n in np.unique(totals)}
+
+
+#: Largest rounding bound on an amplitude of :func:`two_mode_closed_form` (PrecisionLoss beyond).
+_AMPLITUDE_TOL = 1e-10
+
+
+def two_mode_closed_form(m, n, theta, phi):
+    """Closed-form output of ``|m> x |n>`` through the two-mode splitter: an
+    oracle for the engine on two modes.
+
+    The splitter convention is that of :meth:`UnitaryMatrix.su2`:
+    ``a+ -> cos(t/2) a+ + e^{i phi} sin(t/2) b+`` and
+    ``b+ -> -e^{-i phi} sin(t/2) a+ + cos(t/2) b+``.  The double sum runs
+    over binomial contributions landing on kets ``|n+k-l> x |m+l-k>``; pairs
+    with equal ``k - l`` interfere (Hong-Ou-Mandel at ``m = n = 1``).
+
+    The alternating sum cancels terms far larger than its result.  At most
+    ``min(m, n) + 1`` terms land on one ket, so its rounding error is bounded
+    by ``eps (min(m, n) + 1) Σ|term|`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 4); a bound above ``1e-10`` raises
+    ``PrecisionLoss``, so the oracle never vouches for a cancelled amplitude.
+    At ``|n, n>`` and ``theta = pi/2`` it is 1.7e-11 at n = 15 and 6.1e-10 at
+    n = 20.
+    """
+    if m < 0 or n < 0:
+        raise NonPhysical("negative photon numbers")
+    if not (0.0 <= theta <= np.pi):
+        raise ValueError("theta must lie in [0, pi]")
+    from scipy.special import xlogy
+
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    k = np.arange(m + 1)[:, None]
+    l = np.arange(n + 1)[None, :]
+    na, nb = n + k - l, m + l - k
+    # comb(m, k) comb(n, l) sqrt(na! nb! / (m! n!)) c^(k+l) s^(m+n-k-l), in log space
+    log_mag = (
+        0.5 * (_log_factorial(m) + _log_factorial(n) + _log_factorial(na) + _log_factorial(nb))
+        - _log_factorial(k) - _log_factorial(m - k) - _log_factorial(l) - _log_factorial(n - l)
+        + xlogy(k + l, c) + xlogy(m + n - k - l, s)
+    )
+    terms = (np.exp(log_mag + 1j * phi * (m - n + l - k)) * (-1.0) ** (n - l)).ravel()
+    # kets |na, m+n-na> in lexicographic order, na = 0 .. m+n; pairs sum in loop order
+    na = na.ravel()
+    vals = np.bincount(na, weights=terms.real) + 1j * np.bincount(na, weights=terms.imag)
+    bound = np.finfo(float).eps * (min(m, n) + 1) * np.bincount(na, weights=np.abs(terms)).max()
+    if bound > _AMPLITUDE_TOL:
+        raise PrecisionLoss(
+            f"the closed form of |{m},{n}> cancels too far: its amplitudes' rounding bound "
+            f"{bound:.2e} passes {_AMPLITUDE_TOL}")
+    occ = np.column_stack([np.arange(m + n + 1), m + n - np.arange(m + n + 1)])
+    return MultimodeFockState._from_sorted(2, occ, vals)
 
 
 def state_document(rows, values):
