@@ -198,8 +198,9 @@ def dumps(doc):
 
 def encode_array(values, dtype=_COMPLEX):
     """Base64 text of the little-endian, row-major bytes of ``values`` as ``dtype``."""
-    # the bytes are freed before the marked copy of the text is made
-    text = base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
+    # encoded from the array's own buffer, with no bytes copy; the base64 bytes
+    # are freed before the marked copy of the text is made
+    text = base64.b64encode(np.ascontiguousarray(values, dtype=dtype)).decode("ascii")
     return _Payload(text)
 
 

@@ -334,6 +334,8 @@ class UnitaryMatrix:
     The unitarity residual ``||U+ U - I||_F`` is checked at construction and
     recorded.  The ``connected`` flag marks networks that cannot be split
     into independent sub-networks (all ``|U[j, k]| < 1`` then holds).
+    ``matrix`` is always ``complex128``; when none of its imaginary parts is
+    nonzero (an aperture's network), the checks run in real arithmetic.
     """
 
     RESIDUAL_TOL = 1e-10
@@ -342,22 +344,24 @@ class UnitaryMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("a unitary must be square")
-        if not np.all(np.isfinite(m)):
+        a = _working(m)
+        if not np.all(np.isfinite(a)):
             raise UnitarityError("a unitary must have finite entries")
-        residual = _unitarity_residual(m)
+        residual = _unitarity_residual(a)
         if residual > self.RESIDUAL_TOL:
             raise UnitarityError(
                 f"unitarity residual {residual:.3e} above {self.RESIDUAL_TOL:.1e}"
             )
-        self.matrix = m.copy()
-        self.matrix.setflags(write=False)
-        self.residual = residual
         # a unit-magnitude entry is a perfect one-to-one transfer, i.e. a
         # split-off subnetwork: never marked connected
-        magnitude = np.abs(m)
+        magnitude = np.abs(a)
         self.connected = _is_connected(magnitude > _TOL_COUPLE) and bool(
             np.max(magnitude) < 1.0
         )
+        del a, magnitude  # released before the matrix is copied
+        self.matrix = m.copy()
+        self.matrix.setflags(write=False)
+        self.residual = residual
         self.provenance = dict(provenance or {})
 
     @property
@@ -428,22 +432,45 @@ class UnitaryMatrix:
             fh.writelines(f"{line}\n" for line in ["row,col,re,im", *self.csv_rows()])
 
 
-def _unitarity_residual(m):
-    """``||U+ U - I||_F`` of a finite square complex matrix, from real products.
+def _working(m):
+    """``m`` in the arithmetic its entries need.
 
-    With ``U = X + iY`` and ``Z = [X; Y]``, ``Re(U+ U) = Z^T Z`` (one
-    symmetric product) and ``Im(U+ U) = X^T Y - (X^T Y)^T``.
+    A matrix none of whose imaginary parts is nonzero comes back as a
+    contiguous ``float64`` array, on which SVDs, products and norms take
+    about a third of the time of their complex counterparts; any other
+    matrix comes back as it is, so its complex results do not change by a bit.
     """
-    n = m.shape[0]
-    z = np.empty((2 * n, n))
-    z[:n] = m.real
-    z[n:] = m.imag
+    m = np.asarray(m)
+    if np.iscomplexobj(m) and m.imag.any():
+        return m
+    return np.ascontiguousarray(m.real, dtype=float)
+
+
+def _unitarity_residual(m):
+    """``||U+ U - I||_F`` of a finite square matrix, from real products.
+
+    A real-valued ``U = X`` (see :func:`_working`) takes one symmetric
+    product: ``||X^T X - I||_F``.  Otherwise, with ``U = X + iY`` and
+    ``Z = [X; Y]``, ``Re(U+ U) = Z^T Z`` (one symmetric product) and
+    ``Im(U+ U) = X^T Y - (X^T Y)^T``.
+    """
+    a = _working(m)
+    n = a.shape[0]
+    is_complex = np.iscomplexobj(a)
+    if is_complex:  # row-major whatever the layout of ``m``, so its products round alike
+        z = np.empty((2 * n, n))
+        z[:n] = a.real
+        z[n:] = a.imag
+    else:
+        z = a
     re = z.T @ z
     re.flat[:: n + 1] -= 1.0
     sq = np.vdot(re, re)
-    xy = z[:n].T @ z[n:]
-    im = np.subtract(xy, xy.T, out=re)  # the real part is summed: its buffer is reused
-    return math.sqrt(sq + np.vdot(im, im))
+    if is_complex:
+        xy = z[:n].T @ z[n:]
+        im = np.subtract(xy, xy.T, out=re)  # the real part is summed: its buffer is reused
+        sq += np.vdot(im, im)
+    return math.sqrt(sq)
 
 
 def _is_connected(adj):
@@ -523,8 +550,8 @@ def plane_wave_coupling(mask, input_grid, output_grid, k):
         "inputs": len(n_in),
         "outputs": len(n_out),
     }
-    rows = [tuple(np.round(t, 12)) for t in n_out]
-    cols = [tuple(np.round(t, 12)) for t in n_in]
+    rows = [tuple(t) for t in np.round(n_out, 12)]
+    cols = [tuple(t) for t in np.round(n_in, 12)]
     return CouplingMatrix(m, rows, cols, provenance=prov)
 
 
@@ -606,10 +633,36 @@ def overlap_unitary(element, in_basis, out_basis, grid, k=2 * np.pi):
 # Unitarization
 
 
+def _svd(m):
+    """``(a, w, s, vh)``: ``m`` in its working arithmetic and the SVD ``a = W S V+``.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``m`` is not a non-empty square matrix.
+    UnitarityError
+        If an entry is not finite.
+    """
+    if m.ndim != 2 or m.size == 0:
+        raise DimensionMismatch(
+            f"a matrix to unitarize must be 2-D and non-empty, not of shape {m.shape}"
+        )
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch("only square couplings can be unitarized")
+    a = _working(m)
+    if not np.all(np.isfinite(a)):
+        raise UnitarityError("a matrix to unitarize must have finite entries")
+    return (a, *np.linalg.svd(a))
+
+
 def polar_factor(m):
-    """Closest unitary in Frobenius norm (polar decomposition)."""
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+    """Closest unitary in Frobenius norm (polar decomposition).
+
+    Computed in real arithmetic, and returned as ``float64``, when no
+    imaginary part of ``m`` is nonzero.
+    """
+    _, w, _, vh = _svd(np.asarray(m))
+    return w @ vh
 
 
 def unitarize(c, flux_faithful=False):
@@ -628,11 +681,23 @@ def unitarize(c, flux_faithful=False):
     :class:`UnitaryMatrix`.  The Frobenius distance between the coupling as
     passed in and the scattering block of the result is recorded as
     ``unitarization_distance``, so a flux-faithful rescale shows there.
+
+    A coupling none of whose imaginary parts is nonzero (an aperture's jinc
+    lattice) is unitarized in real arithmetic: SVD, dilation blocks and
+    distance.  Its unitary then has imaginary parts of exactly ``+0.0``.
+    Any other coupling takes the complex path.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the coupling is not a non-empty square matrix.
+    UnitarityError
+        If an entry is not finite.
+    SingularNetwork
+        In plain mode, if the smallest singular value is at or below 1e-6.
     """
     m = c.matrix if isinstance(c, CouplingMatrix) else np.asarray(c, dtype=complex)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("only square couplings can be unitarized")
-    w, s, vh = np.linalg.svd(m)
+    a, w, s, vh = _svd(m)
     if flux_faithful:
         if s[0] > 1.0:
             s = s / s[0]
@@ -647,7 +712,7 @@ def unitarize(c, flux_faithful=False):
             )
         u = block = w @ vh
     prov = dict(getattr(c, "provenance", {}) or {})
-    prov["unitarization_distance"] = float(np.linalg.norm(block - m))
+    prov["unitarization_distance"] = float(np.linalg.norm(block - a))
     prov["flux_faithful"] = bool(flux_faithful)
     return UnitaryMatrix(u.T, provenance=prov)
 

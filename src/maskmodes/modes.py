@@ -28,6 +28,8 @@ from .errors import (
 
 #: Largest share of a sampled mode's energy allowed on the grid's outer ring.
 _BOUNDARY_TOL = 1e-10
+#: Bit pattern of ``-0.0`` as float64.
+_NEGATIVE_ZERO = np.uint64(1 << 63)
 
 
 def _is_power_of_two(n):
@@ -262,7 +264,25 @@ def sample_field(mode_label, basis, grid, k=2 * np.pi):
     if norm == 0:
         raise OutOfRange("cannot normalize a field whose norm is 0 "
                          "(identically zero, or its samples underflow when squared)")
-    return SampledField._of(grid, values / norm, k)
+    return SampledField._of(grid, _divided(values, norm), k)
+
+
+def _divided(values, c):
+    """``values / c`` for a contiguous complex array and a float ``c > 0``, bit for bit.
+
+    numpy divides by ``c + 0j`` as complex division: ``re = (a + b*0) * (1/c)``
+    and ``im = (b - a*0) * (1/c)``.  One multiply of the float view by ``1/c``
+    gives the same bits for every part but ``-0.0``, whose result sign the
+    other part of its pair decides; those pairs are recomputed by the formula.
+    """
+    inv = 1.0 / c
+    parts = values.view(float).reshape(-1, 2)
+    out = parts * inv
+    pairs = np.flatnonzero(parts.view(np.uint64) == _NEGATIVE_ZERO) // 2
+    re, im = parts[pairs, 0], parts[pairs, 1]
+    out[pairs, 0] = (re + im * 0.0) * inv
+    out[pairs, 1] = (im - re * 0.0) * inv
+    return out.view(complex).reshape(values.shape)
 
 
 def _hg_1d(order, coords, waist):

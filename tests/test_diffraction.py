@@ -34,6 +34,7 @@ from maskmodes.diffraction import (
 )
 from maskmodes.errors import (
     AliasingDetected,
+    DimensionMismatch,
     EmptyGrid,
     SingularNetwork,
     SpectralMismatch,
@@ -53,8 +54,11 @@ from util import (
     gauge_fix,
     haar_unitary,
     is_connected_dfs,
+    orthogonal_matrix,
     overlap_unitary_pairs,
     plane_wave_coupling_columns,
+    unitarity_residual_complex_reference,
+    unitarize_complex_reference,
 )
 
 GRID = Grid2D(256, 256, 14.0 / 256, 14.0 / 256)
@@ -217,6 +221,20 @@ def test_custom_coupling_bit_identical_to_column_loop():
     ref, scale = plane_wave_coupling_columns(mask, lattice, lattice, 2 * np.pi)
     assert np.array_equal(c.matrix, ref)
     assert c.provenance["prenormalization_scale"] == scale
+
+
+@pytest.mark.parametrize("mask", [CircularAperture(2.0), CosineGrating((0.3, 0.4))],
+                         ids=["aperture", "cosine"])
+def test_coupling_labels_round_each_direction_as_before(mask):
+    # one np.round per direction array: the same tuples of np.float64 as one per direction
+    outputs, _ = aperture_output_grid(CircularAperture(2.0), (0.0, 0.0), 2 * np.pi, 0.2, 9)
+    inputs = PlaneWaveGrid.lattice((0.01 / 3, -0.02), 0.1, 3)
+    c = plane_wave_coupling(mask, inputs, outputs, 2 * np.pi)
+    for labels, grid in ((c.row_labels, outputs), (c.col_labels, inputs)):
+        expected = [tuple(np.round(t, 12)) for t in grid.transverse]
+        assert labels == expected
+        assert all(type(x) is np.float64 for label in labels for x in label)
+        assert [str(label) for label in labels] == [str(label) for label in expected]
 
 
 # --------------------------------------------------------------------------
@@ -439,11 +457,97 @@ def test_unitarize_closed_form_matches_iterative_dilation(seed, svals):
     np.testing.assert_allclose(scattering, dilation_reference(c), rtol=0, atol=1e-7)
     assert abs(u.provenance["unitarization_distance"] - np.linalg.norm(c - c / scale)) < 1e-12
 
+    # the same singular values on real singular vectors: a real-valued complex array
+    real = ((orthogonal_matrix(rng, n) * s) @ orthogonal_matrix(rng, n).T).astype(complex)
     if np.min(s) > 2e-6:  # clear of the 1e-6 singular-value floor after rounding
         assert np.array_equal(unitarize(c).matrix, polar_factor(c).T)
+        assert np.array_equal(unitarize(real).matrix, polar_factor(real).T)
     elif np.min(s) == 0.0:
         with pytest.raises(SingularNetwork):
             unitarize(c)
+
+
+def _exactly_real(u):
+    """Every imaginary part of a complex array is ``+0.0``."""
+    return not u.imag.any() and not np.signbit(u.imag).any()
+
+
+def _check_real_unitarization(c, flux_faithful):
+    u = unitarize(c, flux_faithful=flux_faithful)
+    raw = c.matrix if isinstance(c, CouplingMatrix) else c
+    matrix, distance = unitarize_complex_reference(raw, flux_faithful=flux_faithful)
+    assert u.matrix.dtype == complex and _exactly_real(u.matrix)
+    assert np.max(np.abs(u.matrix - matrix)) <= 1e-13
+    assert abs(u.provenance["unitarization_distance"] - distance) <= 1e-13
+    assert u.residual <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["contraction", "rank-deficient", "above-one"]))
+def test_real_couplings_unitarize_in_real_arithmetic(n, seed, kind):
+    # singular values stay clear of 1 below the top: sqrt(1 - s^2) is steep there,
+    # so any two SVDs of one matrix would disagree in the dilation beyond 1e-13
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.2, 0.95, size=n)
+    if kind == "rank-deficient":
+        s[rng.random(n) < 0.5] = 0.0
+    elif kind == "above-one":
+        s[0] = rng.uniform(1.05, 3.0)
+    c = ((orthogonal_matrix(rng, n) * s) @ orthogonal_matrix(rng, n).T).astype(complex)
+    _check_real_unitarization(c, flux_faithful=True)
+    if kind == "contraction":
+        _check_real_unitarization(c, flux_faithful=False)
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("steps", [3, 5, 7, 9])
+def test_aperture_couplings_unitarize_in_real_arithmetic(radius, steps):
+    mask = CircularAperture(radius)
+    lattice, _ = aperture_output_grid(mask, (0.0, 0.0), 2 * np.pi, 0.2, steps)
+    coupling = plane_wave_coupling(mask, lattice, lattice, 2 * np.pi)
+    assert _exactly_real(coupling.matrix)
+    _check_real_unitarization(coupling, flux_faithful=True)
+
+
+def test_loading_an_aperture_unitary_checks_it_in_real_arithmetic(tmp_path):
+    mask = CircularAperture(2.0)
+    lattice, _ = aperture_output_grid(mask, (0.0, 0.0), 2 * np.pi, 0.2, 17)
+    unit = unitarize(plane_wave_coupling(mask, lattice, lattice, 2 * np.pi), flux_faithful=True)
+    path = tmp_path / "u.json"
+    unit.save(path)
+    tracemalloc.start()
+    try:
+        loaded = UnitaryMatrix.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.dim == 578 and np.array_equal(loaded.matrix, unit.matrix)
+    assert (loaded.residual, loaded.connected) == (unit.residual, unit.connected)
+    # the 7.1 MB text and 5.3 MB payload, then float64 work arrays of 2.7 MB:
+    # complex work arrays, or a copy made before the checks, pass 21 MB
+    assert peak <= 21e6
+
+
+@pytest.mark.parametrize("flux_faithful", [False, True])
+@pytest.mark.parametrize("shape", [(0, 0), (3,), (0, 3)])
+def test_unitarize_refuses_what_is_not_a_nonempty_matrix(shape, flux_faithful):
+    with pytest.raises(DimensionMismatch):
+        unitarize(np.zeros(shape), flux_faithful=flux_faithful)
+    with pytest.raises(DimensionMismatch):
+        polar_factor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("flux_faithful", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_unitarize_refuses_non_finite_entries(bad, flux_faithful):
+    # as UnitaryMatrix does, in both modes, before any SVD could fail to converge
+    m = np.eye(3, dtype=complex) / 2
+    m[1, 2] = bad
+    with pytest.raises(UnitarityError, match="finite entries"):
+        unitarize(m, flux_faithful=flux_faithful)
+    with pytest.raises(UnitarityError, match="finite entries"):
+        polar_factor(m)
 
 
 def test_unitary_matrix_rejects_nonunitary():
@@ -480,6 +584,30 @@ def test_unitarity_residual_matches_the_complex_gram(dim, seed, scale):
         assert UnitaryMatrix(m).residual == residual
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.one_of(st.integers(1, 8), st.integers(9, 300)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 3e-11]))
+def test_unitarity_residual_takes_real_products_for_real_values(dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    real = orthogonal_matrix(rng, dim) + scale * rng.normal(size=(dim, dim))
+    residual = _unitarity_residual(real.astype(complex))
+    assert residual == _unitarity_residual(real)
+    assert abs(residual - unitarity_residual_complex_reference(real)) <= 1e-15 * dim
+    # a complex matrix takes the stacked products, bit for bit
+    m = haar_unitary(rng, dim) + scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    assert _unitarity_residual(m) == unitarity_residual_complex_reference(m)
+
+
+@pytest.mark.parametrize("dim", [8, 32, 33, 100])
+def test_unitarity_residual_does_not_depend_on_memory_layout(dim):
+    # unitarize passes the transpose of a row-major array; at 32 and 33 modes a
+    # column-major stack of real and imaginary parts rounds differently
+    m = haar_unitary(np.random.default_rng(dim), dim)
+    for u in (m.T, m.T.real):
+        assert _unitarity_residual(u) == _unitarity_residual(np.ascontiguousarray(u))
+    assert _unitarity_residual(m.T) == unitarity_residual_complex_reference(m.T)
+
+
 @pytest.mark.parametrize("dim", [1, 7, 300])
 def test_a_unitary_just_past_the_residual_tolerance_is_refused(dim):
     u = haar_unitary(np.random.default_rng(dim), dim)
@@ -505,6 +633,20 @@ def test_connectivity_flag():
     blockdiag[:2, :2] = HADAMARD
     blockdiag[2:, 2:] = HADAMARD
     assert not UnitaryMatrix(blockdiag).connected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_connectivity_of_real_unitaries_matches_the_complex_magnitudes(seed):
+    # real-valued networks take np.abs of the real part: same flag as on complex entries
+    rng = np.random.default_rng(seed)
+    blocks = [orthogonal_matrix(rng, int(k)) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+    m = block_diag(*blocks).astype(complex)
+    perm = rng.permutation(len(m))
+    for u in (m, m[perm], m[:, perm]):
+        magnitude = np.abs(u)  # complex magnitudes, as before real arithmetic
+        expected = is_connected_dfs(magnitude > 1e-12) and bool(np.max(magnitude) < 1.0)
+        assert UnitaryMatrix(u).connected == expected
+    assert UnitaryMatrix(orthogonal_matrix(rng, 5).astype(complex)).connected
 
 
 def _permuted(data, adj):

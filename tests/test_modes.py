@@ -16,6 +16,7 @@ from maskmodes.modes import (
     PlaneWaveGrid,
     SampledField,
     _basis_samples,
+    _divided,
     apply_mask_to_field,
     centered_fft2,
     centered_ifft2,
@@ -210,6 +211,27 @@ def test_sampled_modes_are_bit_identical_to_the_reference(n, basis):
     stack = _basis_samples(basis, grid, k)
     assert stack.shape == (basis.count, n * n)
     assert stack.tobytes() == basis_samples_reference(basis, grid, k).tobytes()
+
+
+_PARTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, -1e-300,
+                   1e300, -1e300, 1.7976931348623157e308, 1.5, -2.5])
+
+
+@pytest.mark.parametrize("c", [1.0, 3.7, 0.1, 1e-300, 5e-324, 1e300, np.inf])
+def test_real_view_division_is_bit_identical_to_complex_division(c):
+    # pairs of special parts (signed zeros, subnormals, extremes) in every
+    # combination, then random parts over the whole exponent range
+    rng = np.random.default_rng(18)
+    pairs = np.array(np.meshgrid(_PARTS, _PARTS)).reshape(2, -1).T
+    noise = rng.normal(size=(1 << 17, 2)) * 10.0 ** rng.integers(-300, 300, size=(1 << 17, 2))
+    special = rng.random(noise.shape) < 0.3
+    noise[special] = rng.choice(_PARTS, size=int(np.count_nonzero(special)))
+    values = np.concatenate([pairs, noise]).view(complex)[: 1 << 17].reshape(256, 512)
+    with np.errstate(all="ignore"):
+        expected = values / c
+        got = _divided(values, c)
+    assert got.shape == values.shape and got.dtype == complex
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def _raised(call):

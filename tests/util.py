@@ -157,6 +157,52 @@ def dilation_reference(m):
     return u @ vh
 
 
+def orthogonal_matrix(rng, n):
+    """Random real orthogonal matrix (polar factor of a real Ginibre draw)."""
+    u, _, vh = np.linalg.svd(rng.normal(size=(n, n)))
+    return u @ vh
+
+
+def unitarize_complex_reference(m, flux_faithful=False):
+    """``unitarize`` in complex arithmetic whatever the data: ``(matrix, unitarization_distance)``.
+
+    Reference for the real-arithmetic path of ``diffraction.unitarize``: one
+    complex SVD and complex products even when every imaginary part is zero.
+    The matrix is in operator orientation; no singular-value floor is applied.
+    """
+    m = np.asarray(m, dtype=complex)
+    w, s, vh = np.linalg.svd(m)
+    if flux_faithful:
+        if s[0] > 1.0:
+            s = s / s[0]
+        d = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+        v, wh = vh.conj().T, w.conj().T
+        block = (w * s) @ vh
+        u = np.block([[block, (w * d) @ wh], [(v * d) @ vh, -(v * s) @ wh]])
+    else:
+        u = block = w @ vh
+    return u.T, float(np.linalg.norm(block - m))
+
+
+def unitarity_residual_complex_reference(m):
+    """``||U+ U - I||_F`` from complex-sized real products whatever the data.
+
+    Reference for ``diffraction._unitarity_residual``: ``Z = [X; Y]`` is
+    stacked and ``X^T Y - (X^T Y)^T`` is summed even when ``Y = 0``.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    z = np.empty((2 * n, n))
+    z[:n] = m.real
+    z[n:] = m.imag
+    re = z.T @ z
+    re.flat[:: n + 1] -= 1.0
+    sq = np.vdot(re, re)
+    xy = z[:n].T @ z[n:]
+    im = np.subtract(xy, xy.T, out=re)
+    return sqrt(sq + np.vdot(im, im))
+
+
 def plane_wave_coupling_columns(mask, input_grid, output_grid, k, match_tol=1e-9):
     """Rescaled plane-wave coupling matrix built one input column at a time, and its scale.
 
