@@ -7,11 +7,15 @@ same text in pieces for a file to take.  Arrays (compiled matrices,
 sampled masks, impulse-response kernels, the occupations and amplitudes of
 states) go into documents as one base64 string of their little-endian,
 row-major bytes, ``complex128`` unless a reader and its writer name another
-type: :func:`encode_array` and :func:`decode_array`.  The round trip is
-bit-exact.  The text is written by a direct emitter, not json's
-pure-Python indenting encoder, and each payload that :func:`encode_array`
-made is spliced in as it is: base64 text never needs JSON escaping, so
-megabytes never go through json's escaping scan.
+type: :func:`encode_array` and :func:`decode_array`.  The complex arrays of
+compiled matrices, masks and kernels take the type from the data:
+:func:`encode_complex` stores one whose imaginary parts are all ``+0.0`` as
+its ``float64`` real parts, and says so in the document, and
+:func:`decode_complex` reads either.  The round trip is bit-exact.  The
+text is written by a direct emitter, not json's pure-Python indenting
+encoder, and each payload that :func:`encode_array` made is spliced in as
+it is: base64 text never needs JSON escaping, so megabytes never go
+through json's escaping scan.
 
 :func:`reading` turns every way a document can fail to be read into one
 typed :class:`~maskmodes.errors.MalformedDocument`.
@@ -28,6 +32,7 @@ import numpy as np
 from .errors import MalformedDocument
 
 _COMPLEX = np.dtype("<c16")
+_REAL = np.dtype("<f8")
 
 
 class _Payload(str):
@@ -197,7 +202,11 @@ def dumps(doc):
 
 
 def encode_array(values, dtype=_COMPLEX):
-    """Base64 text of the little-endian, row-major bytes of ``values`` as ``dtype``."""
+    """Base64 text of the little-endian, row-major bytes of ``values`` as ``dtype``.
+
+    The type is the caller's: a reader must name the same one to
+    :func:`decode_array`.  :func:`encode_complex` chooses it from the data.
+    """
     # encoded from the array's own buffer, with no bytes copy; the base64 bytes
     # are freed before the marked copy of the text is made
     text = base64.b64encode(np.ascontiguousarray(values, dtype=dtype)).decode("ascii")
@@ -208,7 +217,8 @@ def decode_array(text, shape, dtype=_COMPLEX):
     """The read-only ``dtype`` array of ``shape`` that :func:`encode_array` wrote as ``text``.
 
     Text that is not strict base64, or whose bytes are not exactly the
-    entries of ``shape``, raises :class:`MalformedDocument`.
+    entries of ``shape``, raises :class:`MalformedDocument`: text written as
+    another type of another size is refused by its byte count.
     """
     dtype = np.dtype(dtype)
     shape = tuple(operator.index(n) for n in shape)
@@ -222,6 +232,45 @@ def decode_array(text, shape, dtype=_COMPLEX):
         raise MalformedDocument(f"array payload holds {len(raw)} bytes; shape {shape} of "
                                 f"{dtype.name} needs {math.prod(shape) * dtype.itemsize}")
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+def encode_complex(name, values):
+    """The document entries of the complex array ``values`` stored under ``name``.
+
+    ``{name_b64: payload}``, the ``complex128`` bytes of ``values``, unless
+    every imaginary part is ``+0.0`` (its bits all zero): then the payload
+    holds the ``float64`` real parts, half the text, and
+    ``name_dtype: "float64"`` is added.  A ``-0.0`` imaginary part keeps the
+    complex payload, so :func:`decode_complex` gives back the same bits.
+    """
+    values = np.asarray(values, dtype=complex)
+    if values.imag.view(np.uint64).any():
+        return {f"{name}_b64": encode_array(values)}
+    return {f"{name}_b64": encode_array(values.real, _REAL), f"{name}_dtype": _REAL.name}
+
+
+def decode_complex(doc, name, shape):
+    """The read-only array of ``shape`` stored by :func:`encode_complex` under ``name``.
+
+    It is ``float64`` when ``doc`` declares ``name_dtype: "float64"`` and
+    ``complex128`` when it declares no type; the caller widens a real array.
+    Any other declared type, and a payload that is not base64 or not that
+    type of ``shape`` by its byte count, raise :class:`MalformedDocument`
+    naming the key.  A missing payload raises ``KeyError``, for
+    :func:`reading` to name.
+    """
+    text, key = doc[f"{name}_b64"], f"{name}_dtype"
+    if key not in doc:
+        dtype = _COMPLEX
+    elif doc[key] == _REAL.name:
+        dtype = _REAL
+    else:
+        raise MalformedDocument(f"{key} {doc[key]!r} is not {_REAL.name!r} "
+                                "(a complex128 payload declares no type)")
+    try:
+        return decode_array(text, shape, dtype)
+    except MalformedDocument as e:
+        raise MalformedDocument(f"{name}_b64: {e}") from None
 
 
 @contextlib.contextmanager

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._jsonio import decode_array, encode_array, reading, text_pieces
+from ._jsonio import decode_complex, encode_complex, reading, text_pieces
 from .errors import (
     AliasingDetected,
     DimensionMismatch,
@@ -164,13 +164,13 @@ class CustomSampled:
     kind = "custom"
 
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=complex)
+        values = np.array(values, dtype=complex, order="C")
         if values.shape != (grid.ny, grid.nx):
             raise GridMismatch("mask samples do not match the stated grid")
         if not np.all(np.isfinite(values)):
             raise ValueError("mask samples must be finite")
         self.grid = grid
-        self.values = values.copy()
+        self.values = values
         self.values.setflags(write=False)
 
     def sample(self, grid, k=None):
@@ -186,7 +186,7 @@ def mask_to_json(mask):
     doc = {"schema_version": SCHEMA_VERSION, "type": "mask", "kind": mask.kind}
     doc.update(mask.params())
     if isinstance(mask, CustomSampled):
-        doc["values_b64"] = encode_array(mask.values)
+        doc.update(encode_complex("values", mask.values))
     return doc
 
 
@@ -203,7 +203,7 @@ def mask_from_json(doc):
             return Pinhole(doc["radius"])
         if kind == "custom":
             grid = Grid2D.from_header(doc["grid"])
-            return CustomSampled(grid, decode_array(doc["values_b64"], (grid.ny, grid.nx)))
+            return CustomSampled(grid, decode_complex(doc, "values", (grid.ny, grid.nx)))
         raise MalformedDocument(f"unknown mask kind {kind!r}")
 
 
@@ -279,7 +279,7 @@ class CouplingMatrix:
     """
 
     def __init__(self, matrix, row_labels, col_labels, provenance=None):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex, order="C")
         if m.shape != (len(row_labels), len(col_labels)):
             raise DimensionMismatch("matrix shape does not match label counts")
         # written so that a nan entry fails them
@@ -288,7 +288,7 @@ class CouplingMatrix:
         col_norms = np.linalg.norm(m, axis=0)
         if not np.max(col_norms, initial=0.0) <= 1.0 + 1e-9:
             raise ValueError("coupling column norms must not exceed 1")
-        self.matrix = m.copy()
+        self.matrix = m
         self.matrix.setflags(write=False)
         self.row_labels = list(row_labels)
         self.col_labels = list(col_labels)
@@ -304,7 +304,7 @@ class CouplingMatrix:
             "type": "coupling",
             "rows": [str(l) for l in self.row_labels],
             "cols": [str(l) for l in self.col_labels],
-            "matrix_b64": encode_array(self.matrix),
+            **encode_complex("matrix", self.matrix),
             "provenance": self.provenance,
         }
 
@@ -319,13 +319,18 @@ class CouplingMatrix:
 
 
 def _stored_matrix(doc, shape):
-    """The ``matrix_b64`` payload of a compiled-matrix document, of ``shape``."""
+    """The ``matrix_b64`` payload of a compiled-matrix document, of ``shape``.
+
+    ``float64`` for a real-valued matrix, else ``complex128`` (see
+    :func:`~maskmodes._jsonio.decode_complex`).
+    """
     if "matrix" in doc and "matrix_b64" not in doc:
         raise MalformedDocument(
             "schema-1 [re, im] pair-list matrix: compiled matrices are now stored as "
-            f"base64 complex128 under 'matrix_b64' (schema {SCHEMA_VERSION})"
+            f"base64 complex128 (float64 when real-valued) under 'matrix_b64' "
+            f"(schema {SCHEMA_VERSION})"
         )
-    return decode_array(doc["matrix_b64"], shape)
+    return decode_complex(doc, "matrix", shape)
 
 
 class UnitaryMatrix:
@@ -334,17 +339,26 @@ class UnitaryMatrix:
     The unitarity residual ``||U+ U - I||_F`` is checked at construction and
     recorded.  The ``connected`` flag marks networks that cannot be split
     into independent sub-networks (all ``|U[j, k]| < 1`` then holds).
-    ``matrix`` is always ``complex128``; when none of its imaginary parts is
-    nonzero (an aperture's network), the checks run in real arithmetic.
+
+    ``matrix`` is always row-major, read-only ``complex128``.  A real input
+    (an aperture's network from :func:`unitarize`, or the ``float64``
+    payload of its saved document) is checked as one row-major ``float64``
+    array and widened once at the end, with imaginary parts ``+0.0``.  A
+    complex input none of whose imaginary parts is nonzero is checked in
+    real arithmetic too, and any other in complex arithmetic.
     """
 
     RESIDUAL_TOL = 1e-10
 
     def __init__(self, matrix, provenance=None):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("a unitary must be square")
-        a = _working(m)
+        if m.dtype.kind in "biuf":  # real: checked as it is, widened once at the end
+            a = m = np.ascontiguousarray(m, dtype=float)
+        else:
+            m = np.asarray(m, dtype=complex)
+            a = _working(m)
         if not np.all(np.isfinite(a)):
             raise UnitarityError("a unitary must have finite entries")
         residual = _unitarity_residual(a)
@@ -358,8 +372,8 @@ class UnitaryMatrix:
         self.connected = _is_connected(magnitude > _TOL_COUPLE) and bool(
             np.max(magnitude) < 1.0
         )
-        del a, magnitude  # released before the matrix is copied
-        self.matrix = m.copy()
+        del a, magnitude  # work arrays released before the matrix is made
+        self.matrix = m.astype(complex, order="C")  # a new array: widened or copied
         self.matrix.setflags(write=False)
         self.residual = residual
         self.provenance = dict(provenance or {})
@@ -393,7 +407,7 @@ class UnitaryMatrix:
             "schema_version": SCHEMA_VERSION,
             "type": "unitary",
             "dim": self.dim,
-            "matrix_b64": encode_array(self.matrix),
+            **encode_complex("matrix", self.matrix),
             "unitarity_residual": self.residual,
             "connected": self.connected,
             "provenance": self.provenance,
@@ -773,13 +787,13 @@ class ImpulseResponse:
     kind = "impulse_response"
 
     def __init__(self, grid, values, spectral_cap=None, provenance=None):
-        values = np.asarray(values, dtype=complex)
+        values = np.array(values, dtype=complex, order="C")
         if values.shape != (grid.ny, grid.nx):
             raise GridMismatch("kernel samples do not match the grid")
         if not np.all(np.isfinite(values)):
             raise ValueError("kernel must be finite")
         self.grid = grid
-        self.values = values.copy()
+        self.values = values
         self.values.setflags(write=False)
         self.spectral_cap = spectral_cap
         self.provenance = dict(provenance or {})
@@ -792,7 +806,7 @@ class ImpulseResponse:
             "schema_version": SCHEMA_VERSION,
             "type": "impulse_response",
             "grid": self.grid.header(),
-            "values_b64": encode_array(self.values),
+            **encode_complex("values", self.values),
             "spectral_cap": self.spectral_cap,
             "provenance": self.provenance,
         }
@@ -803,8 +817,9 @@ class ImpulseResponse:
             if not isinstance(doc, dict) or doc.get("type") != "impulse_response":
                 raise MalformedDocument("document is not a serialized impulse response")
             grid = Grid2D.from_header(doc["grid"])
-            values = decode_array(doc["values_b64"], (grid.ny, grid.nx))
-            return cls(grid, values, spectral_cap=doc.get("spectral_cap"))
+            values = decode_complex(doc, "values", (grid.ny, grid.nx))
+            return cls(grid, values, spectral_cap=doc.get("spectral_cap"),
+                       provenance=doc.get("provenance"))
 
 
 def inverse_design_response(e_in, e_out, eps_rel=1e-6):

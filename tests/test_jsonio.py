@@ -8,9 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskmodes._jsonio import _Payload, decode_array, dumps, encode_array, text_pieces
-from maskmodes.diffraction import CouplingMatrix, ImpulseResponse, UnitaryMatrix, mask_from_json
+from maskmodes.diffraction import (
+    CouplingMatrix,
+    CustomSampled,
+    ImpulseResponse,
+    UnitaryMatrix,
+    mask_from_json,
+    mask_to_json,
+)
 from maskmodes.errors import MalformedDocument
 from maskmodes.fock import MultimodeFockState
+from maskmodes.modes import Grid2D
+from util import orthogonal_matrix
 
 # bit patterns: signed zeros, subnormals, extremes, nan with payloads and sign, infinities
 EDGE_BITS = [0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF,
@@ -93,6 +102,155 @@ def test_compiled_matrices_round_trip_bit_exactly(matrix):
     back = type(matrix).from_json(doc)
     assert back.matrix.tobytes() == matrix.matrix.tobytes()
     assert back.provenance == matrix.provenance
+
+
+# --------------------------------------------------------------------------
+# Complex payloads: float64 when every imaginary part is +0.0
+
+
+def _parts(draw, n, floats):
+    return np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float)
+
+
+@st.composite
+def _complex_values(draw, shape, floats):
+    """A complex array of ``shape`` whose imaginary parts are all +0.0, +0.0 but
+    for one -0.0, or drawn."""
+    n = int(np.prod(shape))
+    values = _parts(draw, n, floats).reshape(shape).astype(complex)
+    how = draw(st.sampled_from(["real", "one negative zero", "drawn"]))
+    if how == "one negative zero" and n:
+        values.imag.flat[draw(st.integers(0, n - 1))] = -0.0
+    elif how == "drawn":
+        values.imag = _parts(draw, n, floats).reshape(shape)
+    return values
+
+
+@st.composite
+def _unitaries(draw):
+    n = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = orthogonal_matrix(rng, n) if n else np.eye(0)
+    how = draw(st.sampled_from(["float64", "complex, real-valued", "one negative zero", "phases"]))
+    if how == "float64":
+        return UnitaryMatrix(q)
+    m = q.astype(complex)
+    if how == "one negative zero" and n:
+        m.imag[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = -0.0
+    elif how == "phases":
+        m = m * np.exp(1j * _parts(draw, n, st.floats(-np.pi, np.pi)))
+    return UnitaryMatrix(m)
+
+
+_grids = st.builds(Grid2D, st.sampled_from([2, 4]), st.sampled_from([2, 4]), st.just(0.5),
+                   st.just(0.25))
+_samples = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _stored_objects(draw):
+    """``(writer, reader, name, values)`` for one object that stores a complex array."""
+    kind = draw(st.sampled_from(["unitary", "coupling", "mask", "kernel"]))
+    if kind == "unitary":
+        u = draw(_unitaries())
+        return u.to_json, UnitaryMatrix.from_json, "matrix", u.matrix
+    if kind == "coupling":
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        # entries of magnitude below 1/2: four rows keep each column norm below 1
+        m = draw(_complex_values((rows, cols), st.floats(-0.35, 0.35)))
+        c = CouplingMatrix(m, [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)],
+                           provenance={"mask": "drawn"})
+        return c.to_json, CouplingMatrix.from_json, "matrix", c.matrix
+    grid = draw(_grids)
+    values = draw(_complex_values((grid.ny, grid.nx), _samples))
+    if kind == "mask":
+        mask = CustomSampled(grid, values)
+        return lambda: mask_to_json(mask), mask_from_json, "values", mask.values
+    h = ImpulseResponse(grid, values, spectral_cap=draw(_samples),
+                        provenance={"eps_rel": 1e-6, "lost_fraction": draw(_samples)})
+    return h.to_json, ImpulseResponse.from_json, "values", h.values
+
+
+def _real_valued(values):
+    return not values.imag.view(np.uint64).any()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stored=_stored_objects())
+def test_complex_payloads_are_float64_exactly_when_every_imaginary_part_is_plus_zero(stored):
+    writer, reader, name, values = stored
+    text = dumps(writer())
+    doc = json.loads(text)
+    assert (f"{name}_dtype" in doc) == _real_valued(values)
+    if _real_valued(values):
+        assert doc[f"{name}_dtype"] == "float64"
+        stored_bytes = decode_array(doc[f"{name}_b64"], values.shape, "<f8").tobytes()
+        assert stored_bytes == values.real.tobytes()
+    back = reader(doc)
+    got = back.matrix if name == "matrix" else back.values
+    assert got.dtype == np.complex128 and got.flags.c_contiguous and not got.flags.writeable
+    assert got.tobytes() == values.tobytes()
+    assert dumps(writer()) == text
+    if hasattr(back, "provenance"):
+        assert back.provenance == writer()["provenance"]
+
+
+def test_one_negative_zero_keeps_the_complex_payload():
+    m = np.eye(3, dtype=complex)
+    m.imag[2, 0] = -0.0
+    doc = UnitaryMatrix(m).to_json()
+    assert "matrix_dtype" not in doc and doc["matrix_b64"] == encode_array(m)
+    back = UnitaryMatrix.from_json(json.loads(dumps(doc)))
+    assert back.matrix.tobytes() == m.tobytes() and np.signbit(back.matrix.imag[2, 0])
+    assert "matrix_dtype" in UnitaryMatrix(np.eye(3)).to_json()
+
+
+def test_complex_documents_keep_their_text():
+    # a complex unitary: its complex128 payload and no dtype key, byte for byte
+    assert dumps(UnitaryMatrix.su2(0.7, 0.2).to_json()) == (
+        '{\n "connected": true,\n "dim": 2,\n "matrix_b64": "t+UNXVcP7j8AAAAAAAAAABxkwQsNgtU/m1fX'
+        '8oZwsT8cZMELDYLVv5tX1/KGcLE/t+UNXVcP7j8AAAAAAAAAAA==",\n "provenance": {},\n '
+        '"schema_version": 2,\n "type": "unitary",\n '
+        '"unitarity_residual": 7.729193353152502e-18\n}\n'
+    )
+
+
+def _documents_of_each_reader():
+    """``(reader, name, real document, complex document)`` for each object with a payload."""
+    grid = Grid2D(2, 4, 0.5, 0.5)
+    real = np.arange(8.0).reshape(4, 2) / 16
+    phased = real * (1 + 1j)
+    rows, cols = list("abcd"), list("xy")
+    return [
+        (UnitaryMatrix.from_json, "matrix", UnitaryMatrix.balanced_splitter().to_json(),
+         UnitaryMatrix.su2(0.7, 0.2).to_json()),
+        (CouplingMatrix.from_json, "matrix", CouplingMatrix(real, rows, cols).to_json(),
+         CouplingMatrix(phased, rows, cols).to_json()),
+        (mask_from_json, "values", mask_to_json(CustomSampled(grid, real)),
+         mask_to_json(CustomSampled(grid, phased))),
+        (ImpulseResponse.from_json, "values", ImpulseResponse(grid, real).to_json(),
+         ImpulseResponse(grid, phased).to_json()),
+    ]
+
+
+@pytest.mark.parametrize("reader, name, real, cplx", _documents_of_each_reader(),
+                         ids=["unitary", "coupling", "mask", "kernel"])
+def test_payload_types_are_checked_by_name(reader, name, real, cplx):
+    key = f"{name}_dtype"
+    assert real[key] == "float64" and key not in cplx
+    for doc in (real, cplx):
+        reader(json.loads(dumps(doc)))
+    for bad in ("complex128", "float32", "", "Float64", 5, 64.0, None, True, ["float64"],
+                {"float64": 1}):
+        with pytest.raises(MalformedDocument, match=f"{key} "):
+            reader({**real, key: bad})
+    # a float64 payload read as complex128, and a complex128 one read as float64
+    float_as_complex = {k: v for k, v in real.items() if k != key}
+    for doc in (float_as_complex, {**cplx, key: "float64"}):
+        with pytest.raises(MalformedDocument, match=f"{name}_b64: array payload holds .* bytes"):
+            reader(doc)
+    with pytest.raises(MalformedDocument, match=f"missing key '{name}_b64'"):
+        reader({k: v for k, v in real.items() if k != f"{name}_b64"})
 
 
 # each reader, and a document of its own type that lacks a field it needs
