@@ -1,24 +1,24 @@
-"""The one JSON writer for artifacts and saved objects, the array codec and
-the reading guard.
+"""The document layer: everything between an object's ``to_json()`` dict and its file.
 
-:func:`dumps` gives ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``,
-the text of every artifact and saved document, and :func:`text_pieces` the
-same text in pieces for a file to take.  Arrays (compiled matrices,
-sampled masks, impulse-response kernels, the occupations and amplitudes of
-states) go into documents as one base64 string of their little-endian,
-row-major bytes, ``complex128`` unless a reader and its writer name another
-type: :func:`encode_array` and :func:`decode_array`.  The complex arrays of
-compiled matrices, masks and kernels take the type from the data:
-:func:`encode_complex` stores one whose imaginary parts are all ``+0.0`` as
-its ``float64`` real parts, and says so in the document, and
-:func:`decode_complex` reads either.  The round trip is bit-exact.  The
-text is written by a direct emitter, not json's pure-Python indenting
-encoder, and each payload that :func:`encode_array` made is spliced in as
-it is: base64 text never needs JSON escaping, so megabytes never go
-through json's escaping scan.
+:func:`text_pieces` gives ``json.dumps(doc, sort_keys=True, indent=1) +
+"\\n"``, the text of every artifact and saved document, in pieces for a
+file to take (:func:`dumps` joins them).  :func:`write_file` writes every
+file the package makes, atomically; :func:`read_file` parses one for a
+reader, which takes its document out of a CLI artifact with :func:`typed`
+and reads it under :func:`reading`, which turns every way a document can
+fail to be read into one typed :class:`~maskmodes.errors.MalformedDocument`.
 
-:func:`reading` turns every way a document can fail to be read into one
-typed :class:`~maskmodes.errors.MalformedDocument`.
+Arrays (compiled matrices, sampled masks, impulse-response kernels, the
+occupations and amplitudes of states) go into documents as one base64
+string of their little-endian, row-major bytes, ``complex128`` unless a
+reader and its writer name another type: :func:`encode_array` and
+:func:`decode_array`.  The complex arrays of compiled matrices, masks and
+kernels take the type from the data: :func:`encode_complex` stores one
+whose imaginary parts are all ``+0.0`` as its ``float64`` real parts, and
+says so in the document, and :func:`decode_complex` reads either.  The
+round trip is bit-exact.  Each payload is spliced into the text as it is:
+base64 never needs JSON escaping, so megabytes never go through json's
+escaping scan.
 """
 
 import base64
@@ -26,6 +26,7 @@ import contextlib
 import json
 import math
 import operator
+import os
 
 import numpy as np
 
@@ -39,10 +40,6 @@ class _Payload(str):
     """Base64 text from :func:`encode_array`: JSON carries it as it is."""
 
     __slots__ = ()
-
-
-class _LeftToJson(Exception):
-    """A document :func:`_emit` does not write: json writes it, or raises its own error."""
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -93,8 +90,7 @@ def _write(o, level, buf, pieces):
     """Append the text of ``o`` at nesting ``level`` to ``buf``.
 
     A payload ends the text in ``buf``: that is joined onto ``pieces``, then
-    the payload itself.  Raises :class:`_LeftToJson` for what :func:`_emit`
-    leaves to json.
+    the payload itself.
     """
     out = buf.append
     text = _SCALAR_TEXT.get(type(o))
@@ -106,14 +102,14 @@ def _write(o, level, buf, pieces):
             return
         try:
             items = sorted(o.items())
-        except TypeError:  # keys of several types
-            raise _LeftToJson from None
+        except TypeError:  # keys of several types: the loop refuses one that is not a str
+            items = [(next(k for k in o if not isinstance(k, str)), None)]
         inner = "\n" + " " * (level + 1)
         out("{")
         sep = inner
         for key, value in items:
             if not isinstance(key, str):
-                raise _LeftToJson
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             head = sep + _encode_str(key) + ": "
             sep = "," + inner
             text = _SCALAR_TEXT.get(type(value))
@@ -154,46 +150,30 @@ def _write(o, level, buf, pieces):
     elif isinstance(o, float):
         out(_float_text(o))
     else:
-        raise _LeftToJson
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _emit(doc):
+def text_pieces(doc):
     """The text of ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"`` as a list of strings.
 
     Each :class:`_Payload` is one string of the list, between the pieces
-    that hold its quotes; the text between payloads is joined.  Dictionaries
+    that hold its quotes; the text between payloads is joined, so a file
+    takes a payload (``fh.writelines``) with no joined copy.  Dictionaries
     with str keys, lists, tuples, strings, ints, floats, booleans and
     ``None`` are written as json's own encoder writes them (strings through
-    its C escaper); a list of only ints or only floats is joined by one
-    ``str.join``.  Any other key or value raises :class:`_LeftToJson`; a
-    container inside itself recurses to ``RecursionError``.  The writer is a
-    plain recursive function, not a closure over the pieces: a recursive
-    closure is a reference cycle, which would keep every payload alive until
-    the garbage collector ran.
+    its C escaper), not by json's pure-Python indenting encoder; a list of
+    only ints or only floats is joined by one ``str.join``.  Any other key
+    or value raises ``TypeError`` naming its type; a container inside
+    itself recurses to ``RecursionError``.  The writer is a plain recursive
+    function, not a closure over the pieces: a recursive closure is a
+    reference cycle, which would keep every payload alive until the garbage
+    collector ran.
     """
     pieces, buf = [], []
     _write(doc, 0, buf, pieces)
     buf.append("\n")
     pieces.append("".join(buf))
     return pieces
-
-
-def text_pieces(doc):
-    """The text of a document as a list of strings, each payload one of them.
-
-    The text is ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``.  It
-    is written by :func:`_emit` without json's pure-Python encoder (the one
-    json runs for any indentation), each payload spliced in as it is: base64
-    text never needs escaping.  A document :func:`_emit` does not write (a
-    key that is not a str, a value of another type, a cycle or nesting past
-    the recursion limit) goes to ``json.dumps`` whole, so json raises its
-    own errors.  A file takes the pieces one by one (``fh.writelines``), so
-    no joined copy of a payload is made.
-    """
-    try:
-        return _emit(doc)
-    except (_LeftToJson, RecursionError):
-        return [json.dumps(doc, sort_keys=True, indent=1), "\n"]
 
 
 def dumps(doc):
@@ -293,3 +273,37 @@ def reading(source=None):
     else:
         return
     raise MalformedDocument(f"{source}: {detail}" if source else detail)
+
+
+def typed(doc, kind, what):
+    """The document of type ``kind`` that ``doc`` is or that a CLI artifact ``doc`` holds."""
+    if isinstance(doc, dict) and isinstance(doc.get("result"), dict):
+        doc = doc["result"].get("state", doc["result"])  # propagate's result holds a state
+    if not isinstance(doc, dict) or doc.get("type") != kind:
+        raise MalformedDocument(f"document is not a serialized {what}")
+    return doc
+
+
+def read_file(path, reader):
+    """``reader(doc)`` of the document in the file ``path``; a read error names the file."""
+    with open(path) as fh, reading(path):
+        return reader(json.load(fh))
+
+
+def write_file(path, pieces):
+    """Write the strings ``pieces`` to a temp file beside ``path``, then rename it onto ``path``.
+
+    The temp file is removed on any failure.  It is made as ``open()`` makes a
+    file: mode ``0o666`` less the umask.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".maskmodes-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

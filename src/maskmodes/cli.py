@@ -22,14 +22,13 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from functools import partial
 
 import click
 import numpy as np
 
 from . import __version__
-from ._jsonio import reading, text_pieces
+from ._jsonio import read_file, text_pieces, write_file
 from .agreement import run_agreement_suite
 from .diffraction import (
     CircularAperture,
@@ -78,24 +77,15 @@ def _config_hash(resolved):
 
 
 def _atomic_write(path, pieces):
-    """Write the strings ``pieces`` to a temp file, then rename it onto ``path``."""
+    """Write the strings ``pieces`` to ``path``, under ``MASKMODES_OUTPUT_DIR`` if relative."""
     base = os.environ.get("MASKMODES_OUTPUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    tmp = None
     try:
-        d = os.path.dirname(os.path.abspath(path))
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".maskmodes-")
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(pieces)
-        os.replace(tmp, path)
-        tmp = None
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        write_file(path, pieces)
     except OSError as e:
         raise click.FileError(path, hint=e.strerror) from e
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _write_artifact(path, result, seed=None):
@@ -321,8 +311,7 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
         fields = (basis_order + 1) ** 2
         _check_compile_size(16 * fields * grid_n**2, f"--grid {grid_n} and --basis-order "
                             f"{basis_order}: {fields} sampled fields of {grid_n}^2 points")
-        with open(path) as fh, reading(path):
-            screen = mask_from_json(json.load(fh))
+        screen = read_file(path, mask_from_json)
         grid = Grid2D(grid_n, grid_n, extent / grid_n, extent / grid_n)
         basis = hermite_gaussian_basis(basis_order, waist)
         coupling = overlap_unitary(screen, basis, basis, grid, k=wavenumber)

@@ -18,12 +18,11 @@ the operator orientation.
 this module does not load it.
 """
 
-import json
 import math
 
 import numpy as np
 
-from ._jsonio import decode_complex, encode_complex, reading, text_pieces
+from ._jsonio import decode_complex, encode_complex, read_file, reading, text_pieces, typed, write_file
 from .errors import (
     AliasingDetected,
     DimensionMismatch,
@@ -63,8 +62,8 @@ _BLOCK_BYTES = 1 << 22
 _SMIN_TOL = 1e-6
 #: Share of the target's energy the kernel design may find outside the input band.
 _LOST_TOL = 1e-3
-#: Entry magnitude above which a unitary couples two modes (for ``connected``).
-_TOL_COUPLE = 1e-12
+#: Entry magnitude above which a network couples two modes (``connected``, the split-mode rule).
+TOL_COUPLE = 1e-12
 
 
 def jinc(x):
@@ -311,8 +310,7 @@ class CouplingMatrix:
     @classmethod
     def from_json(cls, doc):
         with reading():
-            if not isinstance(doc, dict) or doc.get("type") != "coupling":
-                raise MalformedDocument("document is not a serialized coupling matrix")
+            doc = typed(doc, "coupling", "coupling matrix")
             rows, cols = doc["rows"], doc["cols"]
             matrix = _stored_matrix(doc, (len(rows), len(cols)))
             return cls(matrix, rows, cols, provenance=doc.get("provenance"))
@@ -369,7 +367,7 @@ class UnitaryMatrix:
         # a unit-magnitude entry is a perfect one-to-one transfer, i.e. a
         # split-off subnetwork: never marked connected
         magnitude = np.abs(a)
-        self.connected = _is_connected(magnitude > _TOL_COUPLE) and bool(
+        self.connected = _is_connected(magnitude > TOL_COUPLE) and bool(
             np.max(magnitude) < 1.0
         )
         del a, magnitude  # work arrays released before the matrix is made
@@ -416,21 +414,16 @@ class UnitaryMatrix:
     @classmethod
     def from_json(cls, doc):
         with reading():
-            if isinstance(doc, dict) and isinstance(doc.get("result"), dict):
-                doc = doc["result"]  # artifact envelope written by the CLI
-            if not isinstance(doc, dict) or doc.get("type") != "unitary":
-                raise MalformedDocument("document is not a serialized unitary")
+            doc = typed(doc, "unitary", "unitary")
             dim = doc["dim"]
             return cls(_stored_matrix(doc, (dim, dim)), provenance=doc.get("provenance"))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.writelines(text_pieces(self.to_json()))
+        write_file(path, text_pieces(self.to_json()))
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh, reading(path):
-            return cls.from_json(json.load(fh))
+        return read_file(path, cls.from_json)
 
     def csv_rows(self):
         """One ``row,col,re,im`` line per entry, row-major, floats as their ``repr``."""
@@ -442,8 +435,7 @@ class UnitaryMatrix:
         ]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.writelines(f"{line}\n" for line in ["row,col,re,im", *self.csv_rows()])
+        write_file(path, [f"{line}\n" for line in ["row,col,re,im", *self.csv_rows()]])
 
 
 def _working(m):
@@ -814,8 +806,7 @@ class ImpulseResponse:
     @classmethod
     def from_json(cls, doc):
         with reading():
-            if not isinstance(doc, dict) or doc.get("type") != "impulse_response":
-                raise MalformedDocument("document is not a serialized impulse response")
+            doc = typed(doc, "impulse_response", "impulse response")
             grid = Grid2D.from_header(doc["grid"])
             values = decode_complex(doc, "values", (grid.ny, grid.nx))
             return cls(grid, values, spectral_cap=doc.get("spectral_cap"),

@@ -39,7 +39,6 @@ from .fock import _layout, _pack
 #: Entropy threshold (bits) for verdicts on truncated coherent/squeezed
 #: inputs; exact Fock inputs support the tighter 1e-9.
 DEFAULT_TOL_TRUNCATED = 1e-6
-DEFAULT_TOL_EXACT = 1e-9
 
 _EIG_FLOOR = 1e-18
 _MAX_SCAN_MODES = 12

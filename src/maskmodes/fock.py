@@ -23,17 +23,17 @@ propagating Fock and vacuum inputs and reading stored states never load it.
 """
 
 import bisect
-import json
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import decode_array, encode_array, reading, text_pieces
+from ._jsonio import decode_array, encode_array, read_file, reading, text_pieces, typed, write_file
 from .errors import (
     DimensionMismatch,
     MalformedDocument,
@@ -162,10 +162,14 @@ class InputStateSpec:
     oracle all read these arrays.
 
     The total photon number T above which the input weight is at most 1e-20
-    is fixed here: Fock photons plus the cap of the Gaussian modes'
-    convolved photon-number distribution.  A mode whose mean photon number
-    alone makes ``C(n + M, M)`` over M modes exceed ``MAX_TERMS`` raises
-    :class:`~maskmodes.errors.StateTooLarge` before any vector is allocated.
+    (Fock photons plus the cap of the Gaussian modes' convolved
+    photon-number distribution) and the Gaussian modes' amplitudes up to it
+    are computed on first use, by :func:`build_input_state` or
+    :func:`apply_unitary`; the checker needs neither.  A mode whose mean
+    photon number alone makes ``C(n + M, M)`` over M modes exceed
+    ``MAX_TERMS`` then raises :class:`~maskmodes.errors.StateTooLarge` before
+    any vector is allocated.  A Fock mode of more than ``MAX_TERMS`` photons,
+    which no state holds, is refused here.
     """
 
     def __init__(self, descriptors):
@@ -185,19 +189,22 @@ class InputStateSpec:
                 photons[j] = int(d.n)
             elif not isinstance(d, Vacuum):
                 raise TypeError(f"unknown descriptor {d!r}")
+        if max(photons) > MAX_TERMS:
+            _check_one_mode(MAX_TERMS, n_modes)
+        self.photons = np.array(photons, dtype=np.int64)
+
+    @cached_property
+    def _truncation(self):
+        """T and the amplitudes of each Gaussian mode up to it: ``(T, {mode: amplitudes})``."""
         # mean photon number per mode, clipped where it alone passes MAX_TERMS
         root = 2 * np.sqrt(MAX_TERMS)
         mean = (np.minimum(np.abs(self.alpha), root) ** 2
                 + np.sinh(np.minimum(np.abs(self.lam), np.arcsinh(root))) ** 2)
-        low = min(max(n + float(m) for n, m in zip(photons, mean)), MAX_TERMS)
-        _check_size(comb(int(low) + n_modes, n_modes),
-                    f"terms for at least {int(low)} photons in one mode over {n_modes} modes")
-        self.photons = np.array(photons, dtype=np.int64)
+        _check_one_mode(min((self.photons + mean).max(), MAX_TERMS), self.mode_count)
         amps = {j: _gaussian_amplitudes(self.alpha[j], self.lam[j])
                 for j in np.flatnonzero((self.alpha != 0) | (self.lam != 0)).tolist()}
         top = _total_degree_cap([np.abs(a) ** 2 for a in amps.values()])
-        self._top = int(self.photons.sum()) + top
-        self._amplitudes = {j: a[: top + 1] for j, a in amps.items()}  # Gaussian modes
+        return int(self.photons.sum()) + top, {j: a[: top + 1] for j, a in amps.items()}
 
     @classmethod
     def parse(cls, text):
@@ -402,10 +409,7 @@ class MultimodeFockState:
         further than ``1e-12`` from 1.
         """
         with reading():
-            if isinstance(doc, dict) and isinstance(doc.get("result"), dict):
-                doc = doc["result"].get("state")  # artifact envelope written by the CLI
-            if not isinstance(doc, dict) or doc.get("type") != "state":
-                raise MalformedDocument("document is not a serialized state")
+            doc = typed(doc, "state", "state")
             if "amplitudes" in doc and "occupations_b64" not in doc:
                 raise MalformedDocument(
                     "schema-1 [occupation, re, im] list state: states are now stored as base64 "
@@ -426,13 +430,11 @@ class MultimodeFockState:
         return state
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.writelines(text_pieces(self.to_json()))
+        write_file(path, text_pieces(self.to_json()))
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh, reading(path):
-            return cls.from_json(json.load(fh))
+        return read_file(path, cls.from_json)
 
     def __repr__(self):
         return f"<MultimodeFockState modes={self.mode_count} terms={len(self.values)}>"
@@ -454,6 +456,13 @@ def _check_size(estimate, what):
                             estimated_terms=estimate)
 
 
+def _check_one_mode(photons, n_modes):
+    """Refuse ``photons`` in one of ``n_modes`` modes if that alone passes ``MAX_TERMS`` terms."""
+    n = int(photons)
+    _check_size(comb(n + n_modes, n_modes), f"terms for at least {n} photons in one mode over "
+                f"{n_modes} modes")
+
+
 def build_input_state(spec):
     """Product state of the spec's modes up to its total degree T, renormalized.
 
@@ -463,14 +472,15 @@ def build_input_state(spec):
     occ = np.zeros((1, 0), dtype=np.int64)
     vals = np.ones(1, dtype=complex)
     deg = np.zeros(1, dtype=np.int64)
+    top, gaussian = spec._truncation
     for j, n in enumerate(spec.photons):
-        amps = spec._amplitudes.get(j, np.ones(1))
+        amps = gaussian.get(j, np.ones(1))
         levels = n + np.arange(len(amps))
         _check_size(len(vals) * len(amps), "input terms")
         # rows stay lexicographic: every old row is followed by its extensions
         grown = (vals[:, None] * amps).ravel()
         total = (deg[:, None] + levels).ravel()
-        keep = (np.abs(grown) >= DEFAULT_PRUNE) & (total <= spec._top)
+        keep = (np.abs(grown) >= DEFAULT_PRUNE) & (total <= top)
         occ = np.column_stack(
             [np.repeat(occ, len(amps), axis=0), np.tile(levels, len(vals))]
         )[keep]
@@ -695,7 +705,7 @@ def apply_unitary(state, u):
     n_modes = state.mode_count
     spec = state._spec
     if spec is not None:
-        top = spec._top
+        top = spec._truncation[0]
         rows, scales = spec.photons[None], [1.0]
         seed = (spec.alpha, spec.lam) if spec.alpha.any() or spec.lam.any() else None
     else:

@@ -25,11 +25,11 @@ from typing import Optional
 
 import numpy as np
 
+from .diffraction import TOL_COUPLE
 from .errors import DimensionMismatch, EmptyPartition, NotPure
 from .entanglement import _indices
 from .fock import bargmann_exponent
 
-TOL_COUPLE = 1e-12
 TOL_CROSS = 1e-12
 
 

@@ -1,6 +1,9 @@
 import json
+import os
+import stat
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,19 +11,24 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskmodes._jsonio import decode_array
+from maskmodes._jsonio import decode_array, read_file
 from maskmodes.cli import main
 from maskmodes.diffraction import (
     CircularAperture,
+    CosineGrating,
     CustomSampled,
+    ImpulseResponse,
+    Pinhole,
     UnitaryMatrix,
     aperture_output_grid,
+    grating_block,
+    inverse_design_response,
     mask_to_json,
     plane_wave_coupling,
     unitarize,
 )
-from maskmodes.fock import MultimodeFockState
-from maskmodes.modes import Grid2D
+from maskmodes.fock import InputStateSpec, MultimodeFockState, apply_unitary, build_input_state
+from maskmodes.modes import Grid2D, ModeBasis, hermite_gaussian_mode, sample_field
 from util import haar_unitary, state_document
 
 
@@ -826,3 +834,85 @@ def test_output_dir_env_var(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("MASKMODES_OUTPUT_DIR", str(tmp_path / "artifacts"))
     invoke(runner, "protocol-ifm", "--out", "ifm.json")
     assert (tmp_path / "artifacts" / "ifm.json").exists()
+
+
+@pytest.fixture(scope="module")
+def screens(tmp_path_factory):
+    """The 18-mode pinhole and the 162-mode circular screen, compiled once."""
+    base, runner, paths = tmp_path_factory.mktemp("screens"), CliRunner(), {}
+    for mask, radius, steps in (("pinhole", "0.5", "3"), ("circular", "2.0", "9")):
+        paths[mask] = base / f"{mask}.json"
+        invoke(runner, "compile-mask", "--mask", mask, "--radius", radius,
+               "--aperture-steps", steps, "--out", str(paths[mask]))
+    return paths
+
+
+@pytest.mark.parametrize("mask, dim", [("pinhole", 18), ("circular", 162)])
+@pytest.mark.parametrize("desc, separable", [("coh:2", True), ("coh:3", True), ("sq:1.5", False)])
+def test_checker_answers_gaussian_inputs_at_screen_scale(runner, tmp_path, screens, mask, dim,
+                                                         desc, separable):
+    # most of these inputs pass MAX_TERMS in a Fock expansion; the checker never expands them
+    inputs = ",".join([desc] + ["vac"] * (dim - 1))
+    out = tmp_path / "v.json"
+    invoke(runner, "check-separability", "--inputs", inputs, "--unitary", str(screens[mask]),
+           "--subset", ",".join(["1"] + ["0"] * (dim - 1)), "--out", str(out))
+    assert json.loads(out.read_text())["result"]["separable"] is separable
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_each_artifact_loads_through_its_reader_bit_exactly(runner, tmp_path, screens):
+    u, state = tmp_path / "u.json", tmp_path / "state.json"
+    invoke(runner, "compile-mask", "--mask", "cosine", "--u", "0.6,0.0", "--out", str(u))
+    want = grating_block(CosineGrating((0.6, 0.0)), k=2 * np.pi)
+    got = UnitaryMatrix.load(u)
+    _same_bits(got.matrix, want.matrix)
+    assert got.provenance == want.provenance
+    # a real-valued screen, stored as float64
+    lattice, dropped = aperture_output_grid(Pinhole(0.5), (0.0, 0.0), 2 * np.pi, 0.2, 3)
+    want = unitarize(plane_wave_coupling(Pinhole(0.5), lattice, lattice, 2 * np.pi),
+                     flux_faithful=True)
+    got = UnitaryMatrix.load(screens["pinhole"])
+    _same_bits(got.matrix, want.matrix)
+    assert got.provenance == {**want.provenance, "truncated_weight": dropped}
+
+    spec = "fock:1,coh:0.3"
+    invoke(runner, "propagate", "--state", spec, "--unitary", str(u), "--report", "entropy",
+           "--out", str(state))
+    want = apply_unitary(build_input_state(InputStateSpec.parse(spec)), UnitaryMatrix.load(u))
+    got = MultimodeFockState.load(state)
+    _same_bits(got.occupations, want.occupations)
+    _same_bits(got.values, want.values)
+
+    kernel = tmp_path / "kernel.json"
+    invoke(runner, "design-response", "--input-mode", "hg:0,0", "--target-mode", "hg:1,0",
+           "--grid", "64", "--out", str(kernel))
+    grid = Grid2D(64, 64, 14.0 / 64, 14.0 / 64)
+    basis = ModeBasis([(0, 0), (1, 0)], partial(hermite_gaussian_mode, waist=1.0))
+    want = inverse_design_response(sample_field((0, 0), basis, grid, k=2 * np.pi),
+                                   sample_field((1, 0), basis, grid, k=2 * np.pi))
+    got = read_file(kernel, ImpulseResponse.from_json)
+    _same_bits(got.values, want.values)
+    assert got.grid == want.grid and got.spectral_cap == want.spectral_cap
+    assert got.provenance == want.provenance
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_files_are_created_with_the_mode_open_gives(runner, tmp_path, umask):
+    u, csv, saved, plain = (tmp_path / name for name in ("u.json", "u.csv", "saved.json", "plain"))
+    saved.write_text("an older file\n")
+    old = os.umask(umask)
+    try:
+        invoke(runner, "compile-mask", "--mask", "cosine", "--u", "0.6,0.0", "--out", str(u),
+               "--csv", str(csv))
+        UnitaryMatrix.load(u).save(saved)
+        plain.write_text("")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
+    for path in (u, csv, saved):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "saved.json", "u.csv", "u.json"]

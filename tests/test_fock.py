@@ -114,12 +114,13 @@ def test_non_finite_parameters_rejected():
 def test_oversized_mode_refused_before_allocation():
     tracemalloc.start()
     try:
+        # a Gaussian mode is refused at its first expansion, a Fock count no state holds at once
         with pytest.raises(StateTooLarge):
-            InputStateSpec([Coherent(1e4)])
+            build_input_state(InputStateSpec([Coherent(1e4)]))
         with pytest.raises(StateTooLarge):
             InputStateSpec([Fock(10**30), Vacuum()])
         with pytest.raises(StateTooLarge):
-            InputStateSpec([SqueezedVacuum(1e200)])
+            build_input_state(InputStateSpec([SqueezedVacuum(1e200)]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -213,7 +214,7 @@ def _squeezed_photon_distribution(lam, length):
 
 def test_total_degree_cap_leaves_at_most_1e20_above_it():
     spec = InputStateSpec([SqueezedVacuum(0.3), SqueezedVacuum(-0.3), Fock(2)])
-    cap = spec._top - 2
+    cap = spec._truncation[0] - 2
     dist = np.convolve(*(_squeezed_photon_distribution(lam, 200) for lam in (0.3, -0.3)))
     assert dist[cap + 1:][::-1].sum() <= 1e-20  # summed from the smallest tail up
     assert dist[cap:][::-1].sum() > 1e-20  # and the cap is the smallest such degree
@@ -225,7 +226,7 @@ def test_state_size_checked_before_allocation():
     u = UnitaryMatrix(haar_unitary(np.random.default_rng(15), 20))
     with pytest.raises(StateTooLarge) as err:
         apply_unitary(build_input_state(spec), u)
-    assert err.value.estimated_terms == comb(spec._top + 20, 20) > MAX_TERMS
+    assert err.value.estimated_terms == comb(spec._truncation[0] + 20, 20) > MAX_TERMS
     with pytest.raises(StateTooLarge) as err:
         build_input_state(InputStateSpec([Coherent(3.0)] * 6))
     assert err.value.estimated_terms > MAX_TERMS
@@ -236,7 +237,7 @@ def test_gaussian_input_wider_than_64_modes():
     u = UnitaryMatrix(haar_unitary(np.random.default_rng(14), 70))
     spec = InputStateSpec([Coherent(1e-4 + 2e-5j)] + [Vacuum()] * 69)
     out = apply_unitary(build_input_state(spec), u)
-    assert spec._top == 2 and len(out.values) == comb(72, 70)
+    assert spec._truncation[0] == 2 and len(out.values) == comb(72, 70)
     _, cov = gaussian_covariance_propagate(gaussian_pairs_from_spec(spec), u)
     for k in (0, 38, 39, 69):
         bits = entanglement_report(out, Bipartition((k,), 70)).entropy_bits
@@ -284,7 +285,8 @@ def test_gaussian_inputs_match_covariance_oracle(case):
     u = UnitaryMatrix(haar_unitary(np.random.default_rng(seed), m))
     spec = InputStateSpec(descs)
     # the raw expansion (before pruning and renormalization) carries the whole norm
-    _, vals = _expand(u.matrix, spec._top, spec.photons[None], [1.0], (spec.alpha, spec.lam))
+    top = spec._truncation[0]
+    _, vals = _expand(u.matrix, top, spec.photons[None], [1.0], (spec.alpha, spec.lam))
     assert abs(np.vdot(vals, vals).real - 1.0) <= 1e-12
     out = apply_unitary(build_input_state(spec), u)
     _, cov = gaussian_covariance_propagate(gaussian_pairs_from_spec(spec), u)
@@ -381,7 +383,7 @@ def _one_row_inputs(draw):
 def test_one_row_pass_is_bit_identical_to_the_row_by_row_reference(case):
     spec, u = case
     seed = (spec.alpha, spec.lam) if spec.alpha.any() or spec.lam.any() else None
-    args = (u, spec._top, spec.photons[None], [1.0], seed)
+    args = (u, spec._truncation[0], spec.photons[None], [1.0], seed)
     occ, vals = _expand(*args)
     ref_occ, ref_vals = expand_row_by_row(*args)
     assert occ.dtype == ref_occ.dtype and np.array_equal(occ, ref_occ)

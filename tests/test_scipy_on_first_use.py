@@ -1,7 +1,7 @@
 """``scipy.special`` loads on first use, and its call sites keep their bits.
 
 The package imports ``scipy.special`` inside the functions that call it, so
-Fock-only commands start without it.  The start-up guard runs in a fresh
+Fock-only commands, and the checker on any input, start without it.  The start-up guard runs in a fresh
 interpreter, because this test process has already imported scipy.  The
 bit-identity tests evaluate each formula directly with ``scipy.special`` and
 compare the bits, so a later swap to a ``math`` or numpy equivalent (which
@@ -62,10 +62,15 @@ def test_fock_only_commands_start_without_scipy(tmp_path):
         ["entropy", "--state-file", s, "--scan", "--out", str(tmp_path / "scan.json")],
         ["check-separability", "--inputs", "fock:2,vac,fock:1", "--unitary", u,
          "--subset", "1,0,0", "--out", str(tmp_path / "verdict.json")],
+        # the checker reads Gaussian inputs without expanding them
+        ["check-separability", "--inputs", "sq:0.3,vac,sq:0.3", "--unitary", u,
+         "--subset", "1,0,0", "--out", str(tmp_path / "sq.json")],
+        ["check-separability", "--inputs", "coh:2,vac,vac", "--unitary", u,
+         "--subset", "0,1,0", "--out", str(tmp_path / "coh.json")],
         # positive control: a coherent input needs gammaln and xlogy
         ["propagate", "--state", "coh:0.5,vac,vac", "--unitary", u, "--out", str(tmp_path / "c.json")],
     )
-    assert seen == [False, False, False, False, True]
+    assert seen == [False, False, False, False, False, False, True]
 
 
 def test_compiling_a_circular_screen_loads_scipy(tmp_path):
