@@ -363,10 +363,12 @@ def propagate(state_text, unitary_file, out_file, report, subset_text):
     """Propagate an input state through a compiled unitary."""
     unit = UnitaryMatrix.load(unitary_file)
     spec = _parse_inputs(state_text)
+    part = None
+    if report == "entropy":  # checked before the expansion, which may be large or refused
+        part = Bipartition(_parse_subset_mask(subset_text, unit.dim), unit.dim)
     out = apply_unitary(build_input_state(spec), unit)
     result = {"state": out.to_json()}
-    if report == "entropy":
-        part = Bipartition(_parse_subset_mask(subset_text, out.mode_count), out.mode_count)
+    if part is not None:
         result["entropy"] = entanglement_report(out, part).to_json()
     _write_artifact(out_file, result)
     msg = f"wrote {out_file} ({len(out.values)} amplitudes)"

@@ -283,7 +283,8 @@ def entanglement_report(state, part, tol=DEFAULT_TOL_TRUNCATED):
 
 
 def _bipartitions(mode_count):
-    """:func:`all_bipartitions` and their masks, one int64 row per cut.
+    """Every distinct bipartition, canonicalized to subsets containing mode 0,
+    and their masks, one int64 row per cut.
 
     Cut b holds mode 0 and mode i + 1 where bit i of b is set, for b below
     ``2^(M-1) - 1`` (all bits set would leave no complement)."""
@@ -296,11 +297,6 @@ def _bipartitions(mode_count):
     parts = [Bipartition._trusted(tuple(compress(modes, row)), mode_count)
              for row in masks.tolist()]
     return parts, masks
-
-
-def all_bipartitions(mode_count):
-    """Every distinct bipartition, canonicalized to subsets containing mode 0."""
-    return _bipartitions(mode_count)[0]
 
 
 def full_separability_scan(state, tol=DEFAULT_TOL_TRUNCATED):

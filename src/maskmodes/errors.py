@@ -47,7 +47,7 @@ class SpectralMismatch(MaskModesError):
 
 class OutOfRange(MaskModesError, ValueError):
     """A finite value beyond what float64 arithmetic on it can hold: a
-    parameter whose square overflows, or a norm that over- or underflows."""
+    parameter whose square or exponential overflows, or a norm that over- or underflows."""
 
 
 class PrecisionLoss(MaskModesError):
@@ -56,7 +56,9 @@ class PrecisionLoss(MaskModesError):
     2e-10 from 1 (strong squeezing, or large displacement with squeezing).
     The test suite's two-mode closed-form oracle raises it too, where its
     cancelling sum has a rounding bound above 1e-10 (some twenty photons per
-    port)."""
+    port).  The covariance oracle raises it for a purity residual that
+    passes its tolerance but not the covariance's own rounding bound (strong
+    squeezing)."""
 
 
 class UnitarityError(MaskModesError):
@@ -83,6 +85,10 @@ class TooManyModes(MaskModesError):
 
 class NotPure(MaskModesError):
     """A covariance matrix fails the pure-state purity condition."""
+
+
+class NotGaussian(MaskModesError):
+    """An input with Fock photons given to the Gaussian covariance oracle."""
 
 
 class InvalidEfficiency(MaskModesError):

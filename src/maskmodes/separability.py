@@ -26,11 +26,21 @@ from typing import Optional
 import numpy as np
 
 from .diffraction import TOL_COUPLE
-from .errors import DimensionMismatch, EmptyPartition, NotPure
+from .errors import DimensionMismatch, EmptyPartition, NotGaussian, NotPure, OutOfRange, PrecisionLoss
 from .entanglement import _indices
 from .fock import bargmann_exponent
 
 TOL_CROSS = 1e-12
+#: Largest inter-partition covariance entry of a product state.
+TOL_COVARIANCE = 1e-9
+#: Largest symplectic-eigenvalue residual ``max |nu - 1|`` of a pure state.
+TOL_PURITY = 1e-8
+#: ``c`` of the purity residual's first-order rounding bound ``c * n * eps * ‖σ‖₂²``.
+PURITY_ROUNDING = 8.0
+
+_EPS = float(np.finfo(float).eps)
+#: Largest ``|lam|`` whose ``e^{2|lam|}`` is finite.
+_MAX_LAMBDA = float(np.log(np.finfo(float).max)) / 2
 
 
 @dataclass(frozen=True)
@@ -107,31 +117,33 @@ def check_no_entanglement(spec, u, out_subset):
 # Gaussian covariance oracle (no Fock truncation)
 
 
-def gaussian_covariance_propagate(pairs, u):
-    """Propagate per-mode ``(alpha, lam)`` displaced-squeezed inputs.
+def gaussian_covariance_propagate(spec, u):
+    """Output covariance of an all-Gaussian input spec through a passive network.
 
     Quadratures are ordered ``(x_1..x_N, p_1..p_N)`` with the vacuum
-    covariance equal to the identity; the input is
-    ``sigma = diag(e^{2 lam}, e^{-2 lam})`` per mode with mean
-    ``(2 Re alpha, 2 Im alpha)``.  A passive network acts by the symplectic
-    orthogonal built from the transpose of the operator-oriented matrix
-    (same orientation as :func:`~maskmodes.fock.apply_unitary`).
-
-    Returns ``(mean, covariance)``.
+    covariance equal to the identity (Weedbrook et al., RMP 84, 621 (2012),
+    §II).  The output is ``O diag(d) Oᵀ`` with ``d = e^{[2 lam, -2 lam]}``
+    and ``O = [[Re Uᵀ, -Im Uᵀ], [Im Uᵀ, Re Uᵀ]]`` (same orientation as
+    :func:`~maskmodes.fock.apply_unitary`); displacements move only the
+    mean, which no verdict reads.  A spec of another mode count raises
+    :class:`DimensionMismatch`, one with Fock photons :class:`NotGaussian`,
+    and a squeezing whose ``e^{2|lam|}`` overflows :class:`OutOfRange`.
     """
-    n = u.dim
-    if len(pairs) != n:
-        raise DimensionMismatch("one (alpha, lam) pair per network mode")
-    alphas = np.array([complex(a) for a, _ in pairs])
-    lams = np.array([float(l) for _, l in pairs])
-    sigma = np.zeros((2 * n, 2 * n))
-    sigma[:n, :n] = np.diag(np.exp(2.0 * lams))
-    sigma[n:, n:] = np.diag(np.exp(-2.0 * lams))
-    mean = np.concatenate([2.0 * alphas.real, 2.0 * alphas.imag])
+    if spec.mode_count != u.dim:
+        raise DimensionMismatch("input mode count does not match the network")
+    fock = np.flatnonzero(spec.photons)
+    if fock.size:
+        raise NotGaussian(f"input mode {fock[0]} holds Fock photons; "
+                          "the covariance oracle takes Gaussian inputs only")
+    big = np.flatnonzero(np.abs(spec.lam) > _MAX_LAMBDA)
+    if big.size:
+        raise OutOfRange(f"input mode {big[0]} squeezing {spec.lam[big[0]]:g}: "
+                         "its covariance e^(2|lam|) overflows")
     ut = u.matrix.T
     a, b = ut.real, ut.imag
-    s = np.block([[a, -b], [b, a]])
-    return s @ mean, s @ sigma @ s.T
+    o = np.block([[a, -b], [b, a]])
+    d = np.exp(np.concatenate([2.0 * spec.lam, -2.0 * spec.lam]))
+    return (o * d) @ o.T
 
 
 def symplectic_purity_residual(sigma):
@@ -143,13 +155,17 @@ def symplectic_purity_residual(sigma):
     return float(np.max(np.abs(nu - 1.0)))
 
 
-def covariance_separable(sigma, part, tol=1e-9, purity_tol=1e-8):
+def covariance_separable(sigma, part):
     """Whether a pure Gaussian state factorizes across the bipartition.
 
     A pure Gaussian state is a product across a partition iff every
-    inter-partition covariance entry vanishes; the purity precondition is
-    checked first since the criterion certifies only pure products.  A
-    covariance that is not ``2n x 2n`` for the bipartition's ``n`` modes
+    inter-partition covariance entry is at most ``TOL_COVARIANCE``.  The
+    purity precondition is checked first since the criterion certifies only
+    pure products: a symplectic-eigenvalue residual above ``TOL_PURITY``
+    raises :class:`NotPure`, or :class:`PrecisionLoss` while it is within
+    the rounding bound ``PURITY_ROUNDING * n * eps * ‖σ‖₂²`` of a float64
+    ``σ`` (a pure state's ``σ`` is as ill-conditioned as it is squeezed).
+    A covariance that is not ``2n x 2n`` for the bipartition's ``n`` modes
     raises :class:`DimensionMismatch`.
     """
     sigma = np.asarray(sigma, dtype=float)
@@ -158,16 +174,16 @@ def covariance_separable(sigma, part, tol=1e-9, purity_tol=1e-8):
         raise DimensionMismatch(f"covariance of shape {sigma.shape} for a {n}-mode "
                                 f"bipartition; it needs {(2 * n,) * 2}")
     res = symplectic_purity_residual(sigma)
-    if res > purity_tol:
-        raise NotPure(f"purity residual {res:.3e} above {purity_tol:.1e}")
+    if res > TOL_PURITY:
+        top = float(np.linalg.eigvalsh(sigma)[-1])
+        # Python floats, so an overflow gives inf and no warning
+        bound = PURITY_ROUNDING * n * _EPS * top * top
+        if res <= bound:
+            raise PrecisionLoss(f"purity residual {res:.3e} above {TOL_PURITY:.1e} but within "
+                                f"its rounding bound {bound:.3e}: the covariance is too "
+                                "squeezed for float64 to tell")
+        raise NotPure(f"purity residual {res:.3e} above {TOL_PURITY:.1e}")
     a = list(part.subset) + [n + i for i in part.subset]
     b = list(part.complement) + [n + i for i in part.complement]
     cross = sigma[np.ix_(a, b)]
-    return bool(np.max(np.abs(cross), initial=0.0) <= tol)
-
-
-def gaussian_pairs_from_spec(spec):
-    """``(alpha, lam)`` pairs of an input spec, or None if any mode holds Fock photons."""
-    if np.any(spec.photons):
-        return None
-    return list(zip(spec.alpha.tolist(), spec.lam.tolist()))
+    return bool(np.max(np.abs(cross), initial=0.0) <= TOL_COVARIANCE)

@@ -780,6 +780,9 @@ _PROBES = [
     (["compile-mask", "--mask", "custom", "--mask-file", "{u}"], None, 1, "missing key 'kind'"),
     (["scan-noon", "--photons", "2", "--grid", "64", "--out", "{tmp}/junk.txt/x.json"], None, 1,
      "junk.txt/x.json"),
+    # a cut that selects every mode is refused before the input is expanded
+    (["propagate", "--state", "coh:1e4,vac", "--unitary", "{u}", "--report", "entropy",
+      "--subset", "1,1"], None, 1, "subset must be a proper subset of the modes"),
 ]
 
 

@@ -15,7 +15,6 @@ from maskmodes.entanglement import (
     _block_labels,
     _count_blocks,
     _dense_ranks,
-    all_bipartitions,
     entanglement_report,
     full_separability_scan,
     fully_separable,
@@ -220,7 +219,7 @@ def test_schmidt_reconstruction():
 
 
 def test_all_bipartitions_count_and_canonical_form():
-    parts = all_bipartitions(4)
+    parts = _bipartitions(4)[0]
     assert len(parts) == 2 ** 3 - 1
     assert all(0 in p.subset for p in parts)
 
@@ -239,7 +238,7 @@ def _bipartitions_by_loop(mode_count):
 @pytest.mark.parametrize("modes", range(1, 13))
 def test_all_bipartitions_keep_their_order(modes):
     parts, masks = _bipartitions(modes)
-    assert parts == all_bipartitions(modes) == _bipartitions_by_loop(modes)
+    assert parts == _bipartitions_by_loop(modes)
     assert masks.dtype == np.int64 and masks.shape == (len(parts), modes)
     assert masks.tolist() == [part.mask() for part in parts]
     for part in parts:
@@ -411,7 +410,7 @@ def test_scan_matches_dense_reference_and_single_cut(case):
         top = int(state.occupations.sum(axis=1).max())
         assert _layout(state.mode_count + 1, top).shape[1] >= 2
     scan = full_separability_scan(state)
-    assert [part for part, _ in scan] == all_bipartitions(state.mode_count)
+    assert [part for part, _ in scan] == _bipartitions(state.mode_count)[0]
     for part, rep in scan:
         ref = schmidt_dense_reference(state, part)
         s = rep.schmidt_coefficients

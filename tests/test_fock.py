@@ -44,7 +44,7 @@ from maskmodes.fock import (
     _pack,
     _total_degree_cap,
 )
-from maskmodes.separability import gaussian_covariance_propagate, gaussian_pairs_from_spec
+from maskmodes.separability import gaussian_covariance_propagate
 from util import (
     expand_row_by_row,
     gaussian_mode_entropy,
@@ -238,7 +238,7 @@ def test_gaussian_input_wider_than_64_modes():
     spec = InputStateSpec([Coherent(1e-4 + 2e-5j)] + [Vacuum()] * 69)
     out = apply_unitary(build_input_state(spec), u)
     assert spec._truncation[0] == 2 and len(out.values) == comb(72, 70)
-    _, cov = gaussian_covariance_propagate(gaussian_pairs_from_spec(spec), u)
+    cov = gaussian_covariance_propagate(spec, u)
     for k in (0, 38, 39, 69):
         bits = entanglement_report(out, Bipartition((k,), 70)).entropy_bits
         assert abs(bits - gaussian_mode_entropy(cov, k)) <= 1e-9
@@ -289,7 +289,7 @@ def test_gaussian_inputs_match_covariance_oracle(case):
     _, vals = _expand(u.matrix, top, spec.photons[None], [1.0], (spec.alpha, spec.lam))
     assert abs(np.vdot(vals, vals).real - 1.0) <= 1e-12
     out = apply_unitary(build_input_state(spec), u)
-    _, cov = gaussian_covariance_propagate(gaussian_pairs_from_spec(spec), u)
+    cov = gaussian_covariance_propagate(spec, u)
     for k in range(m):
         bits = entanglement_report(out, Bipartition((k,), m)).entropy_bits
         assert abs(bits - gaussian_mode_entropy(cov, k)) <= 1e-9

@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 from maskmodes import agreement
 from maskmodes.agreement import run_agreement_suite, run_trial
 from maskmodes.diffraction import CosineGrating, UnitaryMatrix, grating_block
-from maskmodes.entanglement import Bipartition, entanglement_report
-from maskmodes.errors import DimensionMismatch, EmptyPartition, NotPure
+from maskmodes.entanglement import DEFAULT_TOL_TRUNCATED, Bipartition, entanglement_report
+from maskmodes.errors import (
+    DimensionMismatch,
+    EmptyPartition,
+    NotGaussian,
+    NotPure,
+    OutOfRange,
+    PrecisionLoss,
+)
 from maskmodes.fock import (
     Coherent,
     Fock,
@@ -25,7 +32,6 @@ from maskmodes.separability import (
     check_no_entanglement,
     covariance_separable,
     gaussian_covariance_propagate,
-    gaussian_pairs_from_spec,
 )
 from util import haar_unitary
 
@@ -151,7 +157,7 @@ def test_fock_mode_that_is_not_split_leaves_the_cut_separable(inputs, network, k
     v = check_no_entanglement(spec, network, {k})
     assert v.separable, v.to_json()
     out = apply_unitary(build_input_state(spec), network)
-    rep = entanglement_report(out, Bipartition((k,), spec.mode_count), tol=agreement.ENTROPY_TOL)
+    rep = entanglement_report(out, Bipartition((k,), spec.mode_count), tol=DEFAULT_TOL_TRUNCATED)
     assert rep.entropy_bits <= 1e-12
 
 
@@ -192,16 +198,15 @@ def test_structured_networks_match_both_oracles():
         m = spec.mode_count
         u = UnitaryMatrix(_structured_network(kind, np.random.default_rng(seed), m))
         out = apply_unitary(build_input_state(spec), u)
-        pairs = gaussian_pairs_from_spec(spec)
-        cov = None if pairs is None else gaussian_covariance_propagate(pairs, u)[1]
+        cov = None if spec.photons.any() else gaussian_covariance_propagate(spec, u)
         for k in range(m):
             part = Bipartition((k,), m)
             verdict = check_no_entanglement(spec, u, {k}).separable
             verdicts.add(verdict)
-            rep = entanglement_report(out, part, tol=agreement.ENTROPY_TOL)
+            rep = entanglement_report(out, part, tol=DEFAULT_TOL_TRUNCATED)
             assert rep.separable == verdict, (inputs, kind, seed, k, rep.entropy_bits)
             if cov is not None:
-                assert covariance_separable(cov, part, tol=agreement.COVARIANCE_TOL) == verdict
+                assert covariance_separable(cov, part) == verdict
 
     check()
     assert verdicts == {True, False}
@@ -296,12 +301,11 @@ def test_cross_term_test_alone_matches_both_oracles(trial):
     # keep clear of the numerically borderline band, as the agreement suite does
     assume(verdict.separable or verdict.witness.residual >= agreement.MIN_RESIDUAL)
     assert verdict.separable or verdict.witness.kind == "d2_cross_term"
-    _, cov = gaussian_covariance_propagate(gaussian_pairs_from_spec(spec), u)
+    cov = gaussian_covariance_propagate(spec, u)
     out = apply_unitary(build_input_state(spec), u)
     parts = [Bipartition((k,), m) for k in subset]
-    assert all(covariance_separable(cov, p, tol=agreement.COVARIANCE_TOL) for p in parts) \
-        == verdict.separable
-    assert all(entanglement_report(out, p, tol=agreement.ENTROPY_TOL).separable for p in parts) \
+    assert all(covariance_separable(cov, p) for p in parts) == verdict.separable
+    assert all(entanglement_report(out, p, tol=DEFAULT_TOL_TRUNCATED).separable for p in parts) \
         == verdict.separable
 
 
@@ -340,11 +344,8 @@ def test_checker_reads_integer_types_as_python_ints():
 def test_coherent_covariance_identity_under_any_network():
     rng = np.random.default_rng(36)
     u = UnitaryMatrix(haar_unitary(rng, 3))
-    mean, cov = gaussian_covariance_propagate(
-        [(0.5, 0.0), (0.2 - 0.1j, 0.0), (0.0, 0.0)], u
-    )
+    cov = gaussian_covariance_propagate(InputStateSpec.parse("coh:0.5,coh:0.2-0.1j,vac"), u)
     np.testing.assert_allclose(cov, np.eye(6), atol=1e-12)
-    assert np.linalg.norm(mean) > 0
 
 
 def test_equal_squeezing_through_real_orthogonal_stays_uncorrelated():
@@ -353,13 +354,13 @@ def test_equal_squeezing_through_real_orthogonal_stays_uncorrelated():
     q, _ = np.linalg.qr(g)
     u = UnitaryMatrix(q.astype(complex))
     lam = 0.3
-    _, cov = gaussian_covariance_propagate([(0, lam), (0, lam), (0, lam)], u)
+    cov = gaussian_covariance_propagate(InputStateSpec([SqueezedVacuum(lam)] * 3), u)
     np.testing.assert_allclose(cov, np.diag([np.e ** (2 * lam)] * 3 + [np.e ** (-2 * lam)] * 3), atol=1e-12)
 
 
 def test_opposite_squeezing_balanced_gives_sinh_correlations():
     lam = 0.3
-    _, cov = gaussian_covariance_propagate([(0, lam), (0, -lam)], BALANCED)
+    cov = gaussian_covariance_propagate(InputStateSpec.parse(f"sq:{lam},sq:{-lam}"), BALANCED)
     assert abs(cov[0, 1] - np.sinh(2 * lam)) < 1e-12
     assert abs(cov[2, 3] + np.sinh(2 * lam)) < 1e-12
     assert not covariance_separable(cov, Bipartition((0,), 2))
@@ -379,10 +380,33 @@ def test_covariance_not_pure_raises():
         covariance_separable(2 * np.eye(4), Bipartition((0,), 2))
 
 
+@pytest.mark.parametrize("lam", [5.0, 6.0, 10.0, 30.0])
+def test_strongly_squeezed_pure_covariance_is_a_precision_loss(lam):
+    """A pure state's residual grows as ``eps * ‖σ‖₂²``; within that bound it is no verdict."""
+    cov = gaussian_covariance_propagate(InputStateSpec.parse(f"sq:{lam},sq:{-lam}"), BALANCED)
+    with pytest.raises(PrecisionLoss, match="rounding bound"):
+        covariance_separable(cov, Bipartition((0,), 2))
+
+
+def test_covariance_oracle_refuses_fock_photons_and_other_mode_counts():
+    with pytest.raises(NotGaussian, match="input mode 1 holds Fock photons"):
+        gaussian_covariance_propagate(InputStateSpec.parse("sq:0.3,fock:1"), BALANCED)
+    with pytest.raises(DimensionMismatch):
+        gaussian_covariance_propagate(InputStateSpec.parse("sq:0.3,vac,vac"), BALANCED)
+
+
+def test_squeezing_whose_exponential_overflows_is_out_of_range():
+    # the suite turns a numpy RuntimeWarning into an error, so an overflowing exp would fail here
+    with pytest.raises(OutOfRange, match="overflows"):
+        gaussian_covariance_propagate(InputStateSpec.parse("sq:400,vac"), BALANCED)
+    cov = gaussian_covariance_propagate(InputStateSpec.parse("sq:354,vac"), SWAP)
+    assert np.all(np.isfinite(cov))
+
+
 @pytest.mark.parametrize("modes", [2, 4])
 def test_covariance_of_another_mode_count_is_a_dimension_mismatch(modes):
     u = UnitaryMatrix(haar_unitary(np.random.default_rng(8), 3))
-    _, cov = gaussian_covariance_propagate([(0, 0.3), (0, -0.3), (0, 0.0)], u)
+    cov = gaussian_covariance_propagate(InputStateSpec.parse("sq:0.3,sq:-0.3,vac"), u)
     assert not covariance_separable(cov, Bipartition((0,), 3))
     with pytest.raises(DimensionMismatch, match="3-mode|6, 6"):
         covariance_separable(cov, Bipartition((0,), modes))
@@ -403,8 +427,12 @@ def test_fock_oracle_matches_gaussian_oracle_on_squeezed_pair():
 def test_agreement_mini_suite():
     res = run_agreement_suite(n_trials=20, seed=11)
     assert res["all_agree"]
-    gauss_checked = [t for t in res["trials"] if t["gaussian_separable"] is not None]
-    assert gauss_checked, "some trials must exercise the covariance oracle"
+    for t in res["trials"]:
+        # the covariance oracle judges every Gaussian trial, and only those
+        if t["family"] == "mixed_fock":
+            assert t["gaussian_separable"] is None, t
+        else:
+            assert t["gaussian_separable"] == t["checker_separable"], t
 
 
 def test_trial_records_borderline_draws(monkeypatch):
