@@ -144,7 +144,7 @@ def _power_of_two(ctx, param, n):
 
 
 def _direction(ctx, param, text):
-    """``--u ux,uy`` as a pair with ``ux^2 + uy^2 <= 1``."""
+    """``--u ux,uy`` as a pair with ``ux^2 + uy^2 < 1``: both orders leave the screen."""
     if text is None:
         return None
     try:
@@ -152,8 +152,8 @@ def _direction(ctx, param, text):
     except ValueError:
         raise click.BadParameter(f"expected two comma-separated numbers, got {text!r}.",
                                  ctx, param)
-    if not ux * ux + uy * uy <= 1.0:
-        raise click.BadParameter(f"need ux^2 + uy^2 <= 1, got {text!r}.", ctx, param)
+    if not ux * ux + uy * uy < 1.0:
+        raise click.BadParameter(f"need ux^2 + uy^2 < 1, got {text!r}.", ctx, param)
     return ux, uy
 
 
@@ -358,9 +358,12 @@ def design_response(input_mode, target_mode, grid_n, extent, waist, wavenumber, 
 @click.option("--report", type=click.Choice(["entropy", "none"]), default="none",
               help="Also report the entanglement across --subset.")
 @click.option("--subset", "subset_text",
-              help="Bipartition mask, e.g. 1,0 (default: mode 0 against the rest).")
+              help="Bipartition mask of --report entropy, e.g. 1,0 "
+                   "(default: mode 0 against the rest).")
 def propagate(state_text, unitary_file, out_file, report, subset_text):
     """Propagate an input state through a compiled unitary."""
+    if subset_text is not None and report != "entropy":
+        raise click.UsageError("--subset is read only with --report entropy")
     unit = UnitaryMatrix.load(unitary_file)
     spec = _parse_inputs(state_text)
     part = None
@@ -381,14 +384,17 @@ def propagate(state_text, unitary_file, out_file, report, subset_text):
 @_config
 @click.option("--state-file", type=_IN_FILE, required=True, help="Serialized state JSON.")
 @click.option("--subset", "subset_text",
-              help="Bipartition mask, e.g. 1,0 (default: mode 0 against the rest).")
+              help="Bipartition mask without --scan, e.g. 1,0 "
+                   "(default: mode 0 against the rest).")
 @click.option("--scan/--no-scan", default=False, help="Report every bipartition.")
-@click.option("--tolerance", type=_Float(min=0), default=DEFAULT_TOL_TRUNCATED,
+@click.option("--tolerance", type=_POSITIVE, default=DEFAULT_TOL_TRUNCATED,
               help="Entropy (bits) below which a cut counts as separable.")
 @click.option("--out", "out_file", required=True, help="Report JSON artifact.")
 @click.option("--csv", "csv_file", help="Also export the report as CSV.")
 def entropy_cmd(state_file, subset_text, scan, tolerance, out_file, csv_file):
     """Entanglement report(s) for a stored state."""
+    if subset_text is not None and scan:
+        raise click.UsageError("--subset is not read with --scan, which reports every cut")
     state = MultimodeFockState.load(state_file)
     header = "mask,entropy_bits,separable"
     if scan:

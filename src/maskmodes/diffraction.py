@@ -755,11 +755,15 @@ def grating_block(mask, k=2 * np.pi):
     completed to a square unitary (any finite plane-wave truncation of the
     grating ladder is singular, so the completion is the faithful two-mode
     effective network).  For the symmetric grating the result is exactly
-    ``[[1, 1], [1, -1]] / sqrt(2)``.
+    ``[[1, 1], [1, -1]] / sqrt(2)``.  A grating with ``ux^2 + uy^2 = 1``,
+    whose orders graze the screen, raises :class:`SingularNetwork`.
     """
     inp = PlaneWaveGrid.single(0.0, 0.0)
     u = mask.u[:2]
     out = PlaneWaveGrid(np.array([u, -u]))
+    if not out.nz.all():  # each order couples with weight |k nz|: the column would be zero
+        raise SingularNetwork(f"the diffraction orders +-({u[0]:g}, {u[1]:g}) graze the screen "
+                              "(nz = 0) and carry no flux")
     c = plane_wave_coupling(mask, inp, out, k)
     col = c.matrix[:, 0]
     col = col / np.linalg.norm(col)

@@ -254,7 +254,8 @@ def _reports(state, parts, tol, masks=None):
         h = p * np.log2(np.where(live, p, 1.0))
         for part, s_cut, n, h_cut, n_live in zip(parts[lo:lo + step], s, width, h,
                                                  live.sum(axis=1)):
-            entropy = max(float(-h_cut[:n_live].sum()) if n_live else 0.0, 0.0)
+            # 0.0 first: max keeps it over the -0.0 of a single coefficient 1
+            entropy = max(0.0, float(-h_cut[:n_live].sum()))
             reports.append(EntanglementReport(
                 schmidt_coefficients=s_cut[:n],
                 entropy_bits=entropy,

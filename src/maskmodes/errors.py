@@ -34,7 +34,8 @@ class AliasingDetected(MaskModesError):
 
 
 class SingularNetwork(MaskModesError):
-    """Coupling matrix too lossy (smallest singular value below threshold) to unitarize."""
+    """Coupling matrix too lossy (smallest singular value below threshold) to unitarize,
+    or a grating whose diffraction orders graze the screen and carry no flux."""
 
 
 class SpectralMismatch(MaskModesError):

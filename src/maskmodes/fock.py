@@ -173,14 +173,14 @@ class InputStateSpec:
     """
 
     def __init__(self, descriptors):
-        self.descriptors = list(descriptors)
-        if not self.descriptors:
+        descriptors = list(descriptors)
+        if not descriptors:
             raise ValueError("need at least one mode")
-        n_modes = len(self.descriptors)
+        n_modes = len(descriptors)
         self.alpha = np.zeros(n_modes, dtype=complex)
         self.lam = np.zeros(n_modes)
         photons = [0] * n_modes
-        for j, d in enumerate(self.descriptors):
+        for j, d in enumerate(descriptors):
             if isinstance(d, Coherent):
                 self.alpha[j] = d.alpha
             elif isinstance(d, SqueezedVacuum):
@@ -213,7 +213,7 @@ class InputStateSpec:
 
     @property
     def mode_count(self):
-        return len(self.descriptors)
+        return len(self.photons)
 
 
 # --------------------------------------------------------------------------
@@ -466,24 +466,23 @@ def _check_one_mode(photons, n_modes):
 def build_input_state(spec):
     """Product state of the spec's modes up to its total degree T, renormalized.
 
-    The spec is kept on the state: :func:`apply_unitary` expands a product
-    input from it instead of term by term.
+    The row of Fock photons is expanded over each Gaussian mode in turn; a
+    Fock or vacuum mode never branches.  The spec is kept on the state:
+    :func:`apply_unitary` expands a product input from it instead of term by
+    term.
     """
-    occ = np.zeros((1, 0), dtype=np.int64)
-    vals = np.ones(1, dtype=complex)
-    deg = np.zeros(1, dtype=np.int64)
     top, gaussian = spec._truncation
-    for j, n in enumerate(spec.photons):
-        amps = gaussian.get(j, np.ones(1))
-        levels = n + np.arange(len(amps))
+    occ = np.array([spec.photons])
+    vals = np.ones(1, dtype=complex)
+    deg = occ.sum(axis=1)
+    for j, amps in gaussian.items():  # ascending modes, so rows stay lexicographic
         _check_size(len(vals) * len(amps), "input terms")
-        # rows stay lexicographic: every old row is followed by its extensions
         grown = (vals[:, None] * amps).ravel()
-        total = (deg[:, None] + levels).ravel()
+        total = (deg[:, None] + np.arange(len(amps))).ravel()
         keep = (np.abs(grown) >= DEFAULT_PRUNE) & (total <= top)
-        occ = np.column_stack(
-            [np.repeat(occ, len(amps), axis=0), np.tile(levels, len(vals))]
-        )[keep]
+        row, occ_j = np.divmod(np.flatnonzero(keep), len(amps))  # every row then its extensions
+        occ = occ[row]
+        occ[:, j] = occ_j
         vals, deg = grown[keep], total[keep]
     state = MultimodeFockState._from_sorted(spec.mode_count, occ, vals)
     state._spec = spec

@@ -543,7 +543,7 @@ _FLAGS = {
     "compile-mask": {
         "--mask": (st.sampled_from(["cosine", "circular", "pinhole", "custom"]), ("x",)),
         "--u": (st.sampled_from(["0.6,0.0", "0.28,0.1", "0,0"]),
-                ("nan,0", "inf,0", "2,0", "0.6", "x,y", "1e400,0")),
+                ("nan,0", "inf,0", "2,0", "1,0", "0.6", "x,y", "1e400,0")),
         "--radius": (st.sampled_from(["0.5", "2.0"]), _BAD_NUMBERS),
         "--wavenumber": (st.sampled_from([None, "3.0"]), _BAD_NUMBERS),
         "--grid": (st.sampled_from(["16"]), ("-1", "0", "1", "10", "32", "3.5", "x", "1e400")),
@@ -579,7 +579,7 @@ _FLAGS = {
                          _BAD_FILES + tuple(f"@{name}" for name in _FAULTY_STATES)),
         "--subset": (_SUBSETS, ("0,0", "1", "x", "")),
         "--scan": (st.sampled_from([None, True, False]), ("x",)),
-        "--tolerance": (st.sampled_from([None, "0", "0.5"]), _BAD_NUMBERS),
+        "--tolerance": (st.sampled_from([None, "1e-12", "0.5"]), _BAD_NUMBERS),
         "--out": (_OUT, _BAD_OUT),
         "--csv": (_CSV, _BAD_OUT),
     },
@@ -765,7 +765,7 @@ _PROBES = [
     (["compile-mask", "--mask", "cosine", "--u", "0.6,0", "--wavenumber", "0"], None, 2,
      "--wavenumber"),
     (["compile-mask", "--mask", "circular", "--radius", "-1"], None, 2, "--radius"),
-    (["compile-mask", "--mask", "cosine", "--u", "2,0"], None, 2, "ux^2 + uy^2 <= 1"),
+    (["compile-mask", "--mask", "cosine", "--u", "2,0"], None, 2, "ux^2 + uy^2 < 1"),
     (["compile-mask", "--mask", "circular", "--radius", "1", "--aperture-steps", "0"], None, 2,
      "--aperture-steps"),
     (["scan-noon", "--photons", "0"], None, 2, "--photons"),
@@ -783,6 +783,17 @@ _PROBES = [
     # a cut that selects every mode is refused before the input is expanded
     (["propagate", "--state", "coh:1e4,vac", "--unitary", "{u}", "--report", "entropy",
       "--subset", "1,1"], None, 1, "subset must be a proper subset of the modes"),
+    # a --subset that the command would not read is refused before anything is loaded
+    (["propagate", "--state", "fock:1,vac", "--unitary", "{u}", "--subset", "1,1"], None, 2,
+     "--subset is read only with --report entropy"),
+    (["propagate", "--state", "fock:1,vac", "--unitary", "{tmp}/junk.txt", "--report", "none",
+      "--subset", "banana"], None, 2, "--subset is read only with --report entropy"),
+    (["entropy", "--state-file", "{tmp}/junk.txt", "--scan", "--subset", "banana"], None, 2,
+     "--subset is not read with --scan"),
+    # an exact product reads entropy 0, which is not below a tolerance of 0
+    (["entropy", "--state-file", "{u}", "--tolerance", "0"], None, 2, "--tolerance"),
+    # grazing orders carry no flux
+    (["compile-mask", "--mask", "cosine", "--u", "1,0"], None, 2, "ux^2 + uy^2 < 1"),
 ]
 
 

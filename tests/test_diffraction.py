@@ -761,6 +761,13 @@ def test_grating_block_reproduces_two_mode_splitting():
     assert block.residual <= 1e-10
 
 
+@pytest.mark.parametrize("u", [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8)])
+def test_grating_block_refuses_grazing_orders(u):
+    # a valid screen, but its orders leave along it: the coupling column is zero
+    with pytest.raises(SingularNetwork, match="graze the screen"):
+        grating_block(CosineGrating(u))
+
+
 # --------------------------------------------------------------------------
 # Inverse design
 

@@ -146,6 +146,16 @@ def test_three_mode_product_fock_fully_separable():
     assert fully_separable(scan)
 
 
+def test_a_product_cut_reads_positive_zero_bits():
+    # one Schmidt coefficient 1: its p log p is 0.0, whose negation is -0.0
+    for st in (MultimodeFockState.vacuum(3), MultimodeFockState.from_occupation((1, 0, 2)),
+               MultimodeFockState(2, {(1, 0): 0.6, (1, 1): 0.8})):
+        reports = [rep for _, rep in full_separability_scan(st)]
+        reports.append(entanglement_report(st, Bipartition((0,), st.mode_count)))
+        assert [rep.entropy_bits for rep in reports] == [0.0] * len(reports)
+        assert not any(np.signbit(rep.entropy_bits) for rep in reports)
+
+
 def test_unpropagated_products_separable_at_tight_tolerance():
     from maskmodes.fock import Coherent as C, SqueezedVacuum as S
 

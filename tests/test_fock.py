@@ -90,6 +90,34 @@ def test_squeezed_vacuum_amplitudes():
     assert abs(st.norm_sq() - 1.0) < 1e-10
 
 
+_MODES = st.one_of(
+    st.just(Vacuum()),
+    st.integers(0, 3).map(Fock),
+    st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False).map(Coherent),
+    st.floats(-0.4, 0.4).map(SqueezedVacuum),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(descs=st.lists(_MODES, min_size=1, max_size=4))
+def test_product_input_is_the_product_over_every_mode(descs):
+    # reference: every mode in turn, each row extended by each of the mode's levels
+    # up to the total degree T; the amplitude is pruned once, at the end.  A Python
+    # complex product can round an ulp apart from numpy's loop, so values get a tolerance.
+    spec = InputStateSpec(descs)
+    top, gaussian = spec._truncation
+    rows = {(): 1 + 0j}
+    for j, n in enumerate(spec.photons.tolist()):
+        levels = list(enumerate(gaussian[j])) if j in gaussian else [(n, 1)]
+        rows = {row + (k,): value * a for row, value in rows.items() for k, a in levels
+                if sum(row) + k <= top}
+    want = MultimodeFockState(len(descs), {row: v for row, v in rows.items()
+                                           if abs(v) >= DEFAULT_PRUNE})
+    got = build_input_state(spec)
+    assert np.array_equal(got.occupations, want.occupations)
+    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=8 * np.finfo(float).eps)
+
+
 def test_negative_photon_number_rejected():
     with pytest.raises(NonPhysical):
         Fock(-1)
