@@ -26,6 +26,7 @@ from functools import partial
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from ._jsonio import read_file, text_pieces, write_file
@@ -67,7 +68,12 @@ MAX_COMPILE_BYTES = 1 << 28
 #: Bytes one ``protocol-hom --sweep`` angle holds: its array entries, its
 #: record and its JSON and CSV text (about 950 measured).
 _SWEEP_ANGLE_BYTES = 1024
-#: Bytes one point of the ``scan-noon --surface`` CSV holds (about 240 measured).
+#: Bytes one entry of the ``scan-noon`` fidelity table takes while the table
+#: is built: the broadcast holds it and three working arrays of its shape at
+#: once (a peak of 4.0 tables measured).
+_NOON_VALUE_BYTES = 32
+#: Bytes one row of the ``scan-noon --surface`` CSV holds: its angle, its
+#: fidelity and their text (about 180 measured, on top of the fidelity table).
 _SURFACE_POINT_BYTES = 256
 
 
@@ -403,15 +409,15 @@ def entropy_cmd(state_file, subset_text, scan, tolerance, out_file, csv_file):
         header, coefficients = header + ",s1,s2,s3,s4", 4
     else:
         part = Bipartition(_parse_subset_mask(subset_text, state.mode_count), state.mode_count)
-        reports = [(part, entanglement_report(state, part, tol=tolerance))]
-        result, coefficients = reports[0][1].to_json(), 0
+        reports = [entanglement_report(state, part, tol=tolerance)]
+        result, coefficients = reports[0].to_json(), 0
     _write_artifact(out_file, result)
     if csv_file:
         rows = [
-            ",".join(["".join(str(b) for b in part.mask()), repr(rep.entropy_bits),
+            ",".join(["".join(str(b) for b in rep.bipartition.mask()), repr(rep.entropy_bits),
                       str(int(rep.separable))]
                      + [repr(float(s)) for s in rep.schmidt_coefficients[:coefficients]])
-            for part, rep in reports
+            for rep in reports
         ]
         _write_csv(csv_file, header, rows)
     click.echo(f"wrote {out_file}")
@@ -470,27 +476,26 @@ def protocol_ifm(eta, theta, phi, out_file):
 
 @main.command("protocol-hom")
 @_config
-@click.option("--theta", type=_Float(), default=np.pi / 2, help="Splitter angle.")
+@click.option("--theta", type=_Float(), default=np.pi / 2,
+              help="Splitter angle; not read with --sweep.")
 @click.option("--sweep", type=click.IntRange(min=0), default=0,
               help="Sweep this many angles over [0, pi] instead (0: no sweep).")
 @click.option("--out", "out_file", required=True, help="Result JSON artifact.")
-@click.option("--csv", "csv_file", help="Also export the sweep as CSV.")
+@click.option("--csv", "csv_file", help="Also export the coincidences as CSV.")
 def protocol_hom(theta, sweep, out_file, csv_file):
     """Hong-Ou-Mandel coincidence probability for |1,1> input."""
-    if sweep:
-        _check_compile_size(_SWEEP_ANGLE_BYTES * sweep,
-                            f"--sweep {sweep}: {sweep} angles and their records")
-        thetas = np.linspace(0.0, np.pi, sweep)
-        probs = [hom_coincidence(UnitaryMatrix.su2(t)) for t in thetas]
-        result = {
-            "sweep": [{"theta": float(t), "coincidence": p} for t, p in zip(thetas, probs)]
-        }
-        rows = [f"{float(t)!r},{float(p)!r}" for t, p in zip(thetas, probs)]
-        if csv_file:
-            _write_csv(csv_file, "theta,coincidence", rows)
-    else:
-        result = {"theta": theta, "coincidence": hom_coincidence(UnitaryMatrix.su2(theta))}
-    _write_artifact(out_file, result)
+    ctx = click.get_current_context()
+    if sweep and ctx.get_parameter_source("theta") is not ParameterSource.DEFAULT:
+        raise click.UsageError("--theta and --sweep exclude each other: --sweep sets the angles")
+    _check_compile_size(_SWEEP_ANGLE_BYTES * sweep,
+                        f"--sweep {sweep}: {sweep} angles and their records")
+    thetas = np.linspace(0.0, np.pi, sweep).tolist() if sweep else [theta]
+    records = [{"theta": t, "coincidence": hom_coincidence(UnitaryMatrix.su2(t))}
+               for t in thetas]
+    _write_artifact(out_file, {"sweep": records} if sweep else records[0])
+    if csv_file:
+        _write_csv(csv_file, "theta,coincidence",
+                   [f"{r['theta']!r},{r['coincidence']!r}" for r in records])
     click.echo(f"wrote {out_file}")
 
 
@@ -498,26 +503,23 @@ def protocol_hom(theta, sweep, out_file, csv_file):
 @_config
 @click.option("--photons", type=click.IntRange(min=1), required=True, help="Total photon number.")
 @click.option("--grid", "grid_n", type=click.IntRange(min=64), default=256,
-              help="Steps per axis.")
+              help="Splitter angle steps over [0, pi].")
 @click.option("--out", "out_file", required=True, help="Result JSON artifact.")
-@click.option("--surface", "surface_file", help="CSV surface (theta, phi, fidelity).")
+@click.option("--surface", "surface_file",
+              help="CSV of the fidelity at each angle, best split (theta, fidelity).")
 def scan_noon(photons, grid_n, out_file, surface_file):
     """Best NOON fidelity reachable from separable two-mode Fock inputs."""
     values = (photons + 1) * (grid_n + 1)
-    points = (grid_n + 1) * grid_n if surface_file else 0
-    _check_compile_size(8 * values + _SURFACE_POINT_BYTES * points,
+    points = grid_n + 1 if surface_file else 0
+    _check_compile_size(_NOON_VALUE_BYTES * values + _SURFACE_POINT_BYTES * points,
                         f"--photons {photons} and --grid {grid_n}: {values} fidelity values"
                         + (f" and {points} surface points" if points else ""))
-    res = noon_fidelity_scan(photons, grid=(grid_n, grid_n))
+    res = noon_fidelity_scan(photons, grid_n)
     _write_artifact(out_file, res.to_json())
     if surface_file:
-        thetas, phis, vals = noon_surface(photons, grid=(grid_n, grid_n))
-        rows = [
-            f"{float(t)!r},{float(p)!r},{float(vals[i, j])!r}"
-            for i, t in enumerate(thetas)
-            for j, p in enumerate(phis)
-        ]
-        _write_csv(surface_file, "theta,phi,fidelity", rows)
+        thetas, vals = noon_surface(photons, grid_n)
+        _write_csv(surface_file, "theta,fidelity",
+                   [f"{t!r},{v!r}" for t, v in zip(thetas.tolist(), vals.tolist())])
     click.echo(
         f"wrote {out_file} (best fidelity {res.best_fidelity:.9f} at split {res.best_split})"
     )

@@ -434,9 +434,6 @@ class UnitaryMatrix:
             for j, (re, im) in enumerate(zip(re_row, im_row))
         ]
 
-    def to_csv(self, path):
-        write_file(path, [f"{line}\n" for line in ["row,col,re,im", *self.csv_rows()]])
-
 
 def _working(m):
     """``m`` in the arithmetic its entries need.

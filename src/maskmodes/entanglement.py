@@ -43,6 +43,7 @@ DEFAULT_TOL_TRUNCATED = 1e-6
 _EIG_FLOOR = 1e-18
 _MAX_SCAN_MODES = 12
 _CHUNK_ENTRIES = 1 << 14  # per-cut entries x cuts handled at once by a scan
+_SCHMIDT_TOP = 8  # largest Schmidt coefficients a report serializes
 
 
 @dataclass(frozen=True)
@@ -111,13 +112,13 @@ class EntanglementReport:
     tolerance: float
     bipartition: Bipartition
 
-    def to_json(self, top_k=8):
+    def to_json(self):
         return {
             "bipartition": list(self.bipartition.subset),
             "complement": list(self.bipartition.complement),
             "mask": self.bipartition.mask(),
             "entropy_bits": self.entropy_bits,
-            "schmidt_top": [float(s) for s in self.schmidt_coefficients[:top_k]],
+            "schmidt_top": [float(s) for s in self.schmidt_coefficients[:_SCHMIDT_TOP]],
             "separable": bool(self.separable),
             "tolerance": self.tolerance,
         }
@@ -301,20 +302,21 @@ def _bipartitions(mode_count):
 
 
 def full_separability_scan(state, tol=DEFAULT_TOL_TRUNCATED):
-    """One report per distinct bipartition (2^(N-1) - 1 of them).
+    """One report per distinct bipartition (2^(N-1) - 1 of them), each
+    holding its cut in ``bipartition``.
 
     The state is fully separable iff every report's verdict is separable.
     """
     parts, masks = _bipartitions(state.mode_count)
-    return list(zip(parts, _reports(state, parts, tol, masks)))
+    return _reports(state, parts, tol, masks)
 
 
 def fully_separable(scan):
-    return all(report.separable for _, report in scan)
+    return all(report.separable for report in scan)
 
 
 def scan_to_json(scan):
     return {
         "fully_separable": fully_separable(scan),
-        "bipartitions": [report.to_json() for _, report in scan],
+        "bipartitions": [report.to_json() for report in scan],
     }

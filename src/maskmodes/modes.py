@@ -348,40 +348,31 @@ def _basis_samples(basis, grid, k):
 
 
 class PlaneWaveGrid:
-    """Finite family of propagating plane-wave directions with amplitudes.
+    """Finite family of propagating plane-wave directions.
 
     Directions are unit vectors with ``n_z = +sqrt(1 - nx^2 - ny^2)``;
     transverse components with ``nx^2 + ny^2 > 1`` (evanescent waves) are
-    discarded at construction and the dropped weight is recorded in
-    ``evanescent_fraction``.  Amplitude vectors are kept in plain discrete
-    norm (``sum |phi|^2 = 1`` after :meth:`normalized`); the solid-angle
-    weights ``dOmega = dnx dny / nz`` enter the coupling integrals.
+    discarded at construction and the share of directions dropped is
+    recorded in ``evanescent_fraction``.  The solid-angle weights
+    ``dOmega = dnx dny / nz`` enter the coupling integrals.
     """
 
-    def __init__(self, transverse, amplitudes=None, weights=None):
+    def __init__(self, transverse, weights=None):
         t = np.atleast_2d(np.asarray(transverse, dtype=float))
         if t.ndim != 2 or t.shape[1] != 2:
             raise ValueError("transverse must be an (M, 2) array of (nx, ny)")
-        amp = (
-            np.ones(len(t), dtype=complex)
-            if amplitudes is None
-            else np.asarray(amplitudes, dtype=complex)
-        )
         w = np.ones(len(t)) if weights is None else np.asarray(weights, dtype=float)
-        if len(amp) != len(t) or len(w) != len(t):
-            raise ValueError("amplitudes/weights length must match directions")
+        if len(w) != len(t):
+            raise ValueError("weights length must match directions")
 
-        s2 = np.sum(t**2, axis=1)
-        keep = s2 <= 1.0
-        total = float(np.sum(np.abs(amp) ** 2))
-        kept = float(np.sum(np.abs(amp[keep]) ** 2))
-        self.evanescent_fraction = 0.0 if total == 0 else 1.0 - kept / total
-        if not np.any(keep):
+        keep = np.sum(t**2, axis=1) <= 1.0
+        kept = np.count_nonzero(keep)
+        if not kept:
             raise EmptyGrid("all directions are evanescent")
+        self.evanescent_fraction = 1.0 - kept / len(t)
         self.transverse = t[keep]
-        self.amplitudes = amp[keep]
         self.weights = w[keep]
-        for arr in (self.transverse, self.amplitudes, self.weights):
+        for arr in (self.transverse, self.weights):
             arr.setflags(write=False)
 
     def __len__(self):
@@ -398,12 +389,6 @@ class PlaneWaveGrid:
         norms = np.linalg.norm(d, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
         return d
-
-    def normalized(self):
-        n = np.sqrt(np.sum(np.abs(self.amplitudes) ** 2))
-        if n == 0:
-            raise ValueError("zero amplitude vector")
-        return PlaneWaveGrid(self.transverse, self.amplitudes / n, self.weights)
 
     @classmethod
     def single(cls, nx=0.0, ny=0.0):

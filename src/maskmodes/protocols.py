@@ -1,7 +1,7 @@
 """End-to-end demonstrations: null-detection Bell projection, the
 Hong-Ou-Mandel dip and the NOON-attainability scan."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,32 +86,26 @@ def hom_coincidence(u):
     return float(abs(out.amplitude((1, 1))) ** 2)
 
 
+#: Rounds of local refinement around the best grid angle, each ten times narrower.
+_REFINE_ROUNDS = 4
+#: Angles each refinement round tries.
+_REFINE_POINTS = 33
+
+
 @dataclass
 class ScanResult:
     photons: int
     best_fidelity: float
     best_split: int
     best_theta: float
-    best_phi: float
     theta_steps: int
-    phi_steps: int
-    refined: bool
 
     def __post_init__(self):
         # a fidelity is a probability; strip float dust above 1
         self.best_fidelity = float(min(max(self.best_fidelity, 0.0), 1.0))
 
     def to_json(self):
-        return {
-            "photons": self.photons,
-            "best_fidelity": self.best_fidelity,
-            "best_split": self.best_split,
-            "best_theta": self.best_theta,
-            "best_phi": self.best_phi,
-            "theta_steps": self.theta_steps,
-            "phi_steps": self.phi_steps,
-            "refined": self.refined,
-        }
+        return asdict(self)
 
 
 def _noon_fidelity_theta(m, n, thetas):
@@ -119,64 +113,54 @@ def _noon_fidelity_theta(m, n, thetas):
     return (np.abs(a) + np.abs(b)) ** 2 / 2.0
 
 
-def noon_fidelity_scan(photons, grid=(256, 256), refine_rounds=4, refine_points=33):
-    """Best NOON fidelity reachable from any separable two-mode Fock input.
+def _noon_table(photons, steps):
+    """The ``steps + 1`` splitter angles on ``[0, pi]`` and the NOON fidelity
+    of every split ``m + n = photons`` at each: row ``m``, one column per angle.
 
-    Scans every split ``m + n = photons`` over a ``(theta, phi)`` grid of
-    splitter settings (``theta`` takes ``grid[0] + 1`` points on ``[0, pi]``
-    so that doubling the resolution refines the grid in place), computing
-    ``max_chi |<NOON_chi|out>|^2 = (|<N,0|out>| + |<0,N|out>|)^2 / 2``.
-    The relative NOON phase is maximized analytically, which also makes the
-    surface independent of ``phi``; the full grid is still reported.  A few
-    rounds of local refinement around the best grid point sharpen the
-    maximum; the running maximum never decreases under refinement.
+    The angles include both ends, so doubling ``steps`` refines the grid in
+    place.
     """
     if photons < 1:
         raise ValueError("need at least one photon")
-    g_theta, g_phi = grid
-    if g_theta < 64 or g_phi < 64:
-        raise ValueError("grid resolution must be at least 64 steps per axis")
-    thetas = np.linspace(0.0, np.pi, g_theta + 1)
-    best = (-1.0, 0, 0.0, 0.0)
-    for m in range(photons + 1):
-        f = _noon_fidelity_theta(m, photons - m, thetas)
-        i = int(np.argmax(f))
-        if f[i] > best[0]:
-            best = (float(f[i]), m, float(thetas[i]), 0.0)
+    if steps < 64:
+        raise ValueError("the scan needs at least 64 angle steps")
+    thetas = np.linspace(0.0, np.pi, steps + 1)
+    m = np.arange(photons + 1)[:, None]
+    return thetas, _noon_fidelity_theta(m, photons - m, thetas)
 
-    fid, m, theta, phi = best
-    half = np.pi / g_theta
-    for _ in range(refine_rounds):
+
+def noon_fidelity_scan(photons, steps=256):
+    """Best NOON fidelity reachable from any separable two-mode Fock input.
+
+    Scans every split ``m + n = photons`` over ``steps + 1`` splitter angles
+    ``theta`` on ``[0, pi]``, computing
+    ``max_chi |<NOON_chi|out>|^2 = (|<N,0|out>| + |<0,N|out>|)^2 / 2``.
+    The relative NOON phase is maximized analytically, which also removes the
+    splitter phase ``phi``.  The first best entry of the table (lowest split,
+    then lowest angle) is sharpened by a few rounds of local refinement; the
+    running maximum never decreases under refinement.
+    """
+    thetas, table = _noon_table(photons, steps)
+    m, i = np.unravel_index(np.argmax(table), table.shape)
+    m, fid, theta = int(m), float(table[m, i]), float(thetas[i])
+    half = np.pi / steps
+    for _ in range(_REFINE_ROUNDS):
         lo, hi = max(0.0, theta - half), min(np.pi, theta + half)
-        ts = np.linspace(lo, hi, refine_points)
+        ts = np.linspace(lo, hi, _REFINE_POINTS)
         f = _noon_fidelity_theta(m, photons - m, ts)
         i = int(np.argmax(f))
         if f[i] > fid:
             fid, theta = float(f[i]), float(ts[i])
         half *= 0.1
-    return ScanResult(
-        photons=photons,
-        best_fidelity=fid,
-        best_split=m,
-        best_theta=theta,
-        best_phi=phi,
-        theta_steps=g_theta,
-        phi_steps=g_phi,
-        refined=refine_rounds > 0,
-    )
+    return ScanResult(photons=photons, best_fidelity=fid, best_split=m, best_theta=theta,
+                      theta_steps=steps)
 
 
-def noon_surface(photons, grid=(256, 256)):
-    """Fidelity surface ``max over splits`` on the (theta, phi) grid.
+def noon_surface(photons, steps=256):
+    """The NOON fidelity at each splitter angle, maximized over splits.
 
-    Returns ``(thetas, phis, values)`` with ``values[i, j]`` at
-    ``(thetas[i], phis[j])``; suitable for CSV export and plotting.
+    Returns ``(thetas, values)``, ``steps + 1`` of each, on the angles of
+    :func:`noon_fidelity_scan`; suitable for CSV export and plotting.
     """
-    g_theta, g_phi = grid
-    thetas = np.linspace(0.0, np.pi, g_theta + 1)
-    phis = np.linspace(0.0, 2.0 * np.pi, g_phi, endpoint=False)
-    over_splits = np.max(
-        [_noon_fidelity_theta(m, photons - m, thetas) for m in range(photons + 1)],
-        axis=0,
-    )
-    return thetas, phis, np.tile(over_splits[:, None], (1, g_phi))
+    thetas, table = _noon_table(photons, steps)
+    return thetas, table.max(axis=0)

@@ -95,7 +95,7 @@ def test_criterion_03_hong_ou_mandel_dip_and_sweep():
 def test_criterion_04_noon_attainability():
     results = {}
     for n in (1, 2, 3, 4):
-        results[n] = noon_fidelity_scan(n, grid=(256, 256)).best_fidelity
+        results[n] = noon_fidelity_scan(n, 256).best_fidelity
     assert results[1] >= 1 - 1e-9
     assert results[2] >= 1 - 1e-9
     assert results[3] <= 1 - 1e-3
@@ -113,7 +113,7 @@ def test_criterion_05_coherent_inputs_never_entangle():
             r = 1.5 * np.sqrt(rng.random())
             descs.append(Coherent(r * np.exp(2j * np.pi * rng.random())))
         state = apply_unitary(build_input_state(InputStateSpec(descs)), u)
-        for _, rep in full_separability_scan(state, tol=1e-6):
+        for rep in full_separability_scan(state, tol=1e-6):
             worst = max(worst, rep.entropy_bits)
             assert rep.entropy_bits <= 1e-6
     report(5, f"20 seeds x 3 bipartitions, worst entropy {worst:.2e} bits")

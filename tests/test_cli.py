@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskmodes._jsonio import decode_array, read_file
-from maskmodes.cli import main
+from maskmodes.cli import _NOON_VALUE_BYTES, main
 from maskmodes.diffraction import (
     CircularAperture,
     CosineGrating,
@@ -29,6 +29,7 @@ from maskmodes.diffraction import (
 )
 from maskmodes.fock import InputStateSpec, MultimodeFockState, apply_unitary, build_input_state
 from maskmodes.modes import Grid2D, ModeBasis, hermite_gaussian_mode, sample_field
+from maskmodes.protocols import noon_fidelity_scan, noon_surface
 from util import haar_unitary, state_document
 
 
@@ -80,14 +81,14 @@ def test_compile_mask_circular_flux_faithful(runner, tmp_path):
 
 
 def test_compile_mask_csv_body_is_the_unitarys_csv(runner, tmp_path):
-    out, csv, plain = tmp_path / "ap.json", tmp_path / "ap.csv", tmp_path / "plain.csv"
+    out, csv = tmp_path / "ap.json", tmp_path / "ap.csv"
     invoke(runner, "compile-mask", "--mask", "circular", "--radius", "2.0",
            "--aperture-steps", "3", "--aperture-extent", "0.15",
            "--out", str(out), "--csv", str(csv))
     u = UnitaryMatrix.load(out)
-    u.to_csv(plain)
+    plain = "".join(f"{line}\n" for line in ["row,col,re,im", *u.csv_rows()])
     comment, body = csv.read_text().split("\n", 1)
-    assert comment.startswith("# maskmodes") and body == plain.read_text()
+    assert comment.startswith("# maskmodes") and body == plain
     assert len(body.splitlines()) == 1 + u.dim**2
 
 
@@ -213,7 +214,41 @@ def test_protocol_commands(runner, tmp_path):
     )
     doc = json.loads(noon.read_text())
     assert doc["result"]["best_fidelity"] >= 1 - 1e-9
-    assert surf.read_text().splitlines()[1] == "theta,phi,fidelity"
+    assert surf.read_text().splitlines()[1] == "theta,fidelity"
+
+
+@pytest.mark.parametrize("grid", [256, 1024])
+def test_scan_noon_surface_holds_one_row_per_angle(runner, tmp_path, grid):
+    surf = tmp_path / "surface.csv"
+    invoke(runner, "scan-noon", "--photons", "2", "--grid", str(grid),
+           "--out", str(tmp_path / "noon.json"), "--surface", str(surf))
+    comment, header, *rows = surf.read_text().splitlines()
+    assert header == "theta,fidelity" and len(rows) == grid + 1
+    thetas, values = noon_surface(2, grid)
+    assert rows == [f"{t!r},{v!r}" for t, v in zip(thetas.tolist(), values.tolist())]
+
+
+def test_noon_table_stays_within_the_bytes_its_size_check_counts():
+    photons, grid = 2000, 256
+    noon_surface(2, 64)  # scipy's ufuncs load outside the measurement
+    for build in (noon_fidelity_scan, noon_surface):
+        tracemalloc.start()
+        try:
+            build(photons, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond the table's arrays, a few of one row or one column
+        assert peak <= _NOON_VALUE_BYTES * (photons + 1) * (grid + 1) + 64 * (photons + grid)
+
+
+def test_protocol_hom_csv_without_sweep_writes_one_row(runner, tmp_path):
+    out, csv = tmp_path / "hom.json", tmp_path / "hom.csv"
+    invoke(runner, "protocol-hom", "--theta", "0.3", "--out", str(out), "--csv", str(csv))
+    result = json.loads(out.read_text())["result"]
+    comment, header, *rows = csv.read_text().splitlines()
+    assert header == "theta,coincidence"
+    assert rows == [f"{0.3!r},{result['coincidence']!r}"]
 
 
 def test_agreement_suite_command(runner, tmp_path):
@@ -383,8 +418,8 @@ def test_extreme_magnitudes_exit_1(runner, tmp_path, args, message):
     (["protocol-hom", "--sweep", "10000000000", "--csv", "sweep.csv"],
      "10000000000 angles and their records"),
     (["scan-noon", "--photons", "100000000", "--grid", "64"], "6500000065 fidelity values"),
-    (["scan-noon", "--photons", "2", "--grid", "65536", "--surface", "surface.csv"],
-     "196611 fidelity values and 4295032832 surface points"),
+    (["scan-noon", "--photons", "2", "--grid", "1048576", "--surface", "surface.csv"],
+     "3145731 fidelity values and 1048577 surface points"),
 ])
 def test_oversized_compile_exits_1_before_allocating(runner, cli_files, tmp_path, monkeypatch,
                                                      args, message):
@@ -794,6 +829,10 @@ _PROBES = [
     (["entropy", "--state-file", "{u}", "--tolerance", "0"], None, 2, "--tolerance"),
     # grazing orders carry no flux
     (["compile-mask", "--mask", "cosine", "--u", "1,0"], None, 2, "ux^2 + uy^2 < 1"),
+    # --sweep sets the angles, so a --theta it would not read is refused, before the size check
+    (["protocol-hom", "--theta", "0.3", "--sweep", "4"], None, 2, "--theta and --sweep"),
+    (["protocol-hom", "--sweep", "4"], {"theta": 0.3}, 2, "--theta and --sweep"),
+    (["protocol-hom", "--theta", "0.3", "--sweep", "10000000000"], None, 2, "--theta and --sweep"),
 ]
 
 

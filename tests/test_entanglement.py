@@ -134,7 +134,7 @@ def test_coherent_product_stays_separable_through_any_network():
 def test_w_state_every_bipartition():
     scan = full_separability_scan(W_STATE, tol=1e-9)
     assert len(scan) == 3
-    for _, rep in scan:
+    for rep in scan:
         assert abs(rep.entropy_bits - H_ONE_THIRD) < 1e-9
         assert not rep.separable
     assert not fully_separable(scan)
@@ -150,7 +150,7 @@ def test_a_product_cut_reads_positive_zero_bits():
     # one Schmidt coefficient 1: its p log p is 0.0, whose negation is -0.0
     for st in (MultimodeFockState.vacuum(3), MultimodeFockState.from_occupation((1, 0, 2)),
                MultimodeFockState(2, {(1, 0): 0.6, (1, 1): 0.8})):
-        reports = [rep for _, rep in full_separability_scan(st)]
+        reports = full_separability_scan(st)
         reports.append(entanglement_report(st, Bipartition((0,), st.mode_count)))
         assert [rep.entropy_bits for rep in reports] == [0.0] * len(reports)
         assert not any(np.signbit(rep.entropy_bits) for rep in reports)
@@ -420,8 +420,9 @@ def test_scan_matches_dense_reference_and_single_cut(case):
         top = int(state.occupations.sum(axis=1).max())
         assert _layout(state.mode_count + 1, top).shape[1] >= 2
     scan = full_separability_scan(state)
-    assert [part for part, _ in scan] == _bipartitions(state.mode_count)[0]
-    for part, rep in scan:
+    assert [rep.bipartition for rep in scan] == _bipartitions(state.mode_count)[0]
+    for rep in scan:
+        part = rep.bipartition
         ref = schmidt_dense_reference(state, part)
         s = rep.schmidt_coefficients
         assert s.shape == ref.shape
@@ -457,7 +458,7 @@ def test_link_matrices_are_bounded_by_terms():
     finally:
         tracemalloc.stop()
     assert rep.schmidt_coefficients.tolist() == [0.8, 0.6]
-    assert scan[0][1].schmidt_coefficients.tolist() == [0.8, 0.6]
+    assert scan[0].schmidt_coefficients.tolist() == [0.8, 0.6]
     assert peak < 1e6
 
 
@@ -489,9 +490,10 @@ def test_fixed_photon_number_labels_match_the_closure(state):
     scan = full_separability_scan(state)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entanglement, "_block_labels", _closure_labels)
-        closed = [entanglement_report(state, part) for part, _ in scan]
-    for (part, rep), ref in zip(scan, closed):
+        closed = [entanglement_report(state, rep.bipartition) for rep in scan]
+    for rep, ref in zip(scan, closed):
         assert rep.schmidt_coefficients.tobytes() == ref.schmidt_coefficients.tobytes()
         assert rep.entropy_bits == ref.entropy_bits
-        np.testing.assert_allclose(rep.schmidt_coefficients, schmidt_dense_reference(state, part),
+        np.testing.assert_allclose(rep.schmidt_coefficients,
+                                   schmidt_dense_reference(state, rep.bipartition),
                                    rtol=0, atol=1e-12)

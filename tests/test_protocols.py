@@ -3,7 +3,9 @@ import pytest
 
 from maskmodes.diffraction import UnitaryMatrix
 from maskmodes.errors import DimensionMismatch, InvalidEfficiency
+from maskmodes.fock import MultimodeFockState, apply_unitary
 from maskmodes.protocols import (
+    _noon_fidelity_theta,
     hom_coincidence,
     ifm_project,
     noon_fidelity_scan,
@@ -73,32 +75,63 @@ def test_hom_sweep_matches_cos_squared():
 
 def test_noon_scan_small_photon_numbers_reach_unity():
     for n in (1, 2):
-        res = noon_fidelity_scan(n, grid=(64, 64))
+        res = noon_fidelity_scan(n, 64)
         assert res.best_fidelity >= 1.0 - 1e-9
 
 
 def test_noon_two_photons_uses_hong_ou_mandel_point():
-    res = noon_fidelity_scan(2, grid=(64, 64))
+    res = noon_fidelity_scan(2, 64)
     assert res.best_split == 1
     assert abs(res.best_theta - np.pi / 2) < 1e-9
 
 
 def test_noon_three_and_four_photons_capped():
     for n, known_best in ((3, 0.75), (4, 0.75)):
-        res = noon_fidelity_scan(n, grid=(256, 256))
+        res = noon_fidelity_scan(n, 256)
         assert res.best_fidelity <= 1.0 - 1e-3
         # brute maximum of the closed-form family lands on 3/4
         assert abs(res.best_fidelity - known_best) < 1e-9
 
 
 def test_noon_scan_monotone_under_refinement():
+    # doubling the steps keeps every angle, so the grid maximum cannot fall,
+    # and the refined best is never below the grid maximum of its own table
     last = 0.0
-    for g in (64, 128, 256):
-        res = noon_fidelity_scan(3, grid=(g, g), refine_rounds=0)
-        assert res.best_fidelity >= last - 1e-15
-        last = res.best_fidelity
-    refined = noon_fidelity_scan(3, grid=(256, 256), refine_rounds=4)
-    assert refined.best_fidelity >= last - 1e-15
+    for steps in (64, 128, 256):
+        _, values = noon_surface(3, steps)
+        assert values.max() >= last
+        last = values.max()
+        assert noon_fidelity_scan(3, steps).best_fidelity >= last
+
+
+def _loop_scan(photons, steps):
+    """The scan split by split: a strict ``>`` keeps the first best split and
+    angle, then four rounds of 33 angles refine it."""
+    thetas = np.linspace(0.0, np.pi, steps + 1)
+    rows = [_noon_fidelity_theta(m, photons - m, thetas) for m in range(photons + 1)]
+    fid, split, theta = -1.0, 0, 0.0
+    for m, f in enumerate(rows):
+        i = int(np.argmax(f))
+        if f[i] > fid:
+            fid, split, theta = float(f[i]), m, float(thetas[i])
+    half = np.pi / steps
+    for _ in range(4):
+        ts = np.linspace(max(0.0, theta - half), min(np.pi, theta + half), 33)
+        f = _noon_fidelity_theta(split, photons - split, ts)
+        i = int(np.argmax(f))
+        if f[i] > fid:
+            fid, theta = float(f[i]), float(ts[i])
+        half *= 0.1
+    return (min(max(fid, 0.0), 1.0), split, theta), np.max(rows, axis=0)
+
+
+@pytest.mark.parametrize("steps", [64, 100])
+def test_noon_table_matches_the_split_by_split_loop(steps):
+    for photons in (*range(1, 13), 40):
+        best, surface = _loop_scan(photons, steps)
+        res = noon_fidelity_scan(photons, steps)
+        assert (res.best_fidelity, res.best_split, res.best_theta) == best
+        assert noon_surface(photons, steps)[1].tobytes() == surface.tobytes()
 
 
 def test_noon_scan_consistent_with_closed_form_states():
@@ -109,26 +142,36 @@ def test_noon_scan_consistent_with_closed_form_states():
         a = abs(st.amplitude((total, 0)))
         b = abs(st.amplitude((0, total)))
         direct = (a + b) ** 2 / 2
-        from maskmodes.protocols import _noon_fidelity_theta
-
         assert abs(direct - _noon_fidelity_theta(m, n, np.array([theta]))[0]) < 1e-12
+
+
+@pytest.mark.parametrize("m, n, theta", [(1, 1, np.pi / 2), (2, 1, 1.0), (3, 2, 2.4), (0, 4, 0.9)])
+def test_noon_fidelity_does_not_depend_on_the_splitter_phase(m, n, theta):
+    """The scan has no phi axis: the engine's output through su2(theta, phi)
+    gives the same NOON fidelity at every phi."""
+    total = m + n
+    for phi in (0.0, 0.7, 2.9, -1.3):
+        out = apply_unitary(MultimodeFockState.from_occupation((m, n)),
+                            UnitaryMatrix.su2(theta, phi))
+        got = (abs(out.amplitude((total, 0))) + abs(out.amplitude((0, total)))) ** 2 / 2
+        assert abs(got - _noon_fidelity_theta(m, n, theta)) < 1e-12
 
 
 def test_noon_scan_grid_validation():
     with pytest.raises(ValueError):
         noon_fidelity_scan(0)
     with pytest.raises(ValueError):
-        noon_fidelity_scan(2, grid=(32, 64))
+        noon_fidelity_scan(2, 32)
 
 
 def test_noon_surface_shape_and_range():
-    thetas, phis, vals = noon_surface(2, grid=(64, 64))
-    assert vals.shape == (65, 64)
+    thetas, vals = noon_surface(2, 64)
+    assert thetas.shape == vals.shape == (65,)
     assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-12)
     assert abs(np.max(vals) - 1.0) < 1e-12
 
 
 def test_scan_result_serialization():
-    doc = noon_fidelity_scan(2, grid=(64, 64)).to_json()
+    doc = noon_fidelity_scan(2, 64).to_json()
     assert doc["photons"] == 2
     assert 0 <= doc["best_fidelity"] <= 1
