@@ -55,7 +55,7 @@ from .entanglement import (
 from .errors import CompileTooLarge, MaskModesError
 from .fock import InputStateSpec, MultimodeFockState, apply_unitary, build_input_state
 from .modes import Grid2D, ModeBasis, hermite_gaussian_basis, hermite_gaussian_mode, sample_field
-from .protocols import hom_coincidence, ifm_project, noon_fidelity_scan, noon_surface
+from .protocols import _noon_scan_and_surface, hom_coincidence, ifm_project
 from .separability import check_no_entanglement
 
 
@@ -227,6 +227,25 @@ def _check_compile_size(nbytes, what):
                               f"{MAX_COMPILE_BYTES / 2**20:g} MiB")
 
 
+_APERTURE_READS = ("radius", "wavenumber", "aperture_steps", "aperture_extent")
+#: The parameters each ``compile-mask --mask`` kind reads, beyond ``--out`` and ``--csv``.
+_MASK_READS = {
+    "cosine": ("u_text", "wavenumber"),
+    "circular": _APERTURE_READS,
+    "pinhole": _APERTURE_READS,
+    "custom": ("mask_file", "grid_n", "extent", "waist", "basis_order"),
+}
+
+
+def _refuse_unread(ctx, mask):
+    """A usage error for a parameter, given by flag or ``--config``, that ``--mask`` does not read."""
+    unread = {name for reads in _MASK_READS.values() for name in reads} - set(_MASK_READS[mask])
+    for param in ctx.command.params:
+        if (param.name in unread
+                and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
+            raise click.UsageError(f"--mask {mask} does not read {param.opts[0]}")
+
+
 def _require(flag, value, mask):
     """A parameter that only some ``--mask`` kinds need."""
     if value is None:
@@ -281,23 +300,29 @@ def main():
               help="Grating direction ux,uy (unit transverse part); --mask cosine.")
 @click.option("--radius", type=_POSITIVE,
               help="Aperture radius (length units); --mask circular or pinhole.")
-@click.option("--wavenumber", type=_POSITIVE, default=2 * np.pi, help="Wavenumber k.")
+@click.option("--wavenumber", type=_POSITIVE, default=2 * np.pi,
+              help="Wavenumber k; --mask cosine, circular or pinhole.")
 @click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
-              callback=_power_of_two, help="Samples per axis for overlap compilation.")
-@click.option("--extent", type=_POSITIVE, default=14.0, help="Grid physical extent.")
-@click.option("--waist", type=_POSITIVE, default=1.0, help="Gaussian basis waist.")
+              callback=_power_of_two, help="Samples per axis; --mask custom.")
+@click.option("--extent", type=_POSITIVE, default=14.0, help="Grid physical extent; --mask custom.")
+@click.option("--waist", type=_POSITIVE, default=1.0, help="Gaussian basis waist; --mask custom.")
 @click.option("--basis-order", type=click.IntRange(min=0), default=1,
-              help="Max Hermite-Gaussian order per axis.")
+              help="Max Hermite-Gaussian order per axis; --mask custom.")
 @click.option("--mask-file", type=_IN_FILE, help="Custom mask JSON; --mask custom.")
 @click.option("--aperture-steps", type=click.IntRange(min=1), default=9,
-              help="Direction lattice points per axis.")
+              help="Direction lattice points per axis; --mask circular or pinhole.")
 @click.option("--aperture-extent", type=_POSITIVE, default=0.2,
-              help="Direction lattice half-extent.")
+              help="Direction lattice half-extent; --mask circular or pinhole.")
 @click.option("--out", "out_file", required=True, help="Unitary JSON artifact.")
 @click.option("--csv", "csv_file", help="Also export the matrix as CSV.")
 def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_order,
                  mask_file, aperture_steps, aperture_extent, out_file, csv_file):
-    """Compile a mask into a unitary mode-coupling network."""
+    """Compile a mask into a unitary mode-coupling network.
+
+    Each --mask kind reads only its own flags; a flag it would not read is
+    refused, given on the command line or through --config.
+    """
+    _refuse_unread(click.get_current_context(), mask)
     if mask == "cosine":
         unit = grating_block(CosineGrating(_require("--u", u_text, mask)), k=wavenumber)
     elif mask in ("circular", "pinhole"):
@@ -320,7 +345,7 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
         screen = read_file(path, mask_from_json)
         grid = Grid2D(grid_n, grid_n, extent / grid_n, extent / grid_n)
         basis = hermite_gaussian_basis(basis_order, waist)
-        coupling = overlap_unitary(screen, basis, basis, grid, k=wavenumber)
+        coupling = overlap_unitary(screen, basis, basis, grid)
         unit = unitarize(coupling, flux_faithful=True)
     _write_artifact(out_file, unit.to_json())
     if csv_file:
@@ -336,17 +361,15 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
               callback=_power_of_two, help="Samples per axis.")
 @click.option("--extent", type=_POSITIVE, default=14.0, help="Grid physical extent.")
 @click.option("--waist", type=_POSITIVE, default=1.0, help="Gaussian mode waist.")
-@click.option("--wavenumber", type=_POSITIVE, default=2 * np.pi, help="Wavenumber k.")
 @click.option("--eps-rel", type=_POSITIVE, default=1e-6, help="Tikhonov regularization.")
 @click.option("--out", "out_file", required=True, help="Kernel JSON artifact.")
-def design_response(input_mode, target_mode, grid_n, extent, waist, wavenumber, eps_rel,
-                    out_file):
+def design_response(input_mode, target_mode, grid_n, extent, waist, eps_rel, out_file):
     """Design the impulse-response kernel mapping one mode onto another."""
     grid = Grid2D(grid_n, grid_n, extent / grid_n, extent / grid_n)
     basis = ModeBasis([input_mode, target_mode], partial(hermite_gaussian_mode, waist=waist),
                       name=f"hg(w0={waist:g})")
-    e_in = sample_field(input_mode, basis, grid, k=wavenumber)
-    e_out = sample_field(target_mode, basis, grid, k=wavenumber)
+    e_in = sample_field(input_mode, basis, grid)
+    e_out = sample_field(target_mode, basis, grid)
     kernel = inverse_design_response(e_in, e_out, eps_rel=eps_rel)
     fid = design_fidelity(kernel, e_in, e_out)
     doc = kernel.to_json()
@@ -514,10 +537,9 @@ def scan_noon(photons, grid_n, out_file, surface_file):
     _check_compile_size(_NOON_VALUE_BYTES * values + _SURFACE_POINT_BYTES * points,
                         f"--photons {photons} and --grid {grid_n}: {values} fidelity values"
                         + (f" and {points} surface points" if points else ""))
-    res = noon_fidelity_scan(photons, grid_n)
+    res, thetas, vals = _noon_scan_and_surface(photons, grid_n)
     _write_artifact(out_file, res.to_json())
     if surface_file:
-        thetas, vals = noon_surface(photons, grid_n)
         _write_csv(surface_file, "theta,fidelity",
                    [f"{t!r},{v!r}" for t, v in zip(thetas.tolist(), vals.tolist())])
     click.echo(

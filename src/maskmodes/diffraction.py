@@ -62,8 +62,6 @@ _BLOCK_BYTES = 1 << 22
 _SMIN_TOL = 1e-6
 #: Share of the target's energy the kernel design may find outside the input band.
 _LOST_TOL = 1e-3
-#: Entry magnitude above which a network couples two modes (``connected``, the split-mode rule).
-TOL_COUPLE = 1e-12
 
 
 def jinc(x):
@@ -277,10 +275,10 @@ class CouplingMatrix:
     column norms never exceed 1 (absorptive elements give less).
     """
 
-    def __init__(self, matrix, row_labels, col_labels, provenance=None):
+    def __init__(self, matrix, provenance=None):
         m = np.array(matrix, dtype=complex, order="C")
-        if m.shape != (len(row_labels), len(col_labels)):
-            raise DimensionMismatch("matrix shape does not match label counts")
+        if m.ndim != 2:
+            raise DimensionMismatch(f"a coupling must be 2-D, not of shape {m.shape}")
         # written so that a nan entry fails them
         if not np.max(np.abs(m), initial=0.0) <= 1.0 + 1e-9:
             raise ValueError("coupling entries must be finite with magnitude <= 1")
@@ -289,54 +287,14 @@ class CouplingMatrix:
             raise ValueError("coupling column norms must not exceed 1")
         self.matrix = m
         self.matrix.setflags(write=False)
-        self.row_labels = list(row_labels)
-        self.col_labels = list(col_labels)
         self.provenance = dict(provenance or {})
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def to_json(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "coupling",
-            "rows": [str(l) for l in self.row_labels],
-            "cols": [str(l) for l in self.col_labels],
-            **encode_complex("matrix", self.matrix),
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        with reading():
-            doc = typed(doc, "coupling", "coupling matrix")
-            rows, cols = doc["rows"], doc["cols"]
-            matrix = _stored_matrix(doc, (len(rows), len(cols)))
-            return cls(matrix, rows, cols, provenance=doc.get("provenance"))
-
-
-def _stored_matrix(doc, shape):
-    """The ``matrix_b64`` payload of a compiled-matrix document, of ``shape``.
-
-    ``float64`` for a real-valued matrix, else ``complex128`` (see
-    :func:`~maskmodes._jsonio.decode_complex`).
-    """
-    if "matrix" in doc and "matrix_b64" not in doc:
-        raise MalformedDocument(
-            "schema-1 [re, im] pair-list matrix: compiled matrices are now stored as "
-            f"base64 complex128 (float64 when real-valued) under 'matrix_b64' "
-            f"(schema {SCHEMA_VERSION})"
-        )
-    return decode_complex(doc, "matrix", shape)
 
 
 class UnitaryMatrix:
     """Operator-oriented unitary network: ``a_j+ -> sum_k U[j, k] a_k+``.
 
     The unitarity residual ``||U+ U - I||_F`` is checked at construction and
-    recorded.  The ``connected`` flag marks networks that cannot be split
-    into independent sub-networks (all ``|U[j, k]| < 1`` then holds).
+    recorded.
 
     ``matrix`` is always row-major, read-only ``complex128``.  A real input
     (an aperture's network from :func:`unitarize`, or the ``float64``
@@ -364,13 +322,7 @@ class UnitaryMatrix:
             raise UnitarityError(
                 f"unitarity residual {residual:.3e} above {self.RESIDUAL_TOL:.1e}"
             )
-        # a unit-magnitude entry is a perfect one-to-one transfer, i.e. a
-        # split-off subnetwork: never marked connected
-        magnitude = np.abs(a)
-        self.connected = _is_connected(magnitude > TOL_COUPLE) and bool(
-            np.max(magnitude) < 1.0
-        )
-        del a, magnitude  # work arrays released before the matrix is made
+        del a  # a work array, released before the matrix is made
         self.matrix = m.astype(complex, order="C")  # a new array: widened or copied
         self.matrix.setflags(write=False)
         self.residual = residual
@@ -407,7 +359,6 @@ class UnitaryMatrix:
             "dim": self.dim,
             **encode_complex("matrix", self.matrix),
             "unitarity_residual": self.residual,
-            "connected": self.connected,
             "provenance": self.provenance,
         }
 
@@ -415,8 +366,15 @@ class UnitaryMatrix:
     def from_json(cls, doc):
         with reading():
             doc = typed(doc, "unitary", "unitary")
+            if "matrix" in doc and "matrix_b64" not in doc:
+                raise MalformedDocument(
+                    "schema-1 [re, im] pair-list matrix: compiled matrices are now stored as "
+                    f"base64 complex128 (float64 when real-valued) under 'matrix_b64' "
+                    f"(schema {SCHEMA_VERSION})"
+                )
             dim = doc["dim"]
-            return cls(_stored_matrix(doc, (dim, dim)), provenance=doc.get("provenance"))
+            return cls(decode_complex(doc, "matrix", (dim, dim)),
+                       provenance=doc.get("provenance"))
 
     def save(self, path):
         write_file(path, text_pieces(self.to_json()))
@@ -476,27 +434,6 @@ def _unitarity_residual(m):
     return math.sqrt(sq)
 
 
-def _is_connected(adj):
-    """Connectivity of the bipartite input/output graph given by a boolean matrix.
-
-    Grows the component of input 0 one frontier at a time: the outputs any
-    reached input couples to, then the inputs coupled to any reached output.
-    """
-    n = adj.shape[0]
-    if n == 0:
-        return False
-    seen_in = np.zeros(n, dtype=bool)
-    seen_in[0] = True
-    reached = 1
-    while True:
-        seen_out = adj[seen_in].any(axis=0)
-        seen_in |= adj[:, seen_out].any(axis=1)
-        grown = int(np.count_nonzero(seen_in))
-        if grown == reached:
-            return bool(reached == n and seen_out.all())
-        reached = grown
-
-
 # --------------------------------------------------------------------------
 # Plane-wave coupling (Fourier picture of a thin screen)
 
@@ -553,9 +490,7 @@ def plane_wave_coupling(mask, input_grid, output_grid, k):
         "inputs": len(n_in),
         "outputs": len(n_out),
     }
-    rows = [tuple(t) for t in np.round(n_out, 12)]
-    cols = [tuple(t) for t in np.round(n_in, 12)]
-    return CouplingMatrix(m, rows, cols, provenance=prov)
+    return CouplingMatrix(m, provenance=prov)
 
 
 def jinc_envelope(x):
@@ -629,7 +564,7 @@ def overlap_unitary(element, in_basis, out_basis, grid, k=2 * np.pi):
         "out_basis": out_basis.name,
         "truncation_losses": losses,
     }
-    return CouplingMatrix(matrix, list(out_basis.labels), list(in_basis.labels), provenance=prov)
+    return CouplingMatrix(matrix, provenance=prov)
 
 
 # --------------------------------------------------------------------------

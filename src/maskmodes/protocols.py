@@ -140,7 +140,12 @@ def noon_fidelity_scan(photons, steps=256):
     then lowest angle) is sharpened by a few rounds of local refinement; the
     running maximum never decreases under refinement.
     """
-    thetas, table = _noon_table(photons, steps)
+    return _best_of(*_noon_table(photons, steps))
+
+
+def _best_of(thetas, table):
+    """The :func:`noon_fidelity_scan` result of a :func:`_noon_table`."""
+    photons, steps = table.shape[0] - 1, len(thetas) - 1
     m, i = np.unravel_index(np.argmax(table), table.shape)
     m, fid, theta = int(m), float(table[m, i]), float(thetas[i])
     half = np.pi / steps
@@ -164,3 +169,9 @@ def noon_surface(photons, steps=256):
     """
     thetas, table = _noon_table(photons, steps)
     return thetas, table.max(axis=0)
+
+
+def _noon_scan_and_surface(photons, steps):
+    """:func:`noon_fidelity_scan` and :func:`noon_surface` from one table."""
+    thetas, table = _noon_table(photons, steps)
+    return _best_of(thetas, table), thetas, table.max(axis=0)

@@ -25,11 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .diffraction import TOL_COUPLE
 from .errors import DimensionMismatch, EmptyPartition, NotGaussian, NotPure, OutOfRange, PrecisionLoss
 from .entanglement import _indices
 from .fock import bargmann_exponent
 
+#: Entry magnitude ``|U[j,k]|`` above which a network couples input ``j`` to output ``k``.
+TOL_COUPLE = 1e-12
 TOL_CROSS = 1e-12
 #: Largest inter-partition covariance entry of a product state.
 TOL_COVARIANCE = 1e-9

@@ -190,7 +190,7 @@ def test_criterion_10_unitarity_norm_and_sector_conservation():
         n_modes = int(rng.integers(2, 5))
         raw = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
         raw = raw / np.linalg.norm(raw, 2)
-        u = unitarize(CouplingMatrix(raw, range(n_modes), range(n_modes)))
+        u = unitarize(CouplingMatrix(raw))
         worst_res = max(worst_res, u.residual)
         assert u.residual <= 1e-10
 

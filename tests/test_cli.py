@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskmodes import protocols
 from maskmodes._jsonio import decode_array, read_file
 from maskmodes.cli import _NOON_VALUE_BYTES, main
 from maskmodes.diffraction import (
@@ -242,6 +243,26 @@ def test_noon_table_stays_within_the_bytes_its_size_check_counts():
         assert peak <= _NOON_VALUE_BYTES * (photons + 1) * (grid + 1) + 64 * (photons + grid)
 
 
+def test_scan_noon_with_surface_builds_the_table_once(runner, tmp_path, monkeypatch):
+    calls = []
+    table = protocols._noon_table
+
+    def counted(photons, steps):
+        calls.append((photons, steps))
+        return table(photons, steps)
+
+    monkeypatch.setattr(protocols, "_noon_table", counted)
+    out, surf = tmp_path / "noon.json", tmp_path / "surface.csv"
+    invoke(runner, "scan-noon", "--photons", "3", "--grid", "64", "--out", str(out),
+           "--surface", str(surf))
+    assert calls == [(3, 64)]
+    monkeypatch.undo()
+    assert json.loads(out.read_text())["result"] == noon_fidelity_scan(3, 64).to_json()
+    thetas, values = noon_surface(3, 64)
+    assert surf.read_text().splitlines()[2:] == [
+        f"{t!r},{v!r}" for t, v in zip(thetas.tolist(), values.tolist())]
+
+
 def test_protocol_hom_csv_without_sweep_writes_one_row(runner, tmp_path):
     out, csv = tmp_path / "hom.json", tmp_path / "hom.csv"
     invoke(runner, "protocol-hom", "--theta", "0.3", "--out", str(out), "--csv", str(csv))
@@ -424,7 +445,7 @@ def test_extreme_magnitudes_exit_1(runner, tmp_path, args, message):
 def test_oversized_compile_exits_1_before_allocating(runner, cli_files, tmp_path, monkeypatch,
                                                      args, message):
     monkeypatch.chdir(tmp_path)
-    if args[0] == "compile-mask":
+    if args[:3] == ["compile-mask", "--mask", "custom"]:
         args = [*args, "--mask-file", str(cli_files["mask"])]
     tracemalloc.start()
     try:
@@ -571,25 +592,46 @@ _OUT = st.just("@out")
 _CSV = st.sampled_from([None, "@csv"])
 
 
+_APERTURE_FLAGS = {
+    "--radius": (st.sampled_from(["0.5", "2.0"]), _BAD_NUMBERS),
+    "--wavenumber": (st.sampled_from([None, "3.0"]), _BAD_NUMBERS),
+    "--aperture-steps": (st.sampled_from([None, "1", "2", "5", "7"]), _BAD_INTS),
+    "--aperture-extent": (st.sampled_from([None, "0.1", "0.5"]), _BAD_NUMBERS),
+    "--out": (_OUT, _BAD_OUT),
+    "--csv": (_CSV, _BAD_OUT),
+}
+
+
 # Every command's flags, each with a strategy of good values (None: left out)
 # and a tuple of bad ones.  --grid and --trials bound the work of an example,
-# so they are never left out.
+# so they are never left out.  compile-mask holds the flags of each --mask
+# kind, those that kind reads; a bad --mask names another kind, which refuses
+# them.
 _FLAGS = {
     "compile-mask": {
-        "--mask": (st.sampled_from(["cosine", "circular", "pinhole", "custom"]), ("x",)),
-        "--u": (st.sampled_from(["0.6,0.0", "0.28,0.1", "0,0"]),
-                ("nan,0", "inf,0", "2,0", "1,0", "0.6", "x,y", "1e400,0")),
-        "--radius": (st.sampled_from(["0.5", "2.0"]), _BAD_NUMBERS),
-        "--wavenumber": (st.sampled_from([None, "3.0"]), _BAD_NUMBERS),
-        "--grid": (st.sampled_from(["16"]), ("-1", "0", "1", "10", "32", "3.5", "x", "1e400")),
-        "--extent": (st.sampled_from([None, "14"]), _BAD_NUMBERS),
-        "--waist": (st.sampled_from([None, "0.5", "2"]), _BAD_NUMBERS),
-        "--basis-order": (st.sampled_from([None, "0", "2", "3"]), _BAD_INTS),
-        "--mask-file": (st.sampled_from(["@mask"]), _BAD_FILES),
-        "--aperture-steps": (st.sampled_from([None, "1", "2", "5", "7"]), _BAD_INTS),
-        "--aperture-extent": (st.sampled_from([None, "0.1", "0.5"]), _BAD_NUMBERS),
-        "--out": (_OUT, _BAD_OUT),
-        "--csv": (_CSV, _BAD_OUT),
+        "cosine": {
+            "--mask": (st.just("cosine"), ("x", "circular", "custom")),
+            "--u": (st.sampled_from(["0.6,0.0", "0.28,0.1", "0,0"]),
+                    ("nan,0", "inf,0", "2,0", "1,0", "0.6", "x,y", "1e400,0")),
+            "--wavenumber": (st.sampled_from([None, "3.0"]), _BAD_NUMBERS),
+            "--out": (_OUT, _BAD_OUT),
+            "--csv": (_CSV, _BAD_OUT),
+        },
+        "circular": {"--mask": (st.just("circular"), ("x", "cosine", "custom")),
+                     **_APERTURE_FLAGS},
+        "pinhole": {"--mask": (st.just("pinhole"), ("x", "cosine", "custom")),
+                    **_APERTURE_FLAGS},
+        "custom": {
+            "--mask": (st.just("custom"), ("x", "cosine", "pinhole")),
+            "--grid": (st.sampled_from(["16"]),
+                       ("-1", "0", "1", "10", "32", "3.5", "x", "1e400")),
+            "--extent": (st.sampled_from([None, "14"]), _BAD_NUMBERS),
+            "--waist": (st.sampled_from([None, "0.5", "2"]), _BAD_NUMBERS),
+            "--basis-order": (st.sampled_from([None, "0", "2", "3"]), _BAD_INTS),
+            "--mask-file": (st.sampled_from(["@mask"]), _BAD_FILES),
+            "--out": (_OUT, _BAD_OUT),
+            "--csv": (_CSV, _BAD_OUT),
+        },
     },
     "design-response": {
         "--input-mode": (st.sampled_from(["hg:0,0", "hg:1,0", "hg:3,2", "hg:100000,0"]),
@@ -598,7 +640,6 @@ _FLAGS = {
         "--grid": (st.sampled_from(["16", "32", "64"]), ("-1", "0", "1", "10", "3.5", "x")),
         "--extent": (st.sampled_from([None, "14", "3"]), _BAD_NUMBERS),
         "--waist": (st.sampled_from([None, "0.5"]), _BAD_NUMBERS),
-        "--wavenumber": (st.sampled_from([None, "3.0"]), _BAD_NUMBERS),
         "--eps-rel": (st.sampled_from([None, "1e-3", "0.5"]), _BAD_NUMBERS),
         "--out": (_OUT, _BAD_OUT),
     },
@@ -652,14 +693,17 @@ _NEVER_LEFT_OUT = {"--grid", "--trials"}
 
 
 @st.composite
-def _invocations(draw):
+def _invocations(draw, command=None, kind=None):
     """A command and its flag values, at most two of them bad.
 
     Each value goes in on the command line or through a --config file; a
-    bad value may also be a required flag left out.
+    bad value may also be a required flag left out.  ``command`` and the
+    ``--mask`` ``kind`` of compile-mask are drawn unless given.
     """
-    command = draw(st.sampled_from(sorted(_FLAGS)))
+    command = command or draw(st.sampled_from(sorted(_FLAGS)))
     flags = _FLAGS[command]
+    if command == "compile-mask":
+        flags = flags[kind or draw(st.sampled_from(sorted(flags)))]
     bad = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True))
     values = {}
     for flag, (good, wrong) in flags.items():
@@ -685,7 +729,19 @@ def _json_value(text):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(invocation=_invocations())
 def test_cli_never_leaks_an_exception(cli_files, invocation):
-    command, values = invocation
+    _invoke_cleanly(cli_files, *invocation)
+
+
+# every --mask kind, with its own flags and, under a bad --mask, those of another kind
+@pytest.mark.parametrize("kind", sorted(_FLAGS["compile-mask"]))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_compile_mask_never_leaks_an_exception(cli_files, kind, data):
+    _invoke_cleanly(cli_files, *data.draw(_invocations("compile-mask", kind)))
+
+
+def _invoke_cleanly(cli_files, command, values):
+    """Run a drawn invocation: it exits 0, 1 or 2, never with a traceback."""
     names = {opt: p.name for p in main.commands[command].params for opt in p.opts}
     args, config = [command], {}
     for flag, (value, via_config) in values.items():
@@ -833,6 +889,25 @@ _PROBES = [
     (["protocol-hom", "--theta", "0.3", "--sweep", "4"], None, 2, "--theta and --sweep"),
     (["protocol-hom", "--sweep", "4"], {"theta": 0.3}, 2, "--theta and --sweep"),
     (["protocol-hom", "--theta", "0.3", "--sweep", "10000000000"], None, 2, "--theta and --sweep"),
+    # the kernel design does not depend on the wavenumber, so there is no such flag
+    (["design-response", "--input-mode", "hg:0,0", "--target-mode", "hg:1,0",
+      "--wavenumber", "3.7"], None, 2, "No such option '--wavenumber'"),
+    (["design-response", "--input-mode", "hg:0,0", "--target-mode", "hg:1,0"],
+     {"wavenumber": 3.7}, 2, "unknown fields ['wavenumber']"),
+    # a flag the --mask kind would not read is refused, before any file is loaded and
+    # before the size check
+    (["compile-mask", "--mask", "circular", "--radius", "2", "--grid", "1024",
+      "--basis-order", "7", "--u", "0.3,0"], None, 2, "--mask circular does not read --u"),
+    (["compile-mask", "--mask", "cosine", "--u", "0.6,0", "--aperture-steps", "3"], None, 2,
+     "--mask cosine does not read --aperture-steps"),
+    (["compile-mask", "--mask", "pinhole", "--radius", "0.5"], {"basis_order": 7}, 2,
+     "--mask pinhole does not read --basis-order"),
+    (["compile-mask", "--mask", "custom", "--mask-file", "{u}", "--wavenumber", "3.7"], None, 2,
+     "--mask custom does not read --wavenumber"),
+    (["compile-mask", "--mask", "custom", "--mask-file", "{u}"], {"radius": 2.0}, 2,
+     "--mask custom does not read --radius"),
+    (["compile-mask", "--mask", "circular", "--radius", "2", "--aperture-steps", "10000",
+      "--extent", "3"], None, 2, "--mask circular does not read --extent"),
 ]
 
 

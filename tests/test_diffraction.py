@@ -15,7 +15,6 @@ from maskmodes.diffraction import (
     CustomSampled,
     ImpulseResponse,
     UnitaryMatrix,
-    _is_connected,
     _unitarity_residual,
     aperture_output_grid,
     apply_impulse_response,
@@ -53,7 +52,6 @@ from util import (
     dilation_reference,
     gauge_fix,
     haar_unitary,
-    is_connected_dfs,
     orthogonal_matrix,
     overlap_unitary_pairs,
     plane_wave_coupling_columns,
@@ -223,20 +221,6 @@ def test_custom_coupling_bit_identical_to_column_loop():
     assert c.provenance["prenormalization_scale"] == scale
 
 
-@pytest.mark.parametrize("mask", [CircularAperture(2.0), CosineGrating((0.3, 0.4))],
-                         ids=["aperture", "cosine"])
-def test_coupling_labels_round_each_direction_as_before(mask):
-    # one np.round per direction array: the same tuples of np.float64 as one per direction
-    outputs, _ = aperture_output_grid(CircularAperture(2.0), (0.0, 0.0), 2 * np.pi, 0.2, 9)
-    inputs = PlaneWaveGrid.lattice((0.01 / 3, -0.02), 0.1, 3)
-    c = plane_wave_coupling(mask, inputs, outputs, 2 * np.pi)
-    for labels, grid in ((c.row_labels, outputs), (c.col_labels, inputs)):
-        expected = [tuple(np.round(t, 12)) for t in grid.transverse]
-        assert labels == expected
-        assert all(type(x) is np.float64 for label in labels for x in label)
-        assert [str(label) for label in labels] == [str(label) for label in expected]
-
-
 # --------------------------------------------------------------------------
 # Overlap compilation
 
@@ -369,7 +353,7 @@ def test_stacked_overlap_holds_one_basis_and_one_block():
 
 
 def test_unitarize_symmetric_unitary_unchanged():
-    c = CouplingMatrix(HADAMARD, [0, 1], [0, 1])
+    c = CouplingMatrix(HADAMARD)
     u = unitarize(c)
     assert np.max(np.abs(u.matrix - HADAMARD)) < 1e-12
     assert u.provenance["unitarization_distance"] < 1e-12
@@ -378,19 +362,19 @@ def test_unitarize_symmetric_unitary_unchanged():
 def test_unitarize_transposes_into_operator_orientation():
     rng = np.random.default_rng(2)
     w = haar_unitary(rng, 3)
-    u = unitarize(CouplingMatrix(w, range(3), range(3)))
+    u = unitarize(CouplingMatrix(w))
     assert np.max(np.abs(u.matrix - w.T)) < 1e-12
 
 
 def test_unitarize_scaled_hadamard():
-    c = CouplingMatrix(0.9 * HADAMARD, [0, 1], [0, 1])
+    c = CouplingMatrix(0.9 * HADAMARD)
     u = unitarize(c)
     assert np.max(np.abs(u.matrix - HADAMARD)) < 1e-12
     assert abs(u.provenance["unitarization_distance"] - 0.1 * np.sqrt(2)) < 1e-12
 
 
 def test_unitarize_flux_faithful_dilation():
-    c = CouplingMatrix(np.diag([0.9, 0.5]), [0, 1], [0, 1])
+    c = CouplingMatrix(np.diag([0.9, 0.5]))
     u = unitarize(c, flux_faithful=True)
     assert u.dim == 4
     # scattering block sits in the transpose's top-left corner
@@ -403,13 +387,13 @@ def test_unitarize_idempotent():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m = m / np.linalg.norm(m, 2)
-    once = unitarize(CouplingMatrix(m, range(3), range(3)))
-    twice = unitarize(CouplingMatrix(once.matrix.T, range(3), range(3)))
+    once = unitarize(CouplingMatrix(m))
+    twice = unitarize(CouplingMatrix(once.matrix.T))
     assert np.max(np.abs(once.matrix - twice.matrix)) < 1e-12
 
 
 def test_unitarize_singular_network():
-    c = CouplingMatrix(np.diag([1.0, 1e-8]), [0, 1], [0, 1])
+    c = CouplingMatrix(np.diag([1.0, 1e-8]))
     with pytest.raises(SingularNetwork):
         unitarize(c)
 
@@ -417,14 +401,14 @@ def test_unitarize_singular_network():
 def test_compiled_unitary_singular_values():
     rng = np.random.default_rng(4)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    u = unitarize(CouplingMatrix(m / np.linalg.norm(m, 2), range(4), range(4)))
+    u = unitarize(CouplingMatrix(m / np.linalg.norm(m, 2)))
     s = np.linalg.svd(u.matrix, compute_uv=False)
     assert np.max(np.abs(s - 1.0)) < 1e-10
 
 
 def test_unitarize_flux_faithful_records_rescale():
     # rank one with singular value sqrt(2): the network realizes C / sqrt(2)
-    c = CouplingMatrix(np.array([[0.6, 0.6], [0.8, 0.8]]), [0, 1], [0, 1])
+    c = CouplingMatrix(np.array([[0.6, 0.6], [0.8, 0.8]]))
     u = unitarize(c, flux_faithful=True)
     assert abs(u.provenance["unitarization_distance"] - (np.sqrt(2) - 1)) < 1e-12
     np.testing.assert_allclose(u.matrix.T[:2, :2], c.matrix / np.sqrt(2), rtol=0, atol=1e-12)
@@ -526,7 +510,7 @@ def test_loading_an_aperture_unitary_checks_it_in_real_arithmetic(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.dim == 578 and loaded.matrix.tobytes() == unit.matrix.tobytes()
-    assert (loaded.residual, loaded.connected) == (unit.residual, unit.connected)
+    assert loaded.residual == unit.residual
     # saved as a 2.7 MB float64 payload (3.6 MB of text), not 5.3 MB of complex128 (7.1 MB);
     # loaded from it: the text, the payload checked as it is, one 2.7 MB product and the
     # 5.3 MB widened matrix.  A complex payload passes 14 MB either way, and so does a
@@ -545,7 +529,7 @@ def test_a_real_unitary_is_checked_as_it_is_and_widened_once(dim, order):
         x = np.asarray(x, order=order)
         real, widened = UnitaryMatrix(x), UnitaryMatrix(x.astype(complex))
         assert real.matrix.tobytes() == widened.matrix.tobytes()
-        assert (real.residual, real.connected) == (widened.residual, widened.connected)
+        assert real.residual == widened.residual
         for m in (real.matrix, widened.matrix):
             assert m.dtype == np.complex128 and m.flags.c_contiguous and not m.flags.writeable
         assert real.matrix.real.tobytes() == np.ascontiguousarray(x).tobytes()
@@ -568,11 +552,12 @@ def test_a_real_input_is_refused_as_its_complex_twin_is(bad, message, order):
 def test_integer_empty_and_non_square_real_inputs():
     want = np.eye(3, dtype=complex).tobytes()
     assert UnitaryMatrix(np.eye(3, dtype=int)).matrix.tobytes() == want
-    assert UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=bool)).connected is False
+    swap = np.array([[0, 1], [1, 0]], dtype=complex).tobytes()
+    assert UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=bool)).matrix.tobytes() == swap
     for empty in (UnitaryMatrix.identity(0), UnitaryMatrix(np.zeros((0, 0)))):
         back = UnitaryMatrix.from_json(json.loads(json.dumps(empty.to_json())))
         assert back.matrix.shape == (0, 0) and back.matrix.dtype == np.complex128
-        assert (back.residual, back.connected) == (0.0, False)
+        assert back.residual == 0.0
     with pytest.raises(DimensionMismatch):
         UnitaryMatrix(np.eye(3)[:2])
 
@@ -610,9 +595,20 @@ def test_matrices_refuse_non_finite_entries(bad):
         with pytest.raises(UnitarityError):
             UnitaryMatrix(m)
         with pytest.raises(ValueError, match="finite"):
-            CouplingMatrix(m / 2, ["a", "b"], ["a", "b"])
+            CouplingMatrix(m / 2)
     with pytest.raises(ValueError):
         CosineGrating((bad, 0.0))
+
+
+def test_a_coupling_is_a_two_dimensional_matrix():
+    for shape in ((), (3,), (2, 2, 2)):
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            CouplingMatrix(np.zeros(shape))
+    # an empty or non-square coupling is a matrix; unitarize refuses it later
+    for shape in ((0, 3), (3, 0), (2, 3)):
+        c = CouplingMatrix(np.zeros(shape), provenance={"mask": "x"})
+        assert c.matrix.shape == shape and c.matrix.dtype == np.complex128
+        assert not c.matrix.flags.writeable and c.provenance == {"mask": "x"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -672,66 +668,6 @@ def test_a_unitary_just_past_the_residual_tolerance_is_refused(dim):
         m[-1, -1] = np.nan
         with pytest.raises(UnitarityError, match="finite entries"):
             UnitaryMatrix(m)
-
-
-def test_connectivity_flag():
-    assert UnitaryMatrix.balanced_splitter().connected
-    assert not UnitaryMatrix.identity(2).connected
-    blockdiag = np.zeros((4, 4), dtype=complex)
-    blockdiag[:2, :2] = HADAMARD
-    blockdiag[2:, 2:] = HADAMARD
-    assert not UnitaryMatrix(blockdiag).connected
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_connectivity_of_real_unitaries_matches_the_complex_magnitudes(seed):
-    # real-valued networks take np.abs of the real part: same flag as on complex entries
-    rng = np.random.default_rng(seed)
-    blocks = [orthogonal_matrix(rng, int(k)) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
-    m = block_diag(*blocks).astype(complex)
-    perm = rng.permutation(len(m))
-    for u in (m, m[perm], m[:, perm]):
-        magnitude = np.abs(u)  # complex magnitudes, as before real arithmetic
-        expected = is_connected_dfs(magnitude > 1e-12) and bool(np.max(magnitude) < 1.0)
-        assert UnitaryMatrix(u).connected == expected
-    assert UnitaryMatrix(orthogonal_matrix(rng, 5).astype(complex)).connected
-
-
-def _permuted(data, adj):
-    rows = data.draw(st.permutations(range(adj.shape[0])))
-    cols = data.draw(st.permutations(range(adj.shape[1])))
-    return adj[np.ix_(rows, cols)]
-
-
-@settings(max_examples=300)
-@given(data=st.data())
-def test_is_connected_matches_dfs_reference(data):
-    kind = data.draw(st.sampled_from(["pattern", "blocks", "chain"]))
-    if kind == "pattern":
-        n, m = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
-        cells = data.draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
-        adj = np.array(cells, dtype=bool).reshape(n, m)
-    elif kind == "blocks":
-        # each block is fully coupled, so the graph is connected iff there is one block
-        shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4))
-        adj = _permuted(data, block_diag(*[np.ones(s, dtype=bool) for s in shapes]))
-        assert _is_connected(adj) == (len(shapes) == 1)
-    else:
-        # input j couples to outputs j and j+1: the longest path a square graph can have
-        n = data.draw(st.integers(1, 120))
-        adj = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
-        cut = data.draw(st.one_of(st.none(), st.integers(0, n - 2))) if n > 1 else None
-        if cut is not None:
-            adj[cut, cut + 1] = False
-        adj = _permuted(data, adj)
-        assert _is_connected(adj) == (cut is None)
-    assert _is_connected(adj) == is_connected_dfs(adj)
-
-
-def test_is_connected_smallest_graphs():
-    assert not _is_connected(np.zeros((0, 0), dtype=bool))
-    assert not _is_connected(np.zeros((1, 1), dtype=bool))
-    assert _is_connected(np.ones((1, 1), dtype=bool))
 
 
 def test_complete_to_unitary_balanced_column():
@@ -839,15 +775,6 @@ def test_mask_json_round_trip():
         assert back.kind == mask.kind
         g = Grid2D(32, 32, 0.2, 0.2)
         np.testing.assert_array_equal(back.sample(g, k=2.0), mask.sample(g, k=2.0))
-
-
-def test_coupling_json_round_trip():
-    inp = PlaneWaveGrid.single(0.0, 0.0)
-    out = PlaneWaveGrid([[0.6, 0.0], [-0.6, 0.0]])
-    c = plane_wave_coupling(CosineGrating((0.6, 0.0)), inp, out, k=2 * np.pi)
-    back = CouplingMatrix.from_json(json.loads(json.dumps(c.to_json())))
-    np.testing.assert_array_equal(back.matrix, c.matrix)
-    assert back.provenance["mask"] == "cosine_grating"
 
 
 def test_unitary_json_and_csv_round_trip(tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from maskmodes._jsonio import _Payload, decode_array, dumps, encode_array, text_pieces
 from maskmodes.diffraction import (
-    CouplingMatrix,
     CustomSampled,
     ImpulseResponse,
     UnitaryMatrix,
@@ -86,19 +85,13 @@ def test_array_codec_refuses_what_is_not_text_or_a_shape():
 
 @pytest.mark.parametrize("reader, doc", [
     (UnitaryMatrix.from_json, {"type": "unitary", "dim": 1, "matrix": [[[1.0, 0.0]]]}),
-    (CouplingMatrix.from_json,
-     {"type": "coupling", "rows": ["a"], "cols": ["b"], "matrix": [[[1.0, 0.0]]]}),
 ])
 def test_pair_list_matrices_are_refused(reader, doc):
     with pytest.raises(MalformedDocument, match="matrix_b64"):
         reader({**doc, "schema_version": 1})
 
 
-@pytest.mark.parametrize("matrix", [
-    UnitaryMatrix.su2(0.7, 0.2), UnitaryMatrix.identity(0),
-    CouplingMatrix(np.zeros((0, 3)), [], ["a", "b", "c"]),
-    CouplingMatrix(np.array([[0.6, -0.0], [0.8j, 5e-324]]), ["r0", "r1"], ["c0", "c1"]),
-])
+@pytest.mark.parametrize("matrix", [UnitaryMatrix.su2(0.7, 0.2), UnitaryMatrix.identity(0)])
 def test_compiled_matrices_round_trip_bit_exactly(matrix):
     doc = json.loads(dumps(matrix.to_json()))
     assert doc["schema_version"] == 2 and "matrix" not in doc
@@ -153,17 +146,10 @@ _samples = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def _stored_objects(draw):
     """``(writer, reader, name, values)`` for one object that stores a complex array."""
-    kind = draw(st.sampled_from(["unitary", "coupling", "mask", "kernel"]))
+    kind = draw(st.sampled_from(["unitary", "mask", "kernel"]))
     if kind == "unitary":
         u = draw(_unitaries())
         return u.to_json, UnitaryMatrix.from_json, "matrix", u.matrix
-    if kind == "coupling":
-        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-        # entries of magnitude below 1/2: four rows keep each column norm below 1
-        m = draw(_complex_values((rows, cols), st.floats(-0.35, 0.35)))
-        c = CouplingMatrix(m, [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)],
-                           provenance={"mask": "drawn"})
-        return c.to_json, CouplingMatrix.from_json, "matrix", c.matrix
     grid = draw(_grids)
     values = draw(_complex_values((grid.ny, grid.nx), _samples))
     if kind == "mask":
@@ -211,11 +197,25 @@ def test_one_negative_zero_keeps_the_complex_payload():
 def test_complex_documents_keep_their_text():
     # a complex unitary: its complex128 payload and no dtype key, byte for byte
     assert dumps(UnitaryMatrix.su2(0.7, 0.2).to_json()) == (
+        '{\n "dim": 2,\n "matrix_b64": "t+UNXVcP7j8AAAAAAAAAABxkwQsNgtU/m1fX'
+        '8oZwsT8cZMELDYLVv5tX1/KGcLE/t+UNXVcP7j8AAAAAAAAAAA==",\n "provenance": {},\n '
+        '"schema_version": 2,\n "type": "unitary",\n '
+        '"unitarity_residual": 7.729193353152502e-18\n}\n'
+    )
+
+
+def test_a_unitary_written_with_a_connectivity_flag_still_loads():
+    # an earlier writer stored a "connected" key, which the reader does not read
+    text = (
         '{\n "connected": true,\n "dim": 2,\n "matrix_b64": "t+UNXVcP7j8AAAAAAAAAABxkwQsNgtU/m1fX'
         '8oZwsT8cZMELDYLVv5tX1/KGcLE/t+UNXVcP7j8AAAAAAAAAAA==",\n "provenance": {},\n '
         '"schema_version": 2,\n "type": "unitary",\n '
         '"unitarity_residual": 7.729193353152502e-18\n}\n'
     )
+    back, want = UnitaryMatrix.from_json(json.loads(text)), UnitaryMatrix.su2(0.7, 0.2)
+    assert back.matrix.tobytes() == want.matrix.tobytes()
+    assert back.residual == want.residual == 7.729193353152502e-18
+    assert dumps(back.to_json()) == dumps(want.to_json())
 
 
 def _documents_of_each_reader():
@@ -223,12 +223,9 @@ def _documents_of_each_reader():
     grid = Grid2D(2, 4, 0.5, 0.5)
     real = np.arange(8.0).reshape(4, 2) / 16
     phased = real * (1 + 1j)
-    rows, cols = list("abcd"), list("xy")
     return [
         (UnitaryMatrix.from_json, "matrix", UnitaryMatrix.balanced_splitter().to_json(),
          UnitaryMatrix.su2(0.7, 0.2).to_json()),
-        (CouplingMatrix.from_json, "matrix", CouplingMatrix(real, rows, cols).to_json(),
-         CouplingMatrix(phased, rows, cols).to_json()),
         (mask_from_json, "values", mask_to_json(CustomSampled(grid, real)),
          mask_to_json(CustomSampled(grid, phased))),
         (ImpulseResponse.from_json, "values", ImpulseResponse(grid, real).to_json(),
@@ -237,7 +234,7 @@ def _documents_of_each_reader():
 
 
 @pytest.mark.parametrize("reader, name, real, cplx", _documents_of_each_reader(),
-                         ids=["unitary", "coupling", "mask", "kernel"])
+                         ids=["unitary", "mask", "kernel"])
 def test_payload_types_are_checked_by_name(reader, name, real, cplx):
     key = f"{name}_dtype"
     assert real[key] == "float64" and key not in cplx
@@ -259,7 +256,7 @@ def test_payload_types_are_checked_by_name(reader, name, real, cplx):
 # each reader, and a document of its own type that lacks a field it needs
 _READERS = [
     (UnitaryMatrix.from_json, {"type": "unitary", "dim": 0}),
-    (CouplingMatrix.from_json, {"type": "coupling", "rows": [], "cols": []}),
+    (UnitaryMatrix.from_json, {"type": "unitary", "matrix_b64": ""}),
     (MultimodeFockState.from_json,
      {"type": "state", "terms": 0, "occupations_b64": "", "values_b64": ""}),
     (mask_from_json, {"kind": "custom"}),

@@ -75,30 +75,6 @@ def max_amplitude_diff(a, b):
     return float(np.max(np.abs(va - vb)))
 
 
-def is_connected_dfs(adj):
-    """Reference connectivity of the bipartite graph of a boolean matrix, by depth-first search."""
-    n, m = adj.shape
-    if n == 0:
-        return False
-    seen_in = np.zeros(n, dtype=bool)
-    seen_out = np.zeros(m, dtype=bool)
-    stack = [("in", 0)]
-    seen_in[0] = True
-    while stack:
-        side, i = stack.pop()
-        if side == "in":
-            for k in np.nonzero(adj[i])[0]:
-                if not seen_out[k]:
-                    seen_out[k] = True
-                    stack.append(("out", k))
-        else:
-            for j in np.nonzero(adj[:, i])[0]:
-                if not seen_in[j]:
-                    seen_in[j] = True
-                    stack.append(("in", j))
-    return bool(np.all(seen_in) and np.all(seen_out))
-
-
 def haar_unitary(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u, _, vh = np.linalg.svd(g)
@@ -259,8 +235,7 @@ def overlap_unitary_pairs(element, in_basis, out_basis, grid, k=2 * np.pi, loss_
     top = float(np.max(np.linalg.norm(matrix, axis=0), initial=0.0))
     if top > 1.0:
         matrix = matrix / top
-    return CouplingMatrix(matrix, list(out_basis.labels), list(in_basis.labels),
-                          provenance={"truncation_losses": losses})
+    return CouplingMatrix(matrix, provenance={"truncation_losses": losses})
 
 
 def _codes(state, modes):
