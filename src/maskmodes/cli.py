@@ -230,7 +230,7 @@ def _check_compile_size(nbytes, what):
 _APERTURE_READS = ("radius", "wavenumber", "aperture_steps", "aperture_extent")
 #: The parameters each ``compile-mask --mask`` kind reads, beyond ``--out`` and ``--csv``.
 _MASK_READS = {
-    "cosine": ("u_text", "wavenumber"),
+    "cosine": ("u_text",),
     "circular": _APERTURE_READS,
     "pinhole": _APERTURE_READS,
     "custom": ("mask_file", "grid_n", "extent", "waist", "basis_order"),
@@ -301,7 +301,7 @@ def main():
 @click.option("--radius", type=_POSITIVE,
               help="Aperture radius (length units); --mask circular or pinhole.")
 @click.option("--wavenumber", type=_POSITIVE, default=2 * np.pi,
-              help="Wavenumber k; --mask cosine, circular or pinhole.")
+              help="Wavenumber k; --mask circular or pinhole.")
 @click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
               callback=_power_of_two, help="Samples per axis; --mask custom.")
 @click.option("--extent", type=_POSITIVE, default=14.0, help="Grid physical extent; --mask custom.")
@@ -324,7 +324,7 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
     """
     _refuse_unread(click.get_current_context(), mask)
     if mask == "cosine":
-        unit = grating_block(CosineGrating(_require("--u", u_text, mask)), k=wavenumber)
+        unit = grating_block(CosineGrating(_require("--u", u_text, mask)))
     elif mask in ("circular", "pinhole"):
         screen = (CircularAperture if mask == "circular" else Pinhole)(
             _require("--radius", radius, mask)

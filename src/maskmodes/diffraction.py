@@ -13,9 +13,6 @@ mask spectrum.  Compiled matrices come in two orientations:
 
 :func:`unitarize` bridges the two, transposing its unitary projection into
 the operator orientation.
-
-``scipy.special`` is imported inside :func:`jinc`, its one user, so importing
-this module does not load it.
 """
 
 import math
@@ -23,6 +20,7 @@ import math
 import numpy as np
 
 from ._jsonio import decode_complex, encode_complex, read_file, reading, text_pieces, typed, write_file
+from ._special import j1
 from .errors import (
     AliasingDetected,
     DimensionMismatch,
@@ -66,8 +64,6 @@ _LOST_TOL = 1e-3
 
 def jinc(x):
     """``J1(x)/x`` with the exact limit value 1/2 at x = 0."""
-    from scipy.special import j1
-
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = np.abs(x) < 1e-6
@@ -447,7 +443,10 @@ def plane_wave_coupling(mask, input_grid, output_grid, k):
 
     Analytic masks use their exact spectra: the cosine grating couples each
     input to exactly its two diffraction orders, the circular aperture to the
-    jinc profile.  Sampled masks fall back to interpolating the FFT spectrum.
+    jinc profile.  The jinc depends on a pair only through its squared offsets
+    along x and along y, so it is evaluated once per distinct pair of them:
+    on a direction lattice, 256 values for the 6561 entries at 9 steps.
+    Sampled masks fall back to interpolating the FFT spectrum.
     """
     if len(input_grid) == 0 or len(output_grid) == 0:
         raise EmptyGrid("empty direction grid")
@@ -456,20 +455,27 @@ def plane_wave_coupling(mask, input_grid, output_grid, k):
     nz_out = output_grid.nz
     w_in = input_grid.weights
     weight = np.abs(k * nz_out)[:, None]
-    delta = n_out[:, None, :] - n_in[None, :, :]
 
     # extreme k or radius overflow (inf, nan) or underflow: refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(mask, CosineGrating):
+            delta = n_out[:, None, :] - n_in[None, :, :]
             u = mask.u[:2]
             # coinciding orders (u = 0) hit the same output twice and add twice
             hits = sum(np.linalg.norm(delta - sign * u, axis=2) <= _MATCH_TOL
                        for sign in (+1.0, -1.0))
             m = hits * (0.5 * weight * w_in[None, :])
         elif isinstance(mask, CircularAperture):
-            fsq = (k * delta[..., 0]) ** 2 + (k * delta[..., 1]) ** 2
-            m = weight * mask.analytic_spectrum(fsq) * w_in[None, :]
+            fx, ix = _squared_offsets(k, n_out[:, 0], n_in[:, 0])
+            fy, iy = _squared_offsets(k, n_out[:, 1], n_in[:, 1])
+            if fx.size * fy.size < ix.size:
+                # a lattice has few distinct offsets: one jinc for each pair of them
+                spec = mask.analytic_spectrum(fx[:, None] + fy).reshape(-1)[ix * fy.size + iy]
+            else:
+                spec = mask.analytic_spectrum(fx[ix] + fy[iy])
+            m = weight * spec * w_in[None, :]
         elif isinstance(mask, CustomSampled):
+            delta = n_out[:, None, :] - n_in[None, :, :]
             spec = mask_spectrum(mask, mask.grid)
             vals = _interp_spectrum(spec, mask.grid, k * delta[..., 0], k * delta[..., 1])
             m = weight * vals * w_in[None, :]
@@ -493,12 +499,23 @@ def plane_wave_coupling(mask, input_grid, output_grid, k):
     return CouplingMatrix(m, provenance=prov)
 
 
+def _squared_offsets(k, out_coords, in_coords):
+    """The distinct values of ``(k (o - i))**2`` over output and input coordinates, and the
+    index of each pair's value, one row per output; each value is the bits the pair's own
+    expression gives."""
+    uo, io = np.unique(out_coords, return_inverse=True)
+    ui, ii = np.unique(in_coords, return_inverse=True)
+    values, index = np.unique((k * (uo[:, None] - ui[None, :])) ** 2, return_inverse=True)
+    return values, index.reshape(-1)[io[:, None] * len(ui) + ii]
+
+
 def jinc_envelope(x):
     """Monotone bound on |jinc|: 1/2 near the axis, ``sqrt(2/pi) x^-3/2`` beyond."""
     x = np.asarray(x, dtype=float)
     tail = np.full_like(x, np.inf)
     pos = x > 0
-    tail[pos] = np.sqrt(2.0 / np.pi) * x[pos] ** -1.5
+    with np.errstate(over="ignore"):  # x^-1.5 of a tiny x overflows to inf, above the cap
+        tail[pos] = np.sqrt(2.0 / np.pi) * x[pos] ** -1.5
     return np.minimum(0.5, tail)
 
 
@@ -679,7 +696,7 @@ def complete_to_unitary(columns):
     return np.hstack([v, rest / (lead / np.abs(lead))])
 
 
-def grating_block(mask, k=2 * np.pi):
+def grating_block(mask):
     """Effective two-port unitary of a cosine grating at normal incidence.
 
     The physical transformation sends one input plane wave to its two
@@ -687,8 +704,10 @@ def grating_block(mask, k=2 * np.pi):
     completed to a square unitary (any finite plane-wave truncation of the
     grating ladder is singular, so the completion is the faithful two-mode
     effective network).  For the symmetric grating the result is exactly
-    ``[[1, 1], [1, -1]] / sqrt(2)``.  A grating with ``ux^2 + uy^2 = 1``,
-    whose orders graze the screen, raises :class:`SingularNetwork`.
+    ``[[1, 1], [1, -1]] / sqrt(2)``.  The column is normalized, so the
+    wavenumber cancels: the block is compiled at ``k = 2 pi``.  A grating
+    with ``ux^2 + uy^2 = 1``, whose orders graze the screen, raises
+    :class:`SingularNetwork`.
     """
     inp = PlaneWaveGrid.single(0.0, 0.0)
     u = mask.u[:2]
@@ -696,7 +715,7 @@ def grating_block(mask, k=2 * np.pi):
     if not out.nz.all():  # each order couples with weight |k nz|: the column would be zero
         raise SingularNetwork(f"the diffraction orders +-({u[0]:g}, {u[1]:g}) graze the screen "
                               "(nz = 0) and carry no flux")
-    c = plane_wave_coupling(mask, inp, out, k)
+    c = plane_wave_coupling(mask, inp, out, 2 * np.pi)
     col = c.matrix[:, 0]
     col = col / np.linalg.norm(col)
     full = complete_to_unitary(col.reshape(-1, 1))

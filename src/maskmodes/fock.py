@@ -17,9 +17,6 @@ degree below; the tables are built once and cached up to
 the recurrence raises :class:`~maskmodes.errors.PrecisionLoss`.  Every Fock
 photon then goes in as one creation step ``w_j+ = sum_k U[j, k] a_k+``, in
 one pass over all rows of a state: a product input is its one-row case.
-
-``scipy.special`` is imported inside the functions that use it, so
-propagating Fock and vacuum inputs and reading stored states never load it.
 """
 
 import bisect
@@ -34,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._jsonio import decode_array, encode_array, read_file, reading, text_pieces, typed, write_file
+from ._special import log, log_factorial, xlogy
 from .errors import (
     DimensionMismatch,
     MalformedDocument,
@@ -123,18 +121,16 @@ def _gaussian_amplitudes(alpha, lam, tail=1e-30):
     ``P(N > 2m) <= cosh(lam) tanh(lam)^(2m+2)`` reaches ``tail``.  At most
     ``MAX_TERMS + 1`` amplitudes, beyond which no state is built anyway.
     """
-    from scipy.special import gammaln, xlogy
-
     c = -np.log(tail)
     if lam == 0:
         mu = abs(alpha) ** 2
         n = np.arange(min(int(mu + c / 3 + np.sqrt(c * c / 9 + 2 * c * mu)) + 2, MAX_TERMS + 1))
-        mag = np.exp(-mu / 2 + xlogy(n, abs(alpha)) - 0.5 * gammaln(n + 1))
+        mag = np.exp(-mu / 2 + xlogy(n, abs(alpha)) - 0.5 * log_factorial(n))
         return mag * np.exp(1j * np.angle(alpha) * n)
     t = np.tanh(lam)
     n = np.arange(min(int((c + np.log(np.cosh(lam))) / -np.log(abs(t))) + 3, MAX_TERMS + 1))
     m, odd = np.divmod(n, 2)
-    log_mag = (xlogy(m, abs(t)) + 0.5 * gammaln(2 * m + 1) - gammaln(m + 1)
+    log_mag = (xlogy(m, abs(t)) + 0.5 * log_factorial(2 * m) - log_factorial(m)
                - m * np.log(2.0) - 0.5 * np.log(np.cosh(lam)))
     return np.where(odd, 0.0, np.sign(t) ** m * np.exp(log_mag)).astype(complex)
 
@@ -725,17 +721,10 @@ def noon_overlap_amplitudes(m, n, theta):
     ``sqrt(C(m+n, m)) |c|^m |s|^n`` and its mirror with ``c = cos(theta/2)``,
     ``s = sin(theta/2)``, taken in log space so no photon number overflows.
     """
-    from scipy.special import xlogy
-
     c, s = np.abs(np.cos(theta / 2.0)), np.abs(np.sin(theta / 2.0))
-    log_pref = 0.5 * (_log_factorial(m + n) - _log_factorial(m) - _log_factorial(n))
+    log_c, log_s = log(c), log(s)
+    log_pref = 0.5 * (log_factorial(m + n) - log_factorial(m) - log_factorial(n))
     return (
-        np.exp(log_pref + xlogy(m, c) + xlogy(n, s)),
-        np.exp(log_pref + xlogy(n, c) + xlogy(m, s)),
+        np.exp(log_pref + xlogy(m, c, log_c) + xlogy(n, s, log_s)),
+        np.exp(log_pref + xlogy(n, c, log_c) + xlogy(m, s, log_s)),
     )
-
-
-def _log_factorial(x):
-    from scipy.special import gammaln
-
-    return gammaln(x + 1.0)

@@ -6,9 +6,6 @@ sandwich so that the discrete Fourier transform of samples at
 ``x_n = (n - N/2) dx`` is evaluated exactly at angular spatial frequencies
 ``f_k = 2*pi*(k - N/2)/(N dx)`` with the sign convention
 ``sum E(x) exp(-i x f) dx dy``.
-
-``scipy.special`` is imported inside the mode samplers that use it, so
-importing this module does not load it.
 """
 
 import math
@@ -17,6 +14,7 @@ from functools import partial
 
 import numpy as np
 
+from ._special import genlaguerre, hermite, log_factorial
 from .errors import (
     EmptyGrid,
     GridMismatch,
@@ -286,14 +284,12 @@ def _divided(values, c):
 
 
 def _hg_1d(order, coords, waist):
-    from scipy.special import eval_hermite, gammaln
-
     if not math.isfinite(waist * waist):
         raise OutOfRange(f"waist {waist!r}: its square overflows")
     xi = np.sqrt(2.0) * coords / waist
-    h = eval_hermite(order, xi)
+    h = hermite(order, xi)
     # (2/pi)^(1/4) / sqrt(2^order order! waist), in log space
-    norm = np.exp(0.25 * np.log(2.0 / np.pi) - 0.5 * (order * np.log(2.0) + gammaln(order + 1) + np.log(waist)))
+    norm = np.exp(0.25 * np.log(2.0 / np.pi) - 0.5 * (order * np.log(2.0) + log_factorial(order) + np.log(waist)))
     return norm * h * np.exp(-(coords**2) / waist**2)
 
 
@@ -323,15 +319,13 @@ def laguerre_gaussian_basis(labels, waist):
     """Laguerre-Gaussian modes addressed by ``(p, l)`` (radial, azimuthal)."""
 
     def sampler(label, grid):
-        from scipy.special import eval_genlaguerre, gammaln
-
         p, l = label
         X, Y = grid.meshgrid()
         r2 = (X**2 + Y**2) / waist**2
         phi = np.arctan2(Y, X)
         al = abs(l)
-        norm = np.exp(0.5 * (np.log(2.0 / np.pi) + gammaln(p + 1) - gammaln(p + al + 1))) / waist
-        radial = (np.sqrt(2.0 * r2)) ** al * eval_genlaguerre(p, al, 2.0 * r2)
+        norm = np.exp(0.5 * (np.log(2.0 / np.pi) + log_factorial(p) - log_factorial(p + al))) / waist
+        radial = (np.sqrt(2.0 * r2)) ** al * genlaguerre(p, al, 2.0 * r2)
         return norm * radial * np.exp(-r2) * np.exp(1j * l * phi)
 
     return ModeBasis(list(labels), sampler, name=f"lg(w0={waist:g})")

@@ -231,7 +231,7 @@ def test_scan_noon_surface_holds_one_row_per_angle(runner, tmp_path, grid):
 
 def test_noon_table_stays_within_the_bytes_its_size_check_counts():
     photons, grid = 2000, 256
-    noon_surface(2, 64)  # scipy's ufuncs load outside the measurement
+    noon_surface(2, 64)  # first-call set-up happens outside the measurement
     for build in (noon_fidelity_scan, noon_surface):
         tracemalloc.start()
         try:
@@ -413,9 +413,9 @@ def test_imprecise_gaussian_expansion_exits_1(runner, tmp_path):
     # the samples underflow when squared
     (["design-response", "--waist", "1e100", "--input-mode", "hg:1,0", "--target-mode", "hg:0,0"],
      "norm is 0"),
-    # the grating's column norm underflows to 0
-    (["compile-mask", "--mask", "cosine", "--u", "0.6,0", "--wavenumber", "1e-300"],
-     "over- or underflow"),
+    # the aperture coupling's column norm underflows to 0
+    (["compile-mask", "--mask", "circular", "--radius", "2.0", "--aperture-steps", "3",
+      "--wavenumber", "1e-300"], "over- or underflow"),
 ])
 def test_extreme_magnitudes_exit_1(runner, tmp_path, args, message):
     with warnings.catch_warnings():
@@ -613,7 +613,6 @@ _FLAGS = {
             "--mask": (st.just("cosine"), ("x", "circular", "custom")),
             "--u": (st.sampled_from(["0.6,0.0", "0.28,0.1", "0,0"]),
                     ("nan,0", "inf,0", "2,0", "1,0", "0.6", "x,y", "1e400,0")),
-            "--wavenumber": (st.sampled_from([None, "3.0"]), _BAD_NUMBERS),
             "--out": (_OUT, _BAD_OUT),
             "--csv": (_CSV, _BAD_OUT),
         },
@@ -908,6 +907,11 @@ _PROBES = [
      "--mask custom does not read --radius"),
     (["compile-mask", "--mask", "circular", "--radius", "2", "--aperture-steps", "10000",
       "--extent", "3"], None, 2, "--mask circular does not read --extent"),
+    # a grating's block is one normalized column, in which the wavenumber cancels
+    (["compile-mask", "--mask", "cosine", "--u", "0.6,0", "--wavenumber", "3.7"], None, 2,
+     "--mask cosine does not read --wavenumber"),
+    (["compile-mask", "--mask", "cosine", "--u", "0.6,0"], {"wavenumber": 3.7}, 2,
+     "--mask cosine does not read --wavenumber"),
 ]
 
 
@@ -995,7 +999,7 @@ def _same_bits(got, want):
 def test_each_artifact_loads_through_its_reader_bit_exactly(runner, tmp_path, screens):
     u, state = tmp_path / "u.json", tmp_path / "state.json"
     invoke(runner, "compile-mask", "--mask", "cosine", "--u", "0.6,0.0", "--out", str(u))
-    want = grating_block(CosineGrating((0.6, 0.0)), k=2 * np.pi)
+    want = grating_block(CosineGrating((0.6, 0.0)))
     got = UnitaryMatrix.load(u)
     _same_bits(got.matrix, want.matrix)
     assert got.provenance == want.provenance

@@ -210,6 +210,35 @@ def test_aperture_coupling_bit_identical_to_column_loop(steps):
     assert c.provenance["prenormalization_scale"] == scale
 
 
+def test_aperture_coupling_between_two_lattices_bit_identical_to_column_loop():
+    # distinct input and output lattices: few distinct offsets, evaluated as a table
+    k, ap = 2 * np.pi, CircularAperture(1.5)
+    out = PlaneWaveGrid.lattice((0.0, 0.0), 0.3, 11)
+    inp = PlaneWaveGrid.lattice((0.05, -0.02), 0.1, 5)
+    c = plane_wave_coupling(ap, inp, out, k)
+    ref, scale = plane_wave_coupling_columns(ap, inp, out, k)
+    assert np.array_equal(c.matrix, ref)
+    assert c.provenance["prenormalization_scale"] == scale
+
+
+_DIRECTIONS = st.lists(
+    st.tuples(*[st.one_of(st.sampled_from([-0.2, -0.1, 0.0, 0.1, 0.3]), st.floats(-0.6, 0.6))] * 2),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DIRECTIONS, _DIRECTIONS, st.floats(0.2, 4.0))
+def test_aperture_coupling_on_any_grids_bit_identical_to_column_loop(out_dirs, in_dirs, radius):
+    # repeated coordinates take the table of distinct offsets, scattered ones the pairs
+    k, ap = 2 * np.pi, CircularAperture(radius)
+    inp, out = PlaneWaveGrid(np.array(in_dirs)), PlaneWaveGrid(np.array(out_dirs))
+    c = plane_wave_coupling(ap, inp, out, k)
+    ref, scale = plane_wave_coupling_columns(ap, inp, out, k)
+    assert np.array_equal(c.matrix, ref)
+    assert c.provenance["prenormalization_scale"] == scale
+
+
 def test_custom_coupling_bit_identical_to_column_loop():
     g = Grid2D(64, 64, 0.25, 0.25)
     X, Y = g.meshgrid()

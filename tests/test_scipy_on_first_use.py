@@ -1,29 +1,32 @@
-"""``scipy.special`` loads on first use, and its call sites keep their bits.
+"""No command loads scipy, and the ports of its special functions keep their bits.
 
-The package imports ``scipy.special`` inside the functions that call it, so
-Fock-only commands, and the checker on any input, start without it.  The start-up guard runs in a fresh
-interpreter, because this test process has already imported scipy.  The
-bit-identity tests evaluate each formula directly with ``scipy.special`` and
-compare the bits, so a later swap to a ``math`` or numpy equivalent (which
-rounds differently) fails here.
+The package evaluates ``j1``, ``gammaln``, ``xlogy``, ``eval_hermite`` and
+``eval_genlaguerre`` through the numpy ports of ``maskmodes._special``; scipy
+stays the tests' oracle.  The start-up guard runs in a fresh interpreter,
+because this test process has already imported scipy.  The bit-identity
+tests evaluate each formula directly with ``scipy.special`` and compare the
+bits, so a port that rounds differently fails here.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, eval_hermite, gammaln, j1, xlogy
 
 import maskmodes
-from maskmodes.diffraction import jinc
+from maskmodes.diffraction import CustomSampled, jinc, mask_to_json
 from maskmodes.fock import _gaussian_amplitudes, noon_overlap_amplitudes
 from maskmodes.modes import Grid2D, _hg_1d, laguerre_gaussian_basis
 
 # Runs each command of argv[2:] (JSON lists of CLI arguments) in turn and
-# prints, after the import and after each command, whether scipy is loaded.
+# prints, after the import, after each command and after importing
+# scipy.special itself (the probe's positive control), whether scipy is loaded.
 _CHILD = """
 import json, sys
 import numpy as np
@@ -40,6 +43,8 @@ UnitaryMatrix(q).save(sys.argv[1])
 for args in sys.argv[2:]:
     maskmodes.cli.main(json.loads(args), standalone_mode=False)
     seen.append(loaded())
+import scipy.special
+seen.append(loaded())
 print(json.dumps(seen))
 """
 
@@ -56,8 +61,7 @@ def _scipy_loaded_after(tmp_path, *commands):
 
 def test_fock_only_commands_start_without_scipy(tmp_path):
     u, s = str(tmp_path / "u.json"), str(tmp_path / "s.json")
-    seen = _scipy_loaded_after(
-        tmp_path,
+    commands = [
         ["propagate", "--state", "fock:2,vac,fock:1", "--unitary", u, "--out", s, "--report", "entropy"],
         ["entropy", "--state-file", s, "--scan", "--out", str(tmp_path / "scan.json")],
         ["check-separability", "--inputs", "fock:2,vac,fock:1", "--unitary", u,
@@ -67,19 +71,52 @@ def test_fock_only_commands_start_without_scipy(tmp_path):
          "--subset", "1,0,0", "--out", str(tmp_path / "sq.json")],
         ["check-separability", "--inputs", "coh:2,vac,vac", "--unitary", u,
          "--subset", "0,1,0", "--out", str(tmp_path / "coh.json")],
-        # positive control: a coherent input needs gammaln and xlogy
-        ["propagate", "--state", "coh:0.5,vac,vac", "--unitary", u, "--out", str(tmp_path / "c.json")],
-    )
-    assert seen == [False, False, False, False, False, False, True]
+    ]
+    seen = _scipy_loaded_after(tmp_path, *commands)
+    assert seen == [False] * (len(commands) + 1) + [True]
 
 
-def test_compiling_a_circular_screen_loads_scipy(tmp_path):
-    seen = _scipy_loaded_after(
-        tmp_path,
-        ["compile-mask", "--mask", "circular", "--radius", "2.0", "--aperture-steps", "3",
-         "--aperture-extent", "0.15", "--out", str(tmp_path / "ap.json")],
-    )
-    assert seen == [False, True]
+def test_no_command_loads_scipy(tmp_path):
+    u, s, mask = str(tmp_path / "u.json"), str(tmp_path / "s.json"), tmp_path / "mask.json"
+    grid = Grid2D(16, 16, 14.0 / 16, 14.0 / 16)
+    x, y = grid.meshgrid()
+    mask.write_text(json.dumps(mask_to_json(CustomSampled(grid, np.exp(-(x * x + y * y) / 8.0)))))
+    aperture = ["--aperture-steps", "3", "--aperture-extent", "0.15"]
+    commands = [
+        ["compile-mask", "--mask", "cosine", "--u", "0.6,0", "--out", str(tmp_path / "cos.json")],
+        ["compile-mask", "--mask", "circular", "--radius", "2.0", *aperture,
+         "--out", str(tmp_path / "circ.json")],
+        ["compile-mask", "--mask", "pinhole", "--radius", "0.5", *aperture,
+         "--out", str(tmp_path / "pin.json")],
+        ["compile-mask", "--mask", "custom", "--mask-file", str(mask), "--grid", "16",
+         "--out", str(tmp_path / "custom.json")],
+        ["propagate", "--state", "coh:0.5,vac,fock:1", "--unitary", u, "--out", s],
+        ["propagate", "--state", "sq:0.3,vac,vac", "--unitary", u,
+         "--out", str(tmp_path / "sq.json")],
+        ["agreement-suite", "--trials", "6", "--seed", "13", "--out", str(tmp_path / "agree.json")],
+        ["scan-noon", "--photons", "6", "--grid", "64", "--out", str(tmp_path / "noon.json")],
+        ["protocol-hom", "--out", str(tmp_path / "hom.json")],
+        ["design-response", "--input-mode", "hg:0,0", "--target-mode", "hg:1,0", "--grid", "32",
+         "--out", str(tmp_path / "kernel.json")],
+        ["entropy", "--state-file", s, "--scan", "--out", str(tmp_path / "scan.json")],
+        ["check-separability", "--inputs", "coh:0.5,vac,sq:0.3", "--unitary", u,
+         "--subset", "1,0,0", "--out", str(tmp_path / "verdict.json")],
+    ]
+    seen = _scipy_loaded_after(tmp_path, *commands)
+    assert seen == [False] * (len(commands) + 1) + [True]
+
+
+def test_no_module_imports_scipy():
+    package = Path(maskmodes.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, names)
 
 
 def _same_bits(got, want):

@@ -5,6 +5,7 @@ from itertools import permutations, product
 from math import factorial, sqrt
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from maskmodes._jsonio import encode_array
 from maskmodes.diffraction import (
@@ -23,7 +24,6 @@ from maskmodes.fock import (
     MultimodeFockState,
     _gaussian_sectors,
     _layout,
-    _log_factorial,
     _merge,
     _occupation_type,
     _pack,
@@ -368,6 +368,10 @@ def sector_norms(state):
 _AMPLITUDE_TOL = 1e-10
 
 
+def _log_factorial(x):
+    return gammaln(x + 1.0)
+
+
 def two_mode_closed_form(m, n, theta, phi):
     """Closed-form output of ``|m> x |n>`` through the two-mode splitter: an
     oracle for the engine on two modes.
@@ -390,8 +394,6 @@ def two_mode_closed_form(m, n, theta, phi):
         raise NonPhysical("negative photon numbers")
     if not (0.0 <= theta <= np.pi):
         raise ValueError("theta must lie in [0, pi]")
-    from scipy.special import xlogy
-
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     k = np.arange(m + 1)[:, None]
     l = np.arange(n + 1)[None, :]
