@@ -23,6 +23,8 @@ escaping scan.
 
 import base64
 import contextlib
+import functools
+import itertools
 import json
 import math
 import operator
@@ -68,22 +70,66 @@ _SCALAR_TEXT = {
 }
 
 
-def _flat_text(values, level):
-    """The text of a nonempty list of only ints or only floats at ``level``, else ``None``."""
-    kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
+@functools.lru_cache(maxsize=256)
+def _list_format(length, level, spec):
+    """The ``%`` format of a flat list of ``length`` values at ``level``, each written by ``spec``."""
     inner = "\n" + " " * (level + 1)
-    if kind is float:
-        text = ("," + inner).join(map(_float_repr, values))
-        if "n" in text:  # nan or inf: no finite repr holds an "n"
-            text = ("," + inner).join(map(_float_text, values))
-    elif kind is int:
-        text = ("," + inner).join(map(_int_text, values))
+    return "[" + inner + ("," + inner).join([spec] * length) + inner[:-1] + "]"
+
+
+def _lists_text(lists, level):
+    """The texts of nonempty lists at ``level``, each of only ints or only floats, else ``None``.
+
+    One ``%`` format writes them all: the lists' formats joined by NUL, which
+    no number's text holds, and the text split there again."""
+    values = tuple(itertools.chain.from_iterable(lists))
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        spec = "%d"
+    elif kinds == {float}:
+        spec = "%r"
     else:
         return None
-    return "[" + inner + text + inner[:-1] + "]"
+    text = "\0".join(map(_list_format, map(len, lists), itertools.repeat(level),
+                         itertools.repeat(spec))) % values
+    if "n" in text:  # nan or inf: no finite repr holds an "n"
+        text = "\0".join(map(_list_format, map(len, lists), itertools.repeat(level),
+                             itertools.repeat("%s"))) % tuple(map(_float_text, values))
+    return text.split("\0")
+
+
+def _flat_text(values, level):
+    """The text of a nonempty list of only ints or only floats at ``level``, else ``None``."""
+    texts = _lists_text((values,), level)
+    return texts and texts[0]
+
+
+def _records_text(rows, level):
+    """The text of a list of dicts at ``level`` that share their str keys and hold
+    only scalars and nonempty flat lists, else ``None``.
+
+    Written column by column: one sort of the keys, one type check per column
+    and one ``%`` format per dict."""
+    keys = rows[0].keys() if type(rows[0]) is dict else None
+    if not keys or set(map(type, keys)) != {str}:
+        return None
+    if any(type(row) is not dict or row.keys() != keys for row in rows):
+        return None
+    names = sorted(keys)
+    columns = []
+    for name in names:
+        column = [row[name] for row in rows]
+        kinds = set(map(type, column))
+        if kinds <= _SCALAR_TEXT.keys():
+            columns.append([_SCALAR_TEXT[type(value)](value) for value in column])
+        elif kinds == {list} and all(column) and (texts := _lists_text(column, level + 2)):
+            columns.append(texts)
+        else:
+            return None
+    inner, field = "\n" + " " * (level + 1), "\n" + " " * (level + 2)
+    row = ("{" + field + ("," + field).join(_encode_str(name).replace("%", "%%") + ": %s"
+                                            for name in names) + inner + "}")
+    return "[" + inner + ("," + inner).join([row % texts for texts in zip(*columns)]) + inner[:-1] + "]"
 
 
 def _write(o, level, buf, pieces):
@@ -125,7 +171,7 @@ def _write(o, level, buf, pieces):
         if not o:
             out("[]")
             return
-        text = _flat_text(o, level)
+        text = _flat_text(o, level) or _records_text(o, level)
         if text is not None:
             out(text)
             return
@@ -162,7 +208,9 @@ def text_pieces(doc):
     with str keys, lists, tuples, strings, ints, floats, booleans and
     ``None`` are written as json's own encoder writes them (strings through
     its C escaper), not by json's pure-Python indenting encoder; a list of
-    only ints or only floats is joined by one ``str.join``.  Any other key
+    only ints or only floats is written by one ``%`` format, and a list of
+    dicts that share their keys and hold only scalars and such lists (a
+    scan's reports) column by column, with one format per dict.  Any other key
     or value raises ``TypeError`` naming its type; a container inside
     itself recurses to ``RecursionError``.  The writer is a plain recursive
     function, not a closure over the pieces: a recursive closure is a

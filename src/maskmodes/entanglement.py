@@ -13,20 +13,37 @@ one for anything with a coherent input.  The dense matrix is only built
 where a caller asks for it.
 
 A scan and a single report share one core that takes a chunk of cuts at
-once (the report is the one-cut chunk).  Integer products of the
+once (the report is the one-cut chunk); chunks take cuts of one subset size
+together, since those share block shapes.  A layout step turns a chunk into
+stacks of blocks, and one shared assembly hands each stack to one
+``np.linalg.svd`` call and sorts each cut's singular values.
+
+A *full-support* state, every occupation of one photon number N in M modes
+as a term (C(N+M-1, N) of them: a Fock input through a network whose
+couplings are all nonzero), has full blocks: block k of a cut S|C is
+C(k+|S|-1, k) x C(N-k+|C|-1, N-k), and its entries, row-major, are the
+terms in ascending order of one packed key (k, the S occupations, the C
+occupations), each side in mode order.  One sort per cut of that key lays
+out every block as a slice, reshaped and stacked per (|S|, k).  The key is
+an integer product per cut in base N + 1 (:func:`~maskmodes.fock._layout`);
+a key longer than one int64 word is sorted by ``lexsort``.
+
+Every other state takes the general layout.  Integer products of the
 occupations with every cut's mask, one per int64 key word over that word's
 modes, give each term's packed (block label, occupations) keys, and one
 more its subset photon count; at one photon number the counts are the
 block labels, and otherwise one stacked closure of the count link
 matrices gives them (counts that outnumber the terms are ranked first);
 one sort per row ranks the keys; and every block of the
-chunk is scattered into one zero-filled stack per block shape for one
-``np.linalg.svd`` call.
-The gufunc makes the same LAPACK call per matrix as a lone SVD, so spectra
-are bit-identical to one SVD per block.  Chunks are capped by
-``_CHUNK_ENTRIES`` (terms plus link-matrix entries, per cut, times cuts).
+chunk is scattered into one zero-filled stack per block shape.
+
+Both layouts build the same matrices, and the gufunc makes the same LAPACK
+call per matrix as a lone SVD, so spectra are bit-identical to one SVD per
+block.  Chunks are capped by ``_CHUNK_ENTRIES`` (terms plus link-matrix
+entries, per cut, times cuts).
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import compress
@@ -118,7 +135,7 @@ class EntanglementReport:
             "complement": list(self.bipartition.complement),
             "mask": self.bipartition.mask(),
             "entropy_bits": self.entropy_bits,
-            "schmidt_top": [float(s) for s in self.schmidt_coefficients[:_SCHMIDT_TOP]],
+            "schmidt_top": self.schmidt_coefficients[:_SCHMIDT_TOP].tolist(),
             "separable": bool(self.separable),
             "tolerance": self.tolerance,
         }
@@ -195,11 +212,11 @@ def _ranks(keys, lead, labels):
     return rank.reshape(rows, terms), size.reshape(rows, labels)
 
 
-def _chunk_spectra(occ, total, values, masks):
-    """Schmidt coefficients of the cuts ``masks`` (cuts x modes, subset 1), one
-    row per cut, sorted descending and zero-padded; and each cut's spectrum
-    length ``min(rows, cols)``.  ``occ`` holds the terms' occupations as
-    int64, ``total`` their photon numbers and ``values`` their amplitudes."""
+def _general_stacks(occ, total, values, masks):
+    """The block stacks of the cuts ``masks`` (cuts x modes, subset 1), for
+    :func:`_spectra`, and each cut's spectrum length ``min(rows, cols)``.
+    ``occ`` holds the terms' occupations as int64, ``total`` their photon
+    numbers and ``values`` their amplitudes."""
     cuts, top = len(masks), int(total.max())
     # digit 0 of a key is the block label, then the occupations
     digits = _layout(occ.shape[1] + 1, top)
@@ -224,17 +241,65 @@ def _chunk_spectra(occ, total, values, masks):
     # a block's singular values follow those of its cut's earlier blocks
     kept = np.minimum(r_size, c_size)
     first = (kept.cumsum(axis=1) - kept).ravel()
-    width = np.minimum(r_size.sum(axis=1), c_size.sum(axis=1))
-    s = np.zeros((cuts, width.max()))
     ordered = shape[by_shape]
     starts = np.flatnonzero(ordered > np.append(0, ordered[:-1]))
+    stacks = []
     for lo, hi in zip(starts, [*starts[1:], len(shape)]):
         b = by_shape[lo:hi]
         r, c = divmod(shape[b[0]], radix)
         stack = flat[offset[b[0]]:offset[b[0]] + len(b) * r * c].reshape(len(b), r, c)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        s[b[:, None] // labels, first[b, None] + np.arange(sv.shape[1])] = sv
-    return -np.sort(-s, axis=1), width
+        stacks.append((stack, b[:, None] // labels, first[b, None] + np.arange(min(r, c))))
+    return stacks, np.minimum(r_size.sum(axis=1), c_size.sum(axis=1))
+
+
+def _full_support_stacks(occ, total, values, masks):
+    """:func:`_general_stacks` for a full-support state: its terms are every
+    occupation of one photon number N in its modes.
+
+    Block k of a cut S|C is then full, C(k+|S|-1, k) x C(N-k+|C|-1, N-k),
+    and its entries, row-major, are the terms in ascending order of the key
+    (k, S occupations, C occupations), each side in mode order: one sort
+    per cut lays out every block as a slice, with no ranks and no scatter."""
+    cuts, modes = masks.shape
+    photons = int(total[0])
+    digits = _layout(modes + 1, photons)
+    side = masks.sum(axis=1)
+    if digits.shape[1] == 1:
+        # each mode's key digit: the subset's modes first, then the complement's
+        before = masks.cumsum(axis=1) - masks
+        place = np.where(masks == 1, before, side[:, None] + np.arange(modes) - before)
+        strides = digits[1 + place, 0] + masks * digits[0, 0]  # k leads
+        order = (strides @ occ.T).argsort(axis=1)
+    else:
+        # the subset's words, led by k, then the complement's, each in mode order
+        subset = _pack(occ, digits[1:], masks)
+        complement = _pack(occ, digits[1:]) - subset
+        subset[:, :, 0] += (masks @ occ.T) * digits[0, 0]
+        keys = np.concatenate([subset, complement], axis=2)
+        order = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=1)
+    stacks, width = [], np.empty(cuts, dtype=np.int64)
+    for s in sorted(set(side.tolist())):
+        cut = np.flatnonzero(side == s)
+        block = values[order[cut]]
+        rows = [math.comb(k + s - 1, k) for k in range(photons + 1)]
+        cols = [math.comb(photons - k + modes - s - 1, photons - k) for k in range(photons + 1)]
+        lo = first = 0
+        for r, c in zip(rows, cols):
+            stacks.append((block[:, lo:lo + r * c].reshape(len(cut), r, c), cut[:, None],
+                           np.arange(first, first + min(r, c))))
+            lo, first = lo + r * c, first + min(r, c)
+        width[cut] = min(sum(rows), sum(cols))
+    return stacks, width
+
+
+def _spectra(stacks, width):
+    """Schmidt coefficients of each cut, one row per cut, sorted descending and
+    zero-padded, from block ``stacks``: (matrices, their cuts, the columns of
+    their singular values in the cut's row), one ``np.linalg.svd`` call each."""
+    s = np.zeros((len(width), width.max()))
+    for stack, cut, column in stacks:
+        s[cut, column] = np.linalg.svd(stack, compute_uv=False)
+    return -np.sort(-s, axis=1)
 
 
 def _reports(state, parts, tol, masks=None):
@@ -244,26 +309,33 @@ def _reports(state, parts, tol, masks=None):
         masks = np.array([part.mask() for part in parts], dtype=np.int64)
     occ = state.occupations.astype(np.int64)
     total = occ.sum(axis=1)
-    # per cut: a rank per term and side, and a (k, j) link matrix of the counts
+    # per cut the general layout holds a rank per term and side, and a (k, j)
+    # link matrix of the counts; the full-support layout holds less
     top, terms = int(total.max()), len(occ)
     step = max(1, _CHUNK_ENTRIES // (terms + min(top + 1, terms) ** 2))
-    reports = []
+    # rows are distinct, so C(N+M-1, N) terms of one photon number N are all of them
+    full = total.min() == top and terms == math.comb(top + state.mode_count - 1, top)
+    layout = _full_support_stacks if full else _general_stacks
+    # cuts of one subset size share block shapes, so chunks take them together
+    by_size = masks.sum(axis=1).argsort(kind="stable")
+    reports = [None] * len(parts)
     for lo in range(0, len(parts), step):
-        s, width = _chunk_spectra(occ, total, state.values, masks[lo:lo + step])
+        chunk = by_size[lo:lo + step]
+        stacks, width = layout(occ, total, state.values, masks[chunk])
+        s = _spectra(stacks, width)
         p = s**2
         live = p > _EIG_FLOOR  # a prefix of each row: s is sorted
         h = p * np.log2(np.where(live, p, 1.0))
-        for part, s_cut, n, h_cut, n_live in zip(parts[lo:lo + step], s, width, h,
-                                                 live.sum(axis=1)):
+        for i, s_cut, n, h_cut, n_live in zip(chunk.tolist(), s, width, h, live.sum(axis=1)):
             # 0.0 first: max keeps it over the -0.0 of a single coefficient 1
             entropy = max(0.0, float(-h_cut[:n_live].sum()))
-            reports.append(EntanglementReport(
+            reports[i] = EntanglementReport(
                 schmidt_coefficients=s_cut[:n],
                 entropy_bits=entropy,
                 separable=entropy < tol,
                 tolerance=tol,
-                bipartition=part,
-            ))
+                bipartition=parts[i],
+            )
     return reports
 
 
@@ -274,8 +346,11 @@ def entanglement_report(state, part, tol=DEFAULT_TOL_TRUNCATED):
     The spectrum joins one SVD per photon-number block of the amplitude
     matrix (rows and columns in lexicographic order inside a block), sorted
     descending and padded with exact zeros to ``min(rows, cols)``; the dense
-    matrix is never allocated.  A one-block state gives the dense SVD's values
-    bit for bit.  This is the one-cut case of :func:`full_separability_scan`.
+    matrix is never allocated.  A full-support state (every occupation of its
+    photon number is a term) reads its blocks as slices of one sort of the
+    terms; any other state ranks rows and columns per block, with the same
+    bits.  A one-block state gives the dense SVD's values bit for bit.  This
+    is the one-cut case of :func:`full_separability_scan`.
     A bipartition of another mode count raises :class:`DimensionMismatch`.
     """
     if part.mode_count != state.mode_count:
@@ -302,10 +377,17 @@ def _bipartitions(mode_count):
 
 
 def full_separability_scan(state, tol=DEFAULT_TOL_TRUNCATED):
-    """One report per distinct bipartition (2^(N-1) - 1 of them), each
+    """One report per distinct bipartition (2^(M-1) - 1 of them, for M modes), each
     holding its cut in ``bipartition``.
 
     The state is fully separable iff every report's verdict is separable.
+    Cuts go in chunks of one subset size.  A full-support state (every
+    occupation of one photon number N in M modes is a term, as for a Fock
+    input through a network with no zero coupling) takes one sort per cut:
+    block k of a cut S|C is then the full C(k+|S|-1, k) x C(N-k+|C|-1, N-k)
+    matrix, a slice of the sorted terms.  Any other state (a term missing, a
+    mode left empty, several photon numbers) ranks its rows and columns per
+    block, with the same bits where both apply.
     """
     parts, masks = _bipartitions(state.mode_count)
     return _reports(state, parts, tol, masks)

@@ -9,13 +9,22 @@ The span tracer of ``bench/spans.py`` is built and run over a few jobs of
 each workload, so a function it probes by name that no longer exists, or a
 layer a workload is meant to load that records no span, fails here and not
 only in a ``--trace 1`` run.
+
+The states the ``fock_scan`` jobs and a ``screen_photon`` job make are
+full-support, so their Schmidt spectra must take the full-support layout of
+``maskmodes.entanglement``; a change that sent them back to the general
+layout would slow the benchmark without failing a job.
 """
 
 import importlib.util
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from maskmodes import entanglement, fock
+from util import count_full_support_calls
 
 
 def _load_bench_module(name):
@@ -71,3 +80,33 @@ def test_traced_jobs_record_every_layer(tmp_path, name):
         workload.check(job, out)
     missing = [layer for layer in workload.layers if layer not in tracer.span_names()]
     assert not missing, f"{name} recorded no span for {missing}"
+
+
+def test_fock_scan_and_screen_states_take_the_full_support_layout(tmp_path, monkeypatch):
+    """Every ``fock_scan`` class and a one-photon screen report (keys of several int64
+    words) go through the full-support layout, and a (9, 5) scan stays small."""
+    calls = count_full_support_calls(monkeypatch)
+    scan = workloads.FockScan(1, str(tmp_path))
+    for modes, photons in sorted(set(workloads.FockScan.MIX)):
+        job = scan._job(np.random.default_rng([modes, photons]), modes, photons)
+        paths = scan.run(job, None)
+        assert sum(calls) == 2 ** (modes - 1) - 1, (modes, photons)
+        calls.clear()
+        if (modes, photons) == (9, 5):
+            state = fock.MultimodeFockState.load(paths["state"])
+        scan.check(job, paths)
+    tracemalloc.start()
+    try:
+        entanglement.full_separability_scan(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8e6
+
+    calls.clear()
+    screen = workloads.ScreenPhoton(1, str(tmp_path))
+    job = next(j for j in screen.cycle(0) if j.get("steps") == 9)
+    out = screen.run(job, None)
+    assert out["state"].mode_count == 162 and calls == [1]
+    assert fock._layout(163, 1).shape[1] > 1
+    screen.check(job, out)

@@ -1,6 +1,6 @@
 import re
 import tracemalloc
-from math import log2, sqrt
+from math import comb, log2, sqrt
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskmodes import entanglement
-from maskmodes.diffraction import UnitaryMatrix
+from maskmodes.diffraction import CosineGrating, UnitaryMatrix, grating_block
 from maskmodes.entanglement import (
+    DEFAULT_TOL_TRUNCATED,
     Bipartition,
     _bipartitions,
     _block_labels,
@@ -32,7 +33,13 @@ from maskmodes.fock import (
     build_input_state,
     state_fidelity,
 )
-from util import bipartition_matrix, haar_unitary, reduced_density, schmidt_dense_reference
+from util import (
+    bipartition_matrix,
+    count_full_support_calls,
+    haar_unitary,
+    reduced_density,
+    schmidt_dense_reference,
+)
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 
@@ -494,6 +501,104 @@ def test_fixed_photon_number_labels_match_the_closure(state):
     for rep, ref in zip(scan, closed):
         assert rep.schmidt_coefficients.tobytes() == ref.schmidt_coefficients.tobytes()
         assert rep.entropy_bits == ref.entropy_bits
+        np.testing.assert_allclose(rep.schmidt_coefficients,
+                                   schmidt_dense_reference(state, rep.bipartition),
+                                   rtol=0, atol=1e-12)
+
+
+def _general_layout(monkeypatch):
+    """Send every state through the general layout for the rest of the test."""
+    monkeypatch.setattr(entanglement, "_full_support_stacks", entanglement._general_stacks)
+
+
+@st.composite
+def full_support_states(draw):
+    """Fock inputs of 0-5 photons on 2-8 modes through a Haar network: every
+    occupation of the photon number is a term, the vacuum included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = draw(st.integers(2, 8))
+    photons = rng.multinomial(draw(st.integers(0, 5)), np.full(modes, 1.0 / modes))
+    descs = [Fock(int(n)) if n else Vacuum() for n in photons]
+    state = apply_unitary(build_input_state(InputStateSpec(descs)),
+                          UnitaryMatrix(haar_unitary(rng, modes)))
+    n = int(photons.sum())
+    assert len(state.values) == comb(n + modes - 1, n)
+    return state
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(full_support_states())
+def test_full_support_layout_gives_the_general_layouts_bits(state):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_full_support_calls(mp)
+        scan = full_separability_scan(state)
+        singles = [entanglement_report(state, rep.bipartition) for rep in scan]
+        assert len(calls) >= 1 + len(scan)
+    with pytest.MonkeyPatch.context() as mp:
+        _general_layout(mp)
+        general = full_separability_scan(state)
+        general_singles = [entanglement_report(state, rep.bipartition) for rep in scan]
+    for reps in zip(scan, singles, general, general_singles):
+        for rep in reps[:3]:
+            assert np.array_equal(rep.schmidt_coefficients, reps[3].schmidt_coefficients)
+            assert rep.entropy_bits == reps[3].entropy_bits
+            assert rep.bipartition == reps[3].bipartition
+
+
+def _fallback_states():
+    """States that miss at least one occupation of their photon number, or hold several."""
+    rng = np.random.default_rng(27)
+    full = _haar_fock_state(4, 3, seed=27)
+    holed = dict(full.amplitudes)
+    del holed[(1, 1, 1, 0)]
+    padded = {t + (0,): a for t, a in full.amplitudes.items()}
+    grating = np.eye(4, dtype=complex)
+    grating[:2, :2] = grating_block(CosineGrating((0.6, 0.0))).matrix
+    permutation = np.exp(2j * np.pi * rng.random(3))[:, None] * np.eye(3)[[2, 0, 1]]
+
+    def through(text, u):
+        return apply_unitary(build_input_state(InputStateSpec.parse(text)), UnitaryMatrix(u))
+
+    return {
+        "term removed": MultimodeFockState(4, holed),
+        "vacuum padded": MultimodeFockState(5, padded),
+        "squeezed": through("sq:0.3,fock:1,vac", haar_unitary(rng, 3)),
+        "coherent": through("coh:0.5,fock:1,vac", haar_unitary(rng, 3)),
+        "embedded grating": through("fock:1,fock:1,fock:1,vac", grating),
+        "permutation": through("fock:2,fock:1,vac", permutation),
+        "hom": through("fock:1,fock:1", BALANCED.matrix),
+        # as many terms as the occupations of one photon in 3 modes
+        "mixed photon numbers": MultimodeFockState(3, {(0, 0, 0): 0.6, (1, 0, 0): 0.64j,
+                                                       (0, 0, 1): -0.48}),
+    }
+
+
+@pytest.mark.parametrize("modes, photons", [(70, 1), (40, 2)])
+def test_full_support_keys_of_several_words_give_the_general_layouts_bits(monkeypatch, modes,
+                                                                          photons):
+    state = _haar_fock_state(modes, photons, seed=modes)
+    assert len(state.values) == comb(photons + modes - 1, photons)
+    assert _layout(modes + 1, photons).shape[1] > 1
+    rng = np.random.default_rng(modes)
+    parts = [Bipartition(tuple(rng.choice(modes, size=size, replace=False).tolist()), modes)
+             for size in (1, 2, 3, modes // 2, modes - 2, modes - 1)]
+    calls = count_full_support_calls(monkeypatch)
+    fast = entanglement._reports(state, parts, DEFAULT_TOL_TRUNCATED)
+    assert sum(calls) == len(parts)
+    _general_layout(monkeypatch)
+    for rep, ref in zip(fast, entanglement._reports(state, parts, DEFAULT_TOL_TRUNCATED)):
+        assert np.array_equal(rep.schmidt_coefficients, ref.schmidt_coefficients)
+        assert rep.entropy_bits == ref.entropy_bits
+
+
+@pytest.mark.parametrize("name", sorted(_fallback_states()))
+def test_states_without_full_support_take_the_general_layout(monkeypatch, name):
+    state = _fallback_states()[name]
+    calls = count_full_support_calls(monkeypatch)
+    scan = full_separability_scan(state)
+    single = entanglement_report(state, scan[-1].bipartition)
+    assert calls == []
+    for rep in scan + [single]:
         np.testing.assert_allclose(rep.schmidt_coefficients,
                                    schmidt_dense_reference(state, rep.bipartition),
                                    rtol=0, atol=1e-12)

@@ -339,6 +339,49 @@ def test_dumps_is_json_dumps_with_sorted_keys_and_one_space_indent(doc):
     assert "".join(text_pieces(doc)) == want
 
 
+@st.composite
+def _record_lists(draw):
+    """Lists of 1-6 dictionaries that share their keys (``%`` among them), as a scan
+    report writes its bipartitions, under 0-3 levels of nesting.  Values are
+    scalars or flat lists; some columns mix kinds, hold empty or non-finite
+    lists, or hold a nested value, and some rows differ in their keys, so the
+    general path writes them instead."""
+    keys = draw(st.lists(st.one_of(_str_keys, st.sampled_from(["%", "%s", "a%d"])),
+                         min_size=1, max_size=5, unique=True))
+    value = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3), _subclassed,
+        st.lists(st.integers(), max_size=4), st.lists(st.floats(), min_size=1, max_size=4),
+        st.lists(st.one_of(st.integers(), st.floats()), min_size=1, max_size=3),
+        st.dictionaries(_str_keys, st.integers(), max_size=2), st.lists(st.lists(st.integers())),
+    )
+    columns = {key: draw(st.sampled_from(["int", "float", "ints", "floats", "nonfinite", "any"]))
+               for key in keys}
+    kinds = {"int": st.integers(), "float": st.floats(allow_nan=False),
+             "ints": st.lists(st.integers(), min_size=1, max_size=9),
+             "floats": st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                                max_size=8),
+             "nonfinite": st.lists(st.sampled_from([0.5, -0.0, float("nan"), float("inf")]),
+                                   min_size=1, max_size=3),
+             "any": value}
+    rows = draw(st.lists(st.fixed_dictionaries({key: kinds[kind] for key, kind in columns.items()}),
+                         min_size=1, max_size=6))
+    if draw(st.booleans()):  # one row with a key more or less than the others
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row.pop(keys[0]) if draw(st.booleans()) else row.setdefault("extra", 1)
+    doc = rows
+    for _ in range(draw(st.integers(0, 3))):
+        doc = {"result": doc, "n": 1} if draw(st.booleans()) else [doc]
+    return doc
+
+
+@settings(max_examples=300, derandomize=True)
+@given(doc=_record_lists())
+def test_lists_of_records_are_written_as_json_writes_them(doc):
+    want = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert dumps(doc) == want
+    assert "".join(text_pieces(doc)) == want
+
+
 def test_a_cycle_raises_recursion_error():
     looped_list, looped_dict = [1.0], {"a": [2]}
     looped_list.append(looped_list)

@@ -7,6 +7,7 @@ from math import factorial, sqrt
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from maskmodes import entanglement
 from maskmodes._jsonio import encode_array
 from maskmodes.diffraction import (
     CircularAperture,
@@ -431,6 +432,18 @@ def schmidt_dense_reference(state, part):
     ``entanglement.entanglement_report``.
     """
     return np.linalg.svd(bipartition_matrix(state, part)[0], compute_uv=False)
+
+
+def count_full_support_calls(monkeypatch):
+    """A list that gains, per call into the full-support Schmidt layout, the number of cuts."""
+    calls, layout = [], entanglement._full_support_stacks
+
+    def counted(occ, total, values, masks):
+        calls.append(len(masks))
+        return layout(occ, total, values, masks)
+
+    monkeypatch.setattr(entanglement, "_full_support_stacks", counted)
+    return calls
 
 
 def gaussian_mode_entropy(cov, k):
