@@ -49,7 +49,7 @@ from .modes import (
     laguerre_gaussian_basis,
     sample_field,
 )
-from .protocols import AtomPair, ScanResult, hom_coincidence, ifm_project, noon_fidelity_scan
+from .protocols import AtomPair, ScanResult, hom_coincidence, ifm_project, noon_scan
 from .separability import (
     SeparabilityVerdict,
     check_no_entanglement,

@@ -55,7 +55,7 @@ from .entanglement import (
 from .errors import CompileTooLarge, MaskModesError
 from .fock import InputStateSpec, MultimodeFockState, apply_unitary, build_input_state
 from .modes import Grid2D, ModeBasis, hermite_gaussian_basis, hermite_gaussian_mode, sample_field
-from .protocols import _noon_scan_and_surface, hom_coincidence, ifm_project
+from .protocols import hom_coincidence, ifm_project, noon_scan
 from .separability import check_no_entanglement
 
 
@@ -537,7 +537,7 @@ def scan_noon(photons, grid_n, out_file, surface_file):
     _check_compile_size(_NOON_VALUE_BYTES * values + _SURFACE_POINT_BYTES * points,
                         f"--photons {photons} and --grid {grid_n}: {values} fidelity values"
                         + (f" and {points} surface points" if points else ""))
-    res, thetas, vals = _noon_scan_and_surface(photons, grid_n)
+    res, thetas, vals = noon_scan(photons, grid_n)
     _write_artifact(out_file, res.to_json())
     if surface_file:
         _write_csv(surface_file, "theta,fidelity",

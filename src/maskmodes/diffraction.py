@@ -484,9 +484,12 @@ def plane_wave_coupling(mask, input_grid, output_grid, k):
         # complex before the rescale: dividing a real matrix rounds differently
         m = m.astype(complex)
         scale = float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
-    if not math.isfinite(scale) or (scale == 0 and np.any(m)):
+    # a disk couples every pair of directions, so its all-zero coupling is underflow
+    # (of 2 pi R^2 or of the weights); an all-zero sampled mask is an opaque screen
+    underflow = scale == 0 and (np.any(m) or isinstance(mask, CircularAperture))
+    if not math.isfinite(scale) or underflow:
         raise OutOfRange(f"coupling column norm {scale!r} at wavenumber {k!r}: "
-                         "the entries over- or underflow float64 when squared")
+                         "the entries or their squares over- or underflow float64")
     if scale > 0:
         m = m / scale
     prov = {

@@ -17,6 +17,9 @@ degree below; the tables are built once and cached up to
 the recurrence raises :class:`~maskmodes.errors.PrecisionLoss`.  Every Fock
 photon then goes in as one creation step ``w_j+ = sum_k U[j, k] a_k+``, in
 one pass over all rows of a state: a product input is its one-row case.
+
+The demonstrations' closed forms need no state and live in
+:mod:`maskmodes.protocols`; this module holds states and propagation only.
 """
 
 import bisect
@@ -31,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._jsonio import decode_array, encode_array, read_file, reading, text_pieces, typed, write_file
-from ._special import log, log_factorial, xlogy
+from ._special import log_factorial, xlogy
 from .errors import (
     DimensionMismatch,
     MalformedDocument,
@@ -709,22 +712,3 @@ def apply_unitary(state, u):
     _check_size(comb(top + n_modes, n_modes), f"output terms ({top} photons over {n_modes} modes)")
     occ, vals = _expand(u.matrix, top, rows, scales, seed)
     return MultimodeFockState._from_sorted(n_modes, occ, vals)
-
-
-# --------------------------------------------------------------------------
-# NOON-state overlaps of a two-mode split
-
-
-def noon_overlap_amplitudes(m, n, theta):
-    """|<N,0|out>| and |<0,N|out>| for the split ``(m, n)`` (phi drops out).
-
-    ``sqrt(C(m+n, m)) |c|^m |s|^n`` and its mirror with ``c = cos(theta/2)``,
-    ``s = sin(theta/2)``, taken in log space so no photon number overflows.
-    """
-    c, s = np.abs(np.cos(theta / 2.0)), np.abs(np.sin(theta / 2.0))
-    log_c, log_s = log(c), log(s)
-    log_pref = 0.5 * (log_factorial(m + n) - log_factorial(m) - log_factorial(n))
-    return (
-        np.exp(log_pref + xlogy(m, c, log_c) + xlogy(n, s, log_s)),
-        np.exp(log_pref + xlogy(n, c, log_c) + xlogy(m, s, log_s)),
-    )

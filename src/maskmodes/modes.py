@@ -399,7 +399,7 @@ class PlaneWaveGrid:
         cx, cy = center
         ax = np.linspace(cx - half_extent, cx + half_extent, steps)
         ay = np.linspace(cy - half_extent, cy + half_extent, steps)
-        pts = np.array([(x, y) for y in ay for x in ax])
+        pts = np.column_stack([np.tile(ax, steps), np.repeat(ay, steps)])  # x fastest
         d = (2 * half_extent / (steps - 1)) ** 2 if steps > 1 else 1.0
         s2 = np.sum(pts**2, axis=1)
         nz = np.sqrt(np.clip(1.0 - s2, 1e-12, None))

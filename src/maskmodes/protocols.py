@@ -1,12 +1,13 @@
 """End-to-end demonstrations: null-detection Bell projection, the
-Hong-Ou-Mandel dip and the NOON-attainability scan."""
+Hong-Ou-Mandel dip and the NOON-attainability scan, each a closed form over
+the network's matrix (the dip is the two-mode permanent) with no Fock state."""
 
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._special import log, log_factorial, xlogy
 from .errors import DimensionMismatch, InvalidEfficiency
-from .fock import MultimodeFockState, apply_unitary, noon_overlap_amplitudes
 
 ATOM_BASIS = ("gg", "ge", "eg", "ee")
 
@@ -79,11 +80,12 @@ def ifm_project(eta, splitter_block):
 
 
 def hom_coincidence(u):
-    """Probability of a (1, 1) coincidence after sending in ``|1> x |1>``."""
+    """Probability of a (1, 1) coincidence after sending in ``|1> x |1>``:
+    ``|perm U|^2 = |U00 U11 + U01 U10|^2``."""
     if u.dim != 2:
         raise DimensionMismatch("Hong-Ou-Mandel needs a two-mode network")
-    out = apply_unitary(MultimodeFockState.from_occupation((1, 1)), u)
-    return float(abs(out.amplitude((1, 1))) ** 2)
+    m = u.matrix
+    return float(abs(m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]) ** 2)
 
 
 #: Rounds of local refinement around the best grid angle, each ten times narrower.
@@ -108,6 +110,21 @@ class ScanResult:
         return asdict(self)
 
 
+def noon_overlap_amplitudes(m, n, theta):
+    """|<N,0|out>| and |<0,N|out>| for the split ``(m, n)`` (phi drops out).
+
+    ``sqrt(C(m+n, m)) |c|^m |s|^n`` and its mirror with ``c = cos(theta/2)``,
+    ``s = sin(theta/2)``, taken in log space so no photon number overflows.
+    """
+    c, s = np.abs(np.cos(theta / 2.0)), np.abs(np.sin(theta / 2.0))
+    log_c, log_s = log(c), log(s)
+    log_pref = 0.5 * (log_factorial(m + n) - log_factorial(m) - log_factorial(n))
+    return (
+        np.exp(log_pref + xlogy(m, c, log_c) + xlogy(n, s, log_s)),
+        np.exp(log_pref + xlogy(n, c, log_c) + xlogy(m, s, log_s)),
+    )
+
+
 def _noon_fidelity_theta(m, n, thetas):
     a, b = noon_overlap_amplitudes(m, n, thetas)
     return (np.abs(a) + np.abs(b)) ** 2 / 2.0
@@ -129,8 +146,9 @@ def _noon_table(photons, steps):
     return thetas, _noon_fidelity_theta(m, photons - m, thetas)
 
 
-def noon_fidelity_scan(photons, steps=256):
-    """Best NOON fidelity reachable from any separable two-mode Fock input.
+def noon_scan(photons, steps=256):
+    """Best NOON fidelity reachable from any separable two-mode Fock input,
+    and the fidelity at each splitter angle.
 
     Scans every split ``m + n = photons`` over ``steps + 1`` splitter angles
     ``theta`` on ``[0, pi]``, computing
@@ -139,13 +157,11 @@ def noon_fidelity_scan(photons, steps=256):
     splitter phase ``phi``.  The first best entry of the table (lowest split,
     then lowest angle) is sharpened by a few rounds of local refinement; the
     running maximum never decreases under refinement.
+
+    Returns ``(ScanResult, thetas, surface)``, the surface being the grid
+    fidelity at each angle maximized over splits, for CSV export and plots.
     """
-    return _best_of(*_noon_table(photons, steps))
-
-
-def _best_of(thetas, table):
-    """The :func:`noon_fidelity_scan` result of a :func:`_noon_table`."""
-    photons, steps = table.shape[0] - 1, len(thetas) - 1
+    thetas, table = _noon_table(photons, steps)
     m, i = np.unravel_index(np.argmax(table), table.shape)
     m, fid, theta = int(m), float(table[m, i]), float(thetas[i])
     half = np.pi / steps
@@ -157,21 +173,6 @@ def _best_of(thetas, table):
         if f[i] > fid:
             fid, theta = float(f[i]), float(ts[i])
         half *= 0.1
-    return ScanResult(photons=photons, best_fidelity=fid, best_split=m, best_theta=theta,
-                      theta_steps=steps)
-
-
-def noon_surface(photons, steps=256):
-    """The NOON fidelity at each splitter angle, maximized over splits.
-
-    Returns ``(thetas, values)``, ``steps + 1`` of each, on the angles of
-    :func:`noon_fidelity_scan`; suitable for CSV export and plotting.
-    """
-    thetas, table = _noon_table(photons, steps)
-    return thetas, table.max(axis=0)
-
-
-def _noon_scan_and_surface(photons, steps):
-    """:func:`noon_fidelity_scan` and :func:`noon_surface` from one table."""
-    thetas, table = _noon_table(photons, steps)
-    return _best_of(thetas, table), thetas, table.max(axis=0)
+    res = ScanResult(photons=photons, best_fidelity=fid, best_split=m, best_theta=theta,
+                     theta_steps=steps)
+    return res, thetas, table.max(axis=0)

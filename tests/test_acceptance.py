@@ -35,7 +35,7 @@ from maskmodes.fock import (
     build_input_state,
 )
 from maskmodes.modes import Grid2D, PlaneWaveGrid, hermite_gaussian_basis, sample_field
-from maskmodes.protocols import hom_coincidence, ifm_project, noon_fidelity_scan
+from maskmodes.protocols import hom_coincidence, ifm_project, noon_scan
 from maskmodes.separability import check_no_entanglement
 from util import haar_unitary, max_amplitude_diff, sector_norms, two_mode_closed_form
 
@@ -95,7 +95,7 @@ def test_criterion_03_hong_ou_mandel_dip_and_sweep():
 def test_criterion_04_noon_attainability():
     results = {}
     for n in (1, 2, 3, 4):
-        results[n] = noon_fidelity_scan(n, 256).best_fidelity
+        results[n] = noon_scan(n, 256)[0].best_fidelity
     assert results[1] >= 1 - 1e-9
     assert results[2] >= 1 - 1e-9
     assert results[3] <= 1 - 1e-3

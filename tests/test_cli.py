@@ -30,7 +30,7 @@ from maskmodes.diffraction import (
 )
 from maskmodes.fock import InputStateSpec, MultimodeFockState, apply_unitary, build_input_state
 from maskmodes.modes import Grid2D, ModeBasis, hermite_gaussian_mode, sample_field
-from maskmodes.protocols import noon_fidelity_scan, noon_surface
+from maskmodes.protocols import noon_scan
 from util import haar_unitary, state_document
 
 
@@ -225,22 +225,21 @@ def test_scan_noon_surface_holds_one_row_per_angle(runner, tmp_path, grid):
            "--out", str(tmp_path / "noon.json"), "--surface", str(surf))
     comment, header, *rows = surf.read_text().splitlines()
     assert header == "theta,fidelity" and len(rows) == grid + 1
-    thetas, values = noon_surface(2, grid)
+    _, thetas, values = noon_scan(2, grid)
     assert rows == [f"{t!r},{v!r}" for t, v in zip(thetas.tolist(), values.tolist())]
 
 
 def test_noon_table_stays_within_the_bytes_its_size_check_counts():
     photons, grid = 2000, 256
-    noon_surface(2, 64)  # first-call set-up happens outside the measurement
-    for build in (noon_fidelity_scan, noon_surface):
-        tracemalloc.start()
-        try:
-            build(photons, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # beyond the table's arrays, a few of one row or one column
-        assert peak <= _NOON_VALUE_BYTES * (photons + 1) * (grid + 1) + 64 * (photons + grid)
+    noon_scan(2, 64)  # first-call set-up happens outside the measurement
+    tracemalloc.start()
+    try:
+        noon_scan(photons, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the table's arrays, a few of one row or one column
+    assert peak <= _NOON_VALUE_BYTES * (photons + 1) * (grid + 1) + 64 * (photons + grid)
 
 
 def test_scan_noon_with_surface_builds_the_table_once(runner, tmp_path, monkeypatch):
@@ -257,8 +256,8 @@ def test_scan_noon_with_surface_builds_the_table_once(runner, tmp_path, monkeypa
            "--surface", str(surf))
     assert calls == [(3, 64)]
     monkeypatch.undo()
-    assert json.loads(out.read_text())["result"] == noon_fidelity_scan(3, 64).to_json()
-    thetas, values = noon_surface(3, 64)
+    res, thetas, values = noon_scan(3, 64)
+    assert json.loads(out.read_text())["result"] == res.to_json()
     assert surf.read_text().splitlines()[2:] == [
         f"{t!r},{v!r}" for t, v in zip(thetas.tolist(), values.tolist())]
 
@@ -416,6 +415,12 @@ def test_imprecise_gaussian_expansion_exits_1(runner, tmp_path):
     # the aperture coupling's column norm underflows to 0
     (["compile-mask", "--mask", "circular", "--radius", "2.0", "--aperture-steps", "3",
       "--wavenumber", "1e-300"], "over- or underflow"),
+    # 2 pi R^2 underflows to 0, so every aperture coupling is 0
+    (["compile-mask", "--mask", "circular", "--radius", "1e-170", "--aperture-steps", "3"],
+     "over- or underflow"),
+    # the lattice weights underflow to 0, so every aperture coupling is 0
+    (["compile-mask", "--mask", "pinhole", "--radius", "0.5", "--aperture-steps", "3",
+      "--aperture-extent", "1e-200"], "over- or underflow"),
 ])
 def test_extreme_magnitudes_exit_1(runner, tmp_path, args, message):
     with warnings.catch_warnings():

@@ -183,6 +183,13 @@ def test_plane_wave_coupling_empty_grid():
         plane_wave_coupling(object(), PlaneWaveGrid.single(), PlaneWaveGrid.single(), k=1.0)
 
 
+def test_an_all_zero_sampled_mask_compiles_as_an_opaque_screen():
+    lattice = PlaneWaveGrid.lattice((0.0, 0.0), 0.15, 3)
+    opaque = CustomSampled(Grid2D(16, 16, 0.5, 0.5), np.zeros((16, 16)))
+    c = plane_wave_coupling(opaque, lattice, lattice, 2 * np.pi)
+    assert not c.matrix.any() and c.provenance["prenormalization_scale"] == 0.0
+
+
 @pytest.mark.parametrize(
     "mask",
     [CosineGrating((0.6, 0.0)), CosineGrating((0.3, 0.4)), CosineGrating((0.0, 0.0))],

@@ -299,6 +299,21 @@ def test_plane_wave_lattice_weights():
     assert np.all(pw.weights >= 0.01 - 1e-15)
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.13, -0.31)])
+@pytest.mark.parametrize("steps", [1, 2, 9, 17, 45])
+def test_plane_wave_lattice_bit_identical_to_the_point_loop(steps, center):
+    half_extent = 0.27
+    pw = PlaneWaveGrid.lattice(center, half_extent, steps)
+    ax = np.linspace(center[0] - half_extent, center[0] + half_extent, steps)
+    ay = np.linspace(center[1] - half_extent, center[1] + half_extent, steps)
+    pts = np.array([(x, y) for y in ay for x in ax])
+    d = (2 * half_extent / (steps - 1)) ** 2 if steps > 1 else 1.0
+    weights = d / np.sqrt(np.clip(1.0 - np.sum(pts**2, axis=1), 1e-12, None))
+    assert pw.transverse.shape == pts.shape
+    assert np.array_equal(pw.transverse.view(np.uint64), pts.view(np.uint64))
+    assert np.array_equal(pw.weights.view(np.uint64), weights.view(np.uint64))
+
+
 def test_field_io_round_trip(tmp_path):
     f = sample_field((2, 1), HG, GRID, k=3.7)
     p = tmp_path / "field.mmf"

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskmodes.diffraction import UnitaryMatrix
 from maskmodes.errors import DimensionMismatch, InvalidEfficiency
 from maskmodes.fock import MultimodeFockState, apply_unitary
-from maskmodes.protocols import (
-    _noon_fidelity_theta,
-    hom_coincidence,
-    ifm_project,
-    noon_fidelity_scan,
-    noon_surface,
-)
-from util import two_mode_closed_form
+from maskmodes.protocols import _noon_fidelity_theta, hom_coincidence, ifm_project, noon_scan
+from util import haar_unitary, two_mode_closed_form
 
 BALANCED = UnitaryMatrix.balanced_splitter()
 BELL = np.array([0, 1, 1, 0]) / np.sqrt(2)
@@ -73,21 +69,49 @@ def test_hom_sweep_matches_cos_squared():
         assert abs(got - np.cos(theta) ** 2) < 1e-9
 
 
+_ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+_PHASED_PERMUTATIONS = st.builds(  # diagonal or anti-diagonal: two zero entries
+    lambda swap, a, b: UnitaryMatrix(
+        np.diag(np.exp(1j * np.array([a, b])))[:, [1, 0] if swap else [0, 1]]),
+    st.booleans(), _ANGLES, _ANGLES)
+_TWO_MODE_NETWORKS = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: UnitaryMatrix(haar_unitary(np.random.default_rng(seed), 2))),
+    st.builds(UnitaryMatrix.su2, _ANGLES, _ANGLES),
+    _PHASED_PERMUTATIONS,
+    st.just(UnitaryMatrix.identity(2)),
+    st.just(UnitaryMatrix.balanced_splitter()),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_TWO_MODE_NETWORKS)
+def test_hom_permanent_matches_the_fock_engine(u):
+    """The closed form reads what the engine writes for |1,1> through the network."""
+    out = apply_unitary(MultimodeFockState.from_occupation((1, 1)), u)
+    assert abs(hom_coincidence(u) - abs(out.amplitude((1, 1))) ** 2) <= 1e-14
+
+
+def test_hom_refuses_a_network_that_is_not_two_mode():
+    with pytest.raises(DimensionMismatch):
+        hom_coincidence(UnitaryMatrix.identity(3))
+
+
 def test_noon_scan_small_photon_numbers_reach_unity():
     for n in (1, 2):
-        res = noon_fidelity_scan(n, 64)
+        res = noon_scan(n, 64)[0]
         assert res.best_fidelity >= 1.0 - 1e-9
 
 
 def test_noon_two_photons_uses_hong_ou_mandel_point():
-    res = noon_fidelity_scan(2, 64)
+    res = noon_scan(2, 64)[0]
     assert res.best_split == 1
     assert abs(res.best_theta - np.pi / 2) < 1e-9
 
 
 def test_noon_three_and_four_photons_capped():
     for n, known_best in ((3, 0.75), (4, 0.75)):
-        res = noon_fidelity_scan(n, 256)
+        res = noon_scan(n, 256)[0]
         assert res.best_fidelity <= 1.0 - 1e-3
         # brute maximum of the closed-form family lands on 3/4
         assert abs(res.best_fidelity - known_best) < 1e-9
@@ -98,10 +122,10 @@ def test_noon_scan_monotone_under_refinement():
     # and the refined best is never below the grid maximum of its own table
     last = 0.0
     for steps in (64, 128, 256):
-        _, values = noon_surface(3, steps)
+        res, _, values = noon_scan(3, steps)
         assert values.max() >= last
         last = values.max()
-        assert noon_fidelity_scan(3, steps).best_fidelity >= last
+        assert res.best_fidelity >= last
 
 
 def _loop_scan(photons, steps):
@@ -129,9 +153,9 @@ def _loop_scan(photons, steps):
 def test_noon_table_matches_the_split_by_split_loop(steps):
     for photons in (*range(1, 13), 40):
         best, surface = _loop_scan(photons, steps)
-        res = noon_fidelity_scan(photons, steps)
+        res, _, values = noon_scan(photons, steps)
         assert (res.best_fidelity, res.best_split, res.best_theta) == best
-        assert noon_surface(photons, steps)[1].tobytes() == surface.tobytes()
+        assert values.tobytes() == surface.tobytes()
 
 
 def test_noon_scan_consistent_with_closed_form_states():
@@ -159,19 +183,19 @@ def test_noon_fidelity_does_not_depend_on_the_splitter_phase(m, n, theta):
 
 def test_noon_scan_grid_validation():
     with pytest.raises(ValueError):
-        noon_fidelity_scan(0)
+        noon_scan(0)
     with pytest.raises(ValueError):
-        noon_fidelity_scan(2, 32)
+        noon_scan(2, 32)
 
 
 def test_noon_surface_shape_and_range():
-    thetas, vals = noon_surface(2, 64)
+    _, thetas, vals = noon_scan(2, 64)
     assert thetas.shape == vals.shape == (65,)
     assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-12)
     assert abs(np.max(vals) - 1.0) < 1e-12
 
 
 def test_scan_result_serialization():
-    doc = noon_fidelity_scan(2, 64).to_json()
+    doc = noon_scan(2, 64)[0].to_json()
     assert doc["photons"] == 2
     assert 0 <= doc["best_fidelity"] <= 1

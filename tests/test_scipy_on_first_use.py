@@ -21,8 +21,9 @@ from scipy.special import eval_genlaguerre, eval_hermite, gammaln, j1, xlogy
 
 import maskmodes
 from maskmodes.diffraction import CustomSampled, jinc, mask_to_json
-from maskmodes.fock import _gaussian_amplitudes, noon_overlap_amplitudes
+from maskmodes.fock import _gaussian_amplitudes
 from maskmodes.modes import Grid2D, _hg_1d, laguerre_gaussian_basis
+from maskmodes.protocols import noon_overlap_amplitudes
 
 # Runs each command of argv[2:] (JSON lists of CLI arguments) in turn and
 # prints, after the import, after each command and after importing
@@ -117,6 +118,33 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, names)
+
+
+def _maskmodes_imports(name):
+    """``(module, names)`` of each import in ``maskmodes/<name>`` from the package
+    itself, the module given relative to the package (``""`` for the package)."""
+    path = Path(maskmodes.__file__).parent / name
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "maskmodes":
+                    yield alias.name.partition(".")[2], []
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                yield module, [alias.name for alias in node.names]
+            elif module.split(".")[0] == "maskmodes":
+                yield module.partition(".")[2], [alias.name for alias in node.names]
+
+
+def test_protocols_and_cli_keep_to_the_public_boundary():
+    # the demonstrations are closed forms: none reaches into the Fock engine
+    for module, names in _maskmodes_imports("protocols.py"):
+        assert module != "fock" and not (module == "" and "fock" in names), (module, names)
+    # the command line uses what the modules export, not their private helpers
+    for module, names in _maskmodes_imports("cli.py"):
+        private = [n for n in names if n.startswith("_") and not n.endswith("__")]
+        assert not private, (module, private)
 
 
 def _same_bits(got, want):
