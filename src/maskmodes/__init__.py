@@ -10,10 +10,8 @@ from .diffraction import (
     CouplingMatrix,
     CustomSampled,
     ImpulseResponse,
-    Pinhole,
     UnitaryMatrix,
     apply_impulse_response,
-    complete_to_unitary,
     grating_block,
     inverse_design_response,
     mask_spectrum,

@@ -34,7 +34,6 @@ from .agreement import run_agreement_suite
 from .diffraction import (
     CircularAperture,
     CosineGrating,
-    Pinhole,
     UnitaryMatrix,
     aperture_output_grid,
     design_fidelity,
@@ -150,7 +149,7 @@ def _power_of_two(ctx, param, n):
 
 
 def _direction(ctx, param, text):
-    """``--u ux,uy`` as a pair with ``ux^2 + uy^2 < 1``: both orders leave the screen."""
+    """``--u ux,uy`` as a pair with ``0 < ux^2 + uy^2 < 1``: two distinct orders leave the screen."""
     if text is None:
         return None
     try:
@@ -158,8 +157,8 @@ def _direction(ctx, param, text):
     except ValueError:
         raise click.BadParameter(f"expected two comma-separated numbers, got {text!r}.",
                                  ctx, param)
-    if not ux * ux + uy * uy < 1.0:
-        raise click.BadParameter(f"need ux^2 + uy^2 < 1, got {text!r}.", ctx, param)
+    if not 0.0 < ux * ux + uy * uy < 1.0:
+        raise click.BadParameter(f"need 0 < ux^2 + uy^2 < 1, got {text!r}.", ctx, param)
     return ux, uy
 
 
@@ -297,7 +296,7 @@ def main():
 @click.option("--mask", type=click.Choice(["cosine", "circular", "pinhole", "custom"]),
               required=True, help="Kind of screen.")
 @click.option("--u", "u_text", callback=_direction,
-              help="Grating direction ux,uy (unit transverse part); --mask cosine.")
+              help="Grating direction ux,uy, 0 < ux^2 + uy^2 < 1; --mask cosine.")
 @click.option("--radius", type=_POSITIVE,
               help="Aperture radius (length units); --mask circular or pinhole.")
 @click.option("--wavenumber", type=_POSITIVE, default=2 * np.pi,
@@ -326,9 +325,7 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
     if mask == "cosine":
         unit = grating_block(CosineGrating(_require("--u", u_text, mask)))
     elif mask in ("circular", "pinhole"):
-        screen = (CircularAperture if mask == "circular" else Pinhole)(
-            _require("--radius", radius, mask)
-        )
+        screen = CircularAperture(_require("--radius", radius, mask))  # a pinhole is a small one
         dim = 2 * aperture_steps**2
         _check_compile_size(16 * dim**2, f"--aperture-steps {aperture_steps}: a {dim}-mode unitary")
         lattice, dropped = aperture_output_grid(

@@ -12,7 +12,10 @@ mask spectrum.  Compiled matrices come in two orientations:
   ``a_j+ -> sum_k U[j, k] a_k+``).
 
 :func:`unitarize` bridges the two, transposing its unitary projection into
-the operator orientation.
+the operator orientation.  A cosine grating at normal incidence needs no
+projection: its two orders carry equal weight, so :func:`grating_block`
+returns the exact balanced splitter.  A pinhole is a small
+:class:`CircularAperture`.
 """
 
 import math
@@ -145,12 +148,6 @@ class CircularAperture:
         return {"radius": self.radius}
 
 
-class Pinhole(CircularAperture):
-    """Alias for a small circular aperture; same transmission function."""
-
-    kind = "pinhole"
-
-
 class CustomSampled:
     """Arbitrary complex mask given by samples on a grid."""
 
@@ -190,10 +187,8 @@ def mask_from_json(doc):
         kind = doc["kind"]
         if kind == "cosine_grating":
             return CosineGrating(doc["u"])
-        if kind == "circular_aperture":
+        if kind in ("circular_aperture", "pinhole"):  # a pinhole is a small circular aperture
             return CircularAperture(doc["radius"])
-        if kind == "pinhole":
-            return Pinhole(doc["radius"])
         if kind == "custom":
             grid = Grid2D.from_header(doc["grid"])
             return CustomSampled(grid, decode_complex(doc, "values", (grid.ny, grid.nx)))
@@ -344,7 +339,11 @@ class UnitaryMatrix:
 
     @classmethod
     def balanced_splitter(cls):
-        """The symmetric grating block ``[[1, 1], [1, -1]] / sqrt(2)``."""
+        """The 50:50 splitter ``[[1, 1], [1, -1]] / sqrt(2)``: the block of every cosine grating.
+
+        This is the balanced SU(2) element of Campos, Saleh & Teich (PRA 40,
+        1371 (1989)); :func:`grating_block` returns exactly these bits.
+        """
         r = 1.0 / np.sqrt(2.0)
         return cls(np.array([[r, r], [r, -r]], dtype=complex))
 
@@ -461,7 +460,8 @@ def plane_wave_coupling(mask, input_grid, output_grid, k):
         if isinstance(mask, CosineGrating):
             delta = n_out[:, None, :] - n_in[None, :, :]
             u = mask.u[:2]
-            # coinciding orders (u = 0) hit the same output twice and add twice
+            # at u = 0 the screen is transparent: both orders are the input direction,
+            # which takes their two halves
             hits = sum(np.linalg.norm(delta - sign * u, axis=2) <= _MATCH_TOL
                        for sign in (+1.0, -1.0))
             m = hits * (0.5 * weight * w_in[None, :])
@@ -551,7 +551,10 @@ def overlap_unitary(element, in_basis, out_basis, grid, k=2 * np.pi):
     ``element`` may be ``None`` (free space, identity), a mask, or an
     :class:`ImpulseResponse`.  Each basis is sampled once.  Columns that lose
     more than 5% of their transformed norm to basis truncation are listed in
-    provenance under ``truncation_losses`` (reported, not fatal).
+    provenance under ``truncation_losses`` (reported, not fatal).  If a column
+    norm exceeds 1, the whole matrix is divided by the largest one, which
+    provenance records as ``prenormalization_scale`` (1.0 when nothing is
+    divided).
     """
     out_flat = _basis_samples(out_basis, grid, k)
     in_flat = out_flat if in_basis is out_basis else _basis_samples(in_basis, grid, k)
@@ -573,15 +576,16 @@ def overlap_unitary(element, in_basis, out_basis, grid, k=2 * np.pi):
     captured = np.sum(np.abs(matrix) ** 2, axis=0)
     losses = {str(in_basis.labels[i]): 1.0 - float(captured[i] / totals[i])
               for i in np.flatnonzero(captured < (1.0 - _LOSS_THRESHOLD) * totals)}
-    # guard against tiny quadrature overshoot of the unit column bound
-    top = float(np.max(np.linalg.norm(matrix, axis=0), initial=0.0))
-    if top > 1.0:
-        matrix = matrix / top
+    # a column norm above 1 (quadrature overshoot, or a mask with gain) is divided out
+    scale = max(1.0, float(np.max(np.linalg.norm(matrix, axis=0), initial=0.0)))
+    if scale > 1.0:
+        matrix = matrix / scale
     prov = {
         "element": getattr(element, "kind", "identity" if element is None else "kernel"),
         "grid": grid.header(),
         "in_basis": in_basis.name,
         "out_basis": out_basis.name,
+        "prenormalization_scale": scale,
         "truncation_losses": losses,
     }
     return CouplingMatrix(matrix, provenance=prov)
@@ -675,56 +679,36 @@ def unitarize(c, flux_faithful=False):
     return UnitaryMatrix(u.T, provenance=prov)
 
 
-def complete_to_unitary(columns):
-    """Extend orthonormal columns ``V`` (d x r) to a d x d unitary, deterministically.
-
-    One Householder QR of ``[V | I]``: its columns ``r..d-1`` span the
-    orthogonal complement of ``V`` and are appended after ``V`` itself.  Each
-    appended column is gauge-fixed so its first entry of magnitude above
-    1e-12 is real and positive.  Used to realize an effective square network
-    from a physical few-column isometry (for example the single-input
-    two-order splitting of a cosine grating).
-    """
-    v = np.atleast_2d(np.asarray(columns, dtype=complex))
-    if v.ndim != 2:
-        raise ValueError("columns must form a 2D array")
-    d, r = v.shape
-    if r > d:
-        raise DimensionMismatch("more columns than dimensions")
-    gram = v.conj().T @ v
-    if np.linalg.norm(gram - np.eye(r)) > 1e-9:
-        raise ValueError("columns must be orthonormal before completion")
-    rest = np.linalg.qr(np.hstack([v, np.eye(d)]))[0][:, r:]
-    lead = rest[np.argmax(np.abs(rest) > 1e-12, axis=0), np.arange(d - r)]
-    return np.hstack([v, rest / (lead / np.abs(lead))])
-
-
 def grating_block(mask):
     """Effective two-port unitary of a cosine grating at normal incidence.
 
     The physical transformation sends one input plane wave to its two
-    diffraction orders; the returned block is that single unit column
-    completed to a square unitary (any finite plane-wave truncation of the
-    grating ladder is singular, so the completion is the faithful two-mode
-    effective network).  For the symmetric grating the result is exactly
-    ``[[1, 1], [1, -1]] / sqrt(2)``.  The column is normalized, so the
-    wavenumber cancels: the block is compiled at ``k = 2 pi``.  A grating
-    with ``ux^2 + uy^2 = 1``, whose orders graze the screen, raises
-    :class:`SingularNetwork`.
+    diffraction orders ``+-u``.  They carry the same weight ``0.5 |k nz| w``,
+    since ``nz(u) = nz(-u)`` bit for bit, so the normalized column is
+    ``[1, 1] / sqrt(2)`` for every grating, and its gauge-fixed completion
+    (any finite plane-wave truncation of the grating ladder is singular) is
+    ``[1, -1] / sqrt(2)``.  The block is therefore exactly
+    :meth:`UnitaryMatrix.balanced_splitter`, with the provenance of the
+    grating's coupling compiled at ``k = 2 pi`` (the wavenumber cancels in
+    the normalized column).
+
+    Raises
+    ------
+    SingularNetwork
+        If the orders graze the screen (``ux^2 + uy^2 = 1``), or if ``u = 0``:
+        that screen is transparent, and its two orders are one direction.
     """
     inp = PlaneWaveGrid.single(0.0, 0.0)
     u = mask.u[:2]
+    if not u.any():
+        raise SingularNetwork("a grating with u = (0, 0) is a transparent screen: its two "
+                              "orders are the one incident direction")
     out = PlaneWaveGrid(np.array([u, -u]))
     if not out.nz.all():  # each order couples with weight |k nz|: the column would be zero
         raise SingularNetwork(f"the diffraction orders +-({u[0]:g}, {u[1]:g}) graze the screen "
                               "(nz = 0) and carry no flux")
     c = plane_wave_coupling(mask, inp, out, 2 * np.pi)
-    col = c.matrix[:, 0]
-    col = col / np.linalg.norm(col)
-    full = complete_to_unitary(col.reshape(-1, 1))
-    prov = dict(c.provenance)
-    prov["completion"] = "orthogonal complement, gauge-fixed"
-    return UnitaryMatrix(full.T, provenance=prov)
+    return UnitaryMatrix(UnitaryMatrix.balanced_splitter().matrix, provenance=c.provenance)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from maskmodes.diffraction import (
     CosineGrating,
     CustomSampled,
     ImpulseResponse,
-    Pinhole,
     UnitaryMatrix,
     aperture_output_grid,
     grating_block,
@@ -65,6 +64,23 @@ def test_compile_mask_cosine(runner, tmp_path):
     assert lines[0].startswith("# maskmodes")
     assert lines[1] == "row,col,re,im"
     assert len(lines) == 2 + 4
+    # the exact real splitter: a float64 payload, and no -0.0 in the CSV
+    assert doc["result"]["matrix_dtype"] == "float64"
+    stored = decode_array(doc["result"]["matrix_b64"], (2, 2), "<f8")
+    assert stored.tobytes() == UnitaryMatrix.balanced_splitter().matrix.real.tobytes()
+    assert "-0.0" not in [v for line in lines[2:] for v in line.split(",")[2:]]
+
+
+def test_pinhole_compiles_the_circular_aperture(runner, tmp_path):
+    docs = {}
+    for mask in ("pinhole", "circular"):
+        out = tmp_path / f"{mask}.json"
+        invoke(runner, "compile-mask", "--mask", mask, "--radius", "0.5",
+               "--aperture-steps", "3", "--out", str(out))
+        docs[mask] = json.loads(out.read_text())
+    assert docs["pinhole"]["result"]["matrix_b64"] == docs["circular"]["result"]["matrix_b64"]
+    assert docs["pinhole"]["result"]["provenance"] == docs["circular"]["result"]["provenance"]
+    assert docs["pinhole"]["config"]["mask"] == "pinhole"
 
 
 def test_compile_mask_circular_flux_faithful(runner, tmp_path):
@@ -616,8 +632,8 @@ _FLAGS = {
     "compile-mask": {
         "cosine": {
             "--mask": (st.just("cosine"), ("x", "circular", "custom")),
-            "--u": (st.sampled_from(["0.6,0.0", "0.28,0.1", "0,0"]),
-                    ("nan,0", "inf,0", "2,0", "1,0", "0.6", "x,y", "1e400,0")),
+            "--u": (st.sampled_from(["0.6,0.0", "0.28,0.1"]),
+                    ("nan,0", "inf,0", "2,0", "1,0", "0,0", "0.6", "x,y", "1e400,0")),
             "--out": (_OUT, _BAD_OUT),
             "--csv": (_CSV, _BAD_OUT),
         },
@@ -917,6 +933,8 @@ _PROBES = [
      "--mask cosine does not read --wavenumber"),
     (["compile-mask", "--mask", "cosine", "--u", "0.6,0"], {"wavenumber": 3.7}, 2,
      "--mask cosine does not read --wavenumber"),
+    # cos(0) = 1 is a transparent screen: its two orders are the one incident direction
+    (["compile-mask", "--mask", "cosine", "--u", "0,0"], None, 2, "0 < ux^2 + uy^2 < 1"),
 ]
 
 
@@ -1009,8 +1027,8 @@ def test_each_artifact_loads_through_its_reader_bit_exactly(runner, tmp_path, sc
     _same_bits(got.matrix, want.matrix)
     assert got.provenance == want.provenance
     # a real-valued screen, stored as float64
-    lattice, dropped = aperture_output_grid(Pinhole(0.5), (0.0, 0.0), 2 * np.pi, 0.2, 3)
-    want = unitarize(plane_wave_coupling(Pinhole(0.5), lattice, lattice, 2 * np.pi),
+    lattice, dropped = aperture_output_grid(CircularAperture(0.5), (0.0, 0.0), 2 * np.pi, 0.2, 3)
+    want = unitarize(plane_wave_coupling(CircularAperture(0.5), lattice, lattice, 2 * np.pi),
                      flux_faithful=True)
     got = UnitaryMatrix.load(screens["pinhole"])
     _same_bits(got.matrix, want.matrix)

@@ -18,7 +18,6 @@ from maskmodes.diffraction import (
     _unitarity_residual,
     aperture_output_grid,
     apply_impulse_response,
-    complete_to_unitary,
     design_fidelity,
     grating_block,
     inverse_design_response,
@@ -50,7 +49,6 @@ from maskmodes.modes import (
 )
 from util import (
     dilation_reference,
-    gauge_fix,
     haar_unitary,
     orthogonal_matrix,
     overlap_unitary_pairs,
@@ -288,6 +286,20 @@ def test_overlap_identity_same_basis():
     basis = hermite_gaussian_basis(1, waist=1.0)
     c = overlap_unitary(None, basis, basis, GRID)
     assert np.max(np.abs(c.matrix - np.eye(basis.count))) < 1e-8
+
+
+def test_overlap_records_the_divisor_of_its_column_bound():
+    # a uniform mask of amplitude 3 compiles to the transparent network once divided:
+    # only the recorded divisor tells the two apart
+    grid = Grid2D(64, 64, 14.0 / 64, 14.0 / 64)
+    basis = hermite_gaussian_basis(1, waist=1.0)
+    scales = {}
+    for amplitude in (1.0, 3.0):
+        mask = CustomSampled(grid, np.full((64, 64), amplitude))
+        scales[amplitude] = overlap_unitary(mask, basis, basis, grid).provenance[
+            "prenormalization_scale"]
+    assert 1.0 <= scales[1.0] <= 1.0 + 1e-12
+    assert abs(scales[3.0] - 3.0) <= 1e-12
 
 
 def test_gaussian_through_aperture_couples_only_zero_azimuthal_lg():
@@ -706,31 +718,37 @@ def test_a_unitary_just_past_the_residual_tolerance_is_refused(dim):
             UnitaryMatrix(m)
 
 
-def test_complete_to_unitary_balanced_column():
-    col = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    full = complete_to_unitary(col)
-    np.testing.assert_allclose(full, HADAMARD, atol=1e-15)
-
-
-@settings(max_examples=200)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), data=st.data())
-def test_complete_to_unitary_property(seed, d, data):
-    r = data.draw(st.integers(0, d))
-    v = haar_unitary(np.random.default_rng(seed), d)[:, :r]
-    full = complete_to_unitary(v)
-    assert full.shape == (d, d)
-    assert np.linalg.norm(full.conj().T @ full - np.eye(d)) <= 1e-12
-    assert np.array_equal(full[:, :r], v)
-    for col in full[:, r:].T:
-        lead = col[np.argmax(np.abs(col) > 1e-12)]
-        assert lead.real > 0 and abs(lead.imag) <= 1e-15
-
-
 def test_grating_block_reproduces_two_mode_splitting():
     block = grating_block(CosineGrating((0.6, 0.0)))
-    fixed = gauge_fix(block.matrix)
-    np.testing.assert_allclose(fixed, HADAMARD, rtol=0, atol=1e-9)
+    assert block.matrix.tobytes() == UnitaryMatrix.balanced_splitter().matrix.tobytes()
     assert block.residual <= 1e-10
+
+
+# 0 < ux^2 + uy^2 < 1, tiny and near-grazing directions included
+_GRATING_DIRECTIONS = st.tuples(
+    st.one_of(st.floats(1e-150, 1e-6), st.floats(1e-6, 1 - 1e-6),
+              st.floats(1 - 1e-6, 1.0, exclude_max=True)),
+    st.one_of(st.sampled_from([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi]), st.floats(0.0, 2 * np.pi)),
+).map(lambda p: (p[0] * np.cos(p[1]), p[0] * np.sin(p[1]))).filter(
+    lambda u: 0.0 < u[0] ** 2 + u[1] ** 2 < 1.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(u=_GRATING_DIRECTIONS)
+def test_every_grating_block_is_the_balanced_splitter(u):
+    # the orders +-u carry the same weight, so the column is [1, 1] / sqrt(2) for every u
+    mask = CosineGrating(u)
+    block = grating_block(mask)
+    assert block.matrix.tobytes() == UnitaryMatrix.balanced_splitter().matrix.tobytes()
+    orders = PlaneWaveGrid(np.array([mask.u[:2], -mask.u[:2]]))
+    want = plane_wave_coupling(mask, PlaneWaveGrid.single(), orders, 2 * np.pi)
+    assert block.provenance == want.provenance
+
+
+def test_grating_block_refuses_a_transparent_grating():
+    # cos(0) = 1: both orders are the incident direction, not two modes
+    with pytest.raises(SingularNetwork, match="transparent screen"):
+        grating_block(CosineGrating((0.0, 0.0)))
 
 
 @pytest.mark.parametrize("u", [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8)])

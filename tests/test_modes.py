@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskmodes.diffraction import CosineGrating, CustomSampled, Pinhole
+from maskmodes.diffraction import CircularAperture, CosineGrating, CustomSampled
 from maskmodes.errors import (
     EmptyGrid,
     GridMismatch,
@@ -104,7 +104,7 @@ def test_unit_mask_is_identity():
 
 def test_pinhole_support():
     f = sample_field((0, 0), HG, GRID)
-    out = apply_mask_to_field(f, Pinhole(1.5))
+    out = apply_mask_to_field(f, CircularAperture(1.5))
     X, Y = GRID.meshgrid()
     outside = X**2 + Y**2 > 1.5**2
     assert np.all(out.values[outside] == 0)
@@ -131,7 +131,7 @@ def test_cosine_mask_makes_two_spectral_peaks():
 def test_mask_application_linear_in_field():
     f = sample_field((0, 0), HG, GRID)
     g = sample_field((1, 0), HG, GRID)
-    mask = Pinhole(2.0)
+    mask = CircularAperture(2.0)
     a, b = 0.3 - 0.2j, 1.1 + 0.7j
     lhs = apply_mask_to_field(a * f + b * g, mask).values
     rhs = a * apply_mask_to_field(f, mask).values + b * apply_mask_to_field(g, mask).values

@@ -50,15 +50,6 @@ from maskmodes.modes import (
 )
 
 
-def gauge_fix(m):
-    """Strip column and row phase freedom: first row, then first column real-positive."""
-    m = np.array(m, dtype=complex)
-    col_phase = np.where(np.abs(m[0, :]) > 1e-12, m[0, :] / np.abs(np.where(np.abs(m[0, :]) > 0, m[0, :], 1)), 1.0)
-    m = m / col_phase[None, :]
-    row_phase = np.where(np.abs(m[:, 0]) > 1e-12, m[:, 0] / np.abs(np.where(np.abs(m[:, 0]) > 0, m[:, 0], 1)), 1.0)
-    return m / row_phase[:, None]
-
-
 def max_amplitude_diff(a, b):
     """Largest amplitude difference after global-phase alignment of b to a.
 
