@@ -74,6 +74,9 @@ _NOON_VALUE_BYTES = 32
 #: Bytes one row of the ``scan-noon --surface`` CSV holds: its angle, its
 #: fidelity and their text (about 180 measured, on top of the fidelity table).
 _SURFACE_POINT_BYTES = 256
+#: The k of every compile, so lengths are in wavelengths.  An aperture's
+#: network depends on k and R only through kR: --radius alone reaches it.
+_K = 2 * np.pi
 
 
 def _config_hash(resolved):
@@ -226,7 +229,7 @@ def _check_compile_size(nbytes, what):
                               f"{MAX_COMPILE_BYTES / 2**20:g} MiB")
 
 
-_APERTURE_READS = ("radius", "wavenumber", "aperture_steps", "aperture_extent")
+_APERTURE_READS = ("radius", "aperture_steps", "aperture_extent")
 #: The parameters each ``compile-mask --mask`` kind reads, beyond ``--out`` and ``--csv``.
 _MASK_READS = {
     "cosine": ("u_text",),
@@ -298,9 +301,7 @@ def main():
 @click.option("--u", "u_text", callback=_direction,
               help="Grating direction ux,uy, 0 < ux^2 + uy^2 < 1; --mask cosine.")
 @click.option("--radius", type=_POSITIVE,
-              help="Aperture radius (length units); --mask circular or pinhole.")
-@click.option("--wavenumber", type=_POSITIVE, default=2 * np.pi,
-              help="Wavenumber k; --mask circular or pinhole.")
+              help="Aperture radius in wavelengths; --mask circular or pinhole.")
 @click.option("--grid", "grid_n", type=click.IntRange(min=2), default=256,
               callback=_power_of_two, help="Samples per axis; --mask custom.")
 @click.option("--extent", type=_POSITIVE, default=14.0, help="Grid physical extent; --mask custom.")
@@ -314,12 +315,14 @@ def main():
               help="Direction lattice half-extent; --mask circular or pinhole.")
 @click.option("--out", "out_file", required=True, help="Unitary JSON artifact.")
 @click.option("--csv", "csv_file", help="Also export the matrix as CSV.")
-def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_order,
-                 mask_file, aperture_steps, aperture_extent, out_file, csv_file):
+def compile_mask(mask, u_text, radius, grid_n, extent, waist, basis_order, mask_file,
+                 aperture_steps, aperture_extent, out_file, csv_file):
     """Compile a mask into a unitary mode-coupling network.
 
     Each --mask kind reads only its own flags; a flag it would not read is
-    refused, given on the command line or through --config.
+    refused, given on the command line or through --config.  Lengths are in
+    wavelengths (k = 2 pi): an aperture's network depends on k and R only
+    through kR.
     """
     _refuse_unread(click.get_current_context(), mask)
     if mask == "cosine":
@@ -328,11 +331,9 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
         screen = CircularAperture(_require("--radius", radius, mask))  # a pinhole is a small one
         dim = 2 * aperture_steps**2
         _check_compile_size(16 * dim**2, f"--aperture-steps {aperture_steps}: a {dim}-mode unitary")
-        lattice, dropped = aperture_output_grid(
-            screen, (0.0, 0.0), wavenumber, aperture_extent, aperture_steps
-        )
-        coupling = plane_wave_coupling(screen, lattice, lattice, wavenumber)
-        unit = unitarize(coupling, flux_faithful=True)
+        lattice, dropped = aperture_output_grid(screen, (0.0, 0.0), _K, aperture_extent,
+                                                aperture_steps)
+        unit = unitarize(plane_wave_coupling(screen, lattice, lattice, _K))
         unit.provenance["truncated_weight"] = dropped
     else:
         path = _require("--mask-file", mask_file, mask)
@@ -342,8 +343,7 @@ def compile_mask(mask, u_text, radius, wavenumber, grid_n, extent, waist, basis_
         screen = read_file(path, mask_from_json)
         grid = Grid2D(grid_n, grid_n, extent / grid_n, extent / grid_n)
         basis = hermite_gaussian_basis(basis_order, waist)
-        coupling = overlap_unitary(screen, basis, basis, grid)
-        unit = unitarize(coupling, flux_faithful=True)
+        unit = unitarize(overlap_unitary(screen, basis, basis, grid))
     _write_artifact(out_file, unit.to_json())
     if csv_file:
         _write_csv(csv_file, "row,col,re,im", unit.csv_rows())

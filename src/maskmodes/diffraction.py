@@ -11,9 +11,10 @@ mask spectrum.  Compiled matrices come in two orientations:
   decomposition of input mode ``j`` (creation operators map as
   ``a_j+ -> sum_k U[j, k] a_k+``).
 
-:func:`unitarize` bridges the two, transposing its unitary projection into
+:func:`unitarize` bridges the two: it dilates a coupling into a unitary
+network whose ancilla modes take the absorbed flux, and transposes it into
 the operator orientation.  A cosine grating at normal incidence needs no
-projection: its two orders carry equal weight, so :func:`grating_block`
+dilation: its two orders carry equal weight, so :func:`grating_block`
 returns the exact balanced splitter.  A pinhole is a small
 :class:`CircularAperture`.
 """
@@ -51,7 +52,7 @@ SCHEMA_VERSION = 2
 _SUBSAMPLES = 8
 #: Band-edge spectral content, relative to the peak, that marks a sampled mask as aliased.
 _BAND_EDGE_TOL = 1e-2
-#: Distance in transverse direction within which a plane wave hits a grating order.
+#: Distance in transverse direction within which a plane wave hits the nearer grating order.
 _MATCH_TOL = 1e-9
 #: Share of its peak below which the aperture lattice drops the jinc envelope.
 _ENVELOPE_FLOOR = 1e-4
@@ -59,8 +60,6 @@ _ENVELOPE_FLOOR = 1e-4
 _LOSS_THRESHOLD = 0.05
 #: Most bytes of transformed fields ``overlap_unitary`` holds at once (one field at least).
 _BLOCK_BYTES = 1 << 22
-#: Smallest singular value that plain unitarization accepts.
-_SMIN_TOL = 1e-6
 #: Share of the target's energy the kernel design may find outside the input band.
 _LOST_TOL = 1e-3
 
@@ -460,10 +459,10 @@ def plane_wave_coupling(mask, input_grid, output_grid, k):
         if isinstance(mask, CosineGrating):
             delta = n_out[:, None, :] - n_in[None, :, :]
             u = mask.u[:2]
-            # at u = 0 the screen is transparent: both orders are the input direction,
-            # which takes their two halves
-            hits = sum(np.linalg.norm(delta - sign * u, axis=2) <= _MATCH_TOL
-                       for sign in (+1.0, -1.0))
+            plus, minus = (np.linalg.norm(delta - sign * u, axis=2) for sign in (+1.0, -1.0))
+            # a pair hits the nearer order only; at u = 0 the screen is transparent: both
+            # orders are the input direction, which takes their two halves
+            hits = sum((a <= _MATCH_TOL) & (a <= b) for a, b in ((plus, minus), (minus, plus)))
             m = hits * (0.5 * weight * w_in[None, :])
         elif isinstance(mask, CircularAperture):
             fx, ix = _squared_offsets(k, n_out[:, 0], n_in[:, 0])
@@ -618,31 +617,32 @@ def _svd(m):
 
 
 def polar_factor(m):
-    """Closest unitary in Frobenius norm (polar decomposition).
+    """Closest unitary in Frobenius norm (polar decomposition): ``W V+`` of ``m = W S V+``.
 
-    Computed in real arithmetic, and returned as ``float64``, when no
-    imaginary part of ``m`` is nonzero.
+    It keeps the shape and orientation of ``m``; a lossy coupling's
+    flux-conserving network is :func:`unitarize` instead.  Computed in real
+    arithmetic, and returned as ``float64``, when no imaginary part of ``m``
+    is nonzero.
     """
     _, w, _, vh = _svd(np.asarray(m))
     return w @ vh
 
 
-def unitarize(c, flux_faithful=False):
-    """Project a compiled coupling onto an exact unitary network from one SVD.
+def unitarize(c):
+    """Embed a compiled coupling in an exact unitary network, from one SVD.
 
-    With ``C = W S V+``, plain mode returns the polar factor ``W V+`` and
-    raises :class:`SingularNetwork` if the smallest singular value is at or
-    below 1e-6.  ``flux_faithful=True`` instead embeds any loss into
-    ``n`` appended ancilla modes, so that flux reaching the ancillas accounts
-    exactly for absorption.  If ``s[0] > 1`` the coupling is first divided by
-    ``s[0]``; the resulting contraction is dilated in closed form (Halmos):
+    Any loss goes into ``n`` appended ancilla modes, so that flux reaching
+    the ancillas accounts exactly for absorption.  With ``C = W S V+``, if
+    ``s[0] > 1`` the coupling is first divided by ``s[0]``; the resulting
+    contraction is dilated in closed form (Halmos):
     ``diag(W, V) [[S, D], [D, -S]] diag(V+, W+)`` with ``D = sqrt(1 - S^2)``,
-    i.e. ``[[C, sqrt(I - C C+)], [sqrt(I - C+ C), -C+]]``.
+    i.e. ``[[C, sqrt(I - C C+)], [sqrt(I - C+ C), -C+]]``.  The closest
+    lossless network of the same size is :func:`polar_factor` instead.
 
-    Either way the result is transposed into the operator orientation of
+    The result is transposed into the operator orientation of
     :class:`UnitaryMatrix`.  The Frobenius distance between the coupling as
     passed in and the scattering block of the result is recorded as
-    ``unitarization_distance``, so a flux-faithful rescale shows there.
+    ``unitarization_distance``, so a rescale shows there.
 
     A coupling none of whose imaginary parts is nonzero (an aperture's jinc
     lattice) is unitarized in real arithmetic: SVD, dilation blocks and
@@ -655,27 +655,17 @@ def unitarize(c, flux_faithful=False):
         If the coupling is not a non-empty square matrix.
     UnitarityError
         If an entry is not finite.
-    SingularNetwork
-        In plain mode, if the smallest singular value is at or below 1e-6.
     """
     m = c.matrix if isinstance(c, CouplingMatrix) else np.asarray(c, dtype=complex)
     a, w, s, vh = _svd(m)
-    if flux_faithful:
-        if s[0] > 1.0:
-            s = s / s[0]
-        d = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-        v, wh = vh.conj().T, w.conj().T
-        block = (w * s) @ vh
-        u = np.block([[block, (w * d) @ wh], [(v * d) @ vh, -(v * s) @ wh]])
-    else:
-        if float(s[-1]) <= _SMIN_TOL:
-            raise SingularNetwork(
-                f"smallest singular value {s[-1]:.3e} at or below {_SMIN_TOL:.1e}"
-            )
-        u = block = w @ vh
+    if s[0] > 1.0:
+        s = s / s[0]
+    d = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+    v, wh = vh.conj().T, w.conj().T
+    block = (w * s) @ vh
+    u = np.block([[block, (w * d) @ wh], [(v * d) @ vh, -(v * s) @ wh]])
     prov = dict(getattr(c, "provenance", {}) or {})
     prov["unitarization_distance"] = float(np.linalg.norm(block - a))
-    prov["flux_faithful"] = bool(flux_faithful)
     return UnitaryMatrix(u.T, provenance=prov)
 
 

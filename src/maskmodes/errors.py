@@ -34,8 +34,8 @@ class AliasingDetected(MaskModesError):
 
 
 class SingularNetwork(MaskModesError):
-    """Coupling matrix too lossy (smallest singular value below threshold) to unitarize,
-    or a grating whose diffraction orders graze the screen and carry no flux."""
+    """A cosine grating with no two-port block: its diffraction orders graze the screen
+    and carry no flux, or ``u = 0`` makes them the one incident direction."""
 
 
 class SpectralMismatch(MaskModesError):

@@ -58,6 +58,10 @@ _STORED_NORM_TOL = 1e-12
 _SEED_NORM_TOL = 2e-10
 #: Bytes of sector tables kept between calls (arrays plus per-table overhead).
 SECTOR_TABLE_BYTES = 4 * 2**20
+#: Photon-number weight beyond which a Gaussian mode's amplitudes stop.
+_AMPLITUDE_TAIL = 1e-30
+#: Weight of a product input above its total-degree cap.
+_DEGREE_TAIL = 1e-20
 
 
 # --------------------------------------------------------------------------
@@ -113,18 +117,18 @@ def parse_descriptor(text):
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 
-def _gaussian_amplitudes(alpha, lam, tail=1e-30):
+def _gaussian_amplitudes(alpha, lam):
     """Fock amplitudes of a coherent (``lam = 0``) or squeezed vacuum, in log space.
 
     Coherent: ``exp(-|a|^2/2) a^n / sqrt(n!)``, as far as the Poisson bound
-    ``P(N >= mu + t) <= exp(-t^2 / (2 (mu + t/3)))`` reaches ``tail``.
+    ``P(N >= mu + t) <= exp(-t^2 / (2 (mu + t/3)))`` reaches ``_AMPLITUDE_TAIL``.
     Squeezed, ``exp(lam (a+^2 - a^2)/2) |0>``: ``amp(2m) = sech(lam)^(1/2)
     tanh(lam)^m sqrt((2m)!) / (2^m m!)`` (the positive-``tanh`` branch of this
     ordering, whose quadrature variances are ``exp(+-2 lam)``), as far as
-    ``P(N > 2m) <= cosh(lam) tanh(lam)^(2m+2)`` reaches ``tail``.  At most
+    ``P(N > 2m) <= cosh(lam) tanh(lam)^(2m+2)`` reaches ``_AMPLITUDE_TAIL``.  At most
     ``MAX_TERMS + 1`` amplitudes, beyond which no state is built anyway.
     """
-    c = -np.log(tail)
+    c = -np.log(_AMPLITUDE_TAIL)
     if lam == 0:
         mu = abs(alpha) ** 2
         n = np.arange(min(int(mu + c / 3 + np.sqrt(c * c / 9 + 2 * c * mu)) + 2, MAX_TERMS + 1))
@@ -138,8 +142,8 @@ def _gaussian_amplitudes(alpha, lam, tail=1e-30):
     return np.where(odd, 0.0, np.sign(t) ** m * np.exp(log_mag)).astype(complex)
 
 
-def _total_degree_cap(probabilities, tail=1e-20):
-    """Smallest total degree above which the product's weight is at most ``tail``.
+def _total_degree_cap(probabilities):
+    """Smallest total degree above which the product's weight is at most ``_DEGREE_TAIL``.
 
     ``probabilities`` are per-mode photon-number distributions.  The weight
     above each degree is summed from the top, so it is resolved far below
@@ -149,7 +153,7 @@ def _total_degree_cap(probabilities, tail=1e-20):
     for p in probabilities:
         dist = np.convolve(dist, p)
     above = np.append(np.cumsum(dist[::-1])[::-1][1:], 0.0)
-    return int(np.argmax(above <= tail))
+    return int(np.argmax(above <= _DEGREE_TAIL))
 
 
 class InputStateSpec:

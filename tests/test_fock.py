@@ -466,7 +466,7 @@ def test_cascade_of_two_networks_stays_small():
 def test_photon_loss_through_flux_faithful_dilation():
     from maskmodes.diffraction import CouplingMatrix, unitarize
 
-    u = unitarize(CouplingMatrix(np.diag([0.9, 0.5])), flux_faithful=True)
+    u = unitarize(CouplingMatrix(np.diag([0.9, 0.5])))
     out = apply_unitary(MultimodeFockState.from_occupation((1, 0, 0, 0)), u)
     p_kept = sum(abs(a) ** 2 for t, a in out.amplitudes.items() if t[0] + t[1] == 1)
     assert abs(p_kept - 0.81) < 1e-12  # transmission amplitude 0.9 squared

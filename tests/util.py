@@ -131,24 +131,21 @@ def orthogonal_matrix(rng, n):
     return u @ vh
 
 
-def unitarize_complex_reference(m, flux_faithful=False):
+def unitarize_complex_reference(m):
     """``unitarize`` in complex arithmetic whatever the data: ``(matrix, unitarization_distance)``.
 
     Reference for the real-arithmetic path of ``diffraction.unitarize``: one
     complex SVD and complex products even when every imaginary part is zero.
-    The matrix is in operator orientation; no singular-value floor is applied.
+    The matrix is in operator orientation.
     """
     m = np.asarray(m, dtype=complex)
     w, s, vh = np.linalg.svd(m)
-    if flux_faithful:
-        if s[0] > 1.0:
-            s = s / s[0]
-        d = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-        v, wh = vh.conj().T, w.conj().T
-        block = (w * s) @ vh
-        u = np.block([[block, (w * d) @ wh], [(v * d) @ vh, -(v * s) @ wh]])
-    else:
-        u = block = w @ vh
+    if s[0] > 1.0:
+        s = s / s[0]
+    d = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+    v, wh = vh.conj().T, w.conj().T
+    block = (w * s) @ vh
+    u = np.block([[block, (w * d) @ wh], [(v * d) @ vh, -(v * s) @ wh]])
     return u.T, float(np.linalg.norm(block - m))
 
 
@@ -185,9 +182,12 @@ def plane_wave_coupling_columns(mask, input_grid, output_grid, k, match_tol=1e-9
     for col in range(len(n_in)):
         delta = n_out - n_in[col]
         if isinstance(mask, CosineGrating):
+            # an output hits the nearer order, both when they tie (u = 0)
+            d = {sign: np.linalg.norm(n_out - (n_in[col] + sign * mask.u[:2]), axis=1)
+                 for sign in (+1.0, -1.0)}
             for sign in (+1.0, -1.0):
-                d = np.linalg.norm(n_out - (n_in[col] + sign * mask.u[:2]), axis=1)
-                for row in np.nonzero(d <= match_tol)[0]:
+                near = (d[sign] <= match_tol) & (d[sign] <= d[-sign])
+                for row in np.nonzero(near)[0]:
                     m[row, col] += 0.5 * abs(k * nz_out[row]) * w_in[col]
         elif isinstance(mask, CircularAperture):
             fsq = (k * delta[:, 0]) ** 2 + (k * delta[:, 1]) ** 2
