@@ -10,6 +10,11 @@ each workload, so a function it probes by name that no longer exists, or a
 layer a workload is meant to load that records no span, fails here and not
 only in a ``--trace 1`` run.
 
+A ``screen_photon`` job's output state holds its one photon as one
+(mode, count) slot per term, at most 3 bytes per mode of the screen, before
+and after its entanglement report: the benchmark holds every job's output
+until the check, so rows M wide kept on a state would fill its memory.
+
 The states the ``fock_scan`` jobs and a ``screen_photon`` job make are
 full-support, so their Schmidt spectra must take the full-support layout of
 ``maskmodes.entanglement``; a change that sent them back to the general
@@ -109,4 +114,32 @@ def test_fock_scan_and_screen_states_take_the_full_support_layout(tmp_path, monk
     out = screen.run(job, None)
     assert out["state"].mode_count == 162 and calls == [1]
     assert fock._layout(163, 1).shape[1] > 1
+    screen.check(job, out)
+
+
+def test_screen_photon_state_holds_slots_not_rows(tmp_path, monkeypatch):
+    """The 17-step (578-mode) job's state keeps at most 3 bytes per mode besides its
+    amplitudes, as it reaches its report and after it."""
+    held = []
+
+    def array_bytes(state):
+        return sum(a.nbytes for name, a in vars(state).items()
+                   if isinstance(a, np.ndarray) and name != "values")
+
+    report = entanglement.entanglement_report
+
+    def measured_report(state, part):
+        held.append(array_bytes(state))
+        out = report(state, part)
+        held.append(array_bytes(state))
+        return out
+
+    monkeypatch.setattr(entanglement, "entanglement_report", measured_report)
+    screen = workloads.ScreenPhoton(1, str(tmp_path))
+    job = next(j for j in screen.cycle(0) if j.get("steps") == 17)
+    out = screen.run(job, None)
+    state = out["state"]
+    assert state.mode_count == 578 and len(held) == 2
+    assert state.modes.nbytes + state.counts.nbytes <= 3 * state.mode_count
+    assert max(held) <= 3 * state.mode_count
     screen.check(job, out)

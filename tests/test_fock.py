@@ -1,9 +1,11 @@
+import contextlib
 import itertools
 import json
 import sys
 import tracemalloc
 import warnings
 from math import comb, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -573,11 +575,131 @@ def test_pruning_threshold_recorded_and_applied():
 
 
 def _int64_twin(state):
-    """The same state with its occupations held as int64, the type before narrowing."""
+    """The same state with its counts held as int64, the type before narrowing."""
     twin = MultimodeFockState.__new__(MultimodeFockState)
     twin.mode_count, twin.values, twin._spec = state.mode_count, state.values, None
-    twin.occupations = state.occupations.astype(np.int64)
+    twin.modes, twin.counts = state.modes, state.counts.astype(np.int64)
     return twin
+
+
+def test_state_of_no_modes_is_refused():
+    for build in (lambda: MultimodeFockState(0, {(): 1.0}),
+                  lambda: MultimodeFockState.from_occupation([]),
+                  lambda: MultimodeFockState.vacuum(0)):
+        with pytest.raises(DimensionMismatch, match="at least one mode, not 0"):
+            build()
+
+
+# ---------------------------------------------------------------------------
+# Storage: each term's occupied modes and their counts
+
+_EDGE_OCCUPATIONS = st.sampled_from([126, 127, 32766, 32767])
+
+
+@st.composite
+def _slot_cases(draw):
+    """How to build a state of 1-9 modes: the engine's output for a Fock input, a
+    Gaussian product input (mixed photon numbers; through a network on up to 3
+    modes), Fock photons through a network that leaves the last modes vacuum, the
+    vacuum as it is or through a network, or rows with counts at the int8, int16
+    and int32 edges."""
+    m = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["fock", "gaussian", "padded", "vacuum", "edges"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "edges":
+        rows = draw(st.lists(st.lists(st.one_of(st.integers(0, 3), _EDGE_OCCUPATIONS),
+                                      min_size=m, max_size=m).map(tuple),
+                             min_size=1, max_size=6, unique=True))
+        return kind, m, {r: complex(rng.normal(), rng.normal()) for r in rows}
+    if kind == "vacuum":
+        return kind, m, haar_unitary(rng, m) if draw(st.booleans()) else None
+    if kind == "gaussian":
+        descs = [draw(_MODES) for _ in range(m)]
+        u = haar_unitary(rng, m) if m <= 3 and draw(st.booleans()) else None
+        return kind, m, (descs, u)
+    active = m if kind == "fock" else draw(st.integers(1, max(1, m - 1)))
+    photons = [0] * m
+    for j in rng.integers(active, size=draw(st.integers(1, 4))).tolist():
+        photons[j] += 1
+    u = np.eye(m, dtype=complex)
+    u[:active, :active] = haar_unitary(rng, active)
+    return kind, m, (photons, u)
+
+
+def _build(case):
+    kind, m, args = case
+    if kind == "edges":
+        return MultimodeFockState(m, args)
+    if kind == "vacuum":
+        vacuum = MultimodeFockState.vacuum(m)
+        return vacuum if args is None else apply_unitary(vacuum, UnitaryMatrix(args))
+    if kind == "gaussian":
+        descs, u = args
+        state = build_input_state(InputStateSpec(descs))
+        return state if u is None else apply_unitary(state, UnitaryMatrix(u))
+    photons, u = args
+    return apply_unitary(MultimodeFockState.from_occupation(photons), UnitaryMatrix(u))
+
+
+@contextlib.contextmanager
+def _rows_handed_to_states():
+    """Record the rows and amplitudes of every state built inside, as they were handed over."""
+    seen = []
+    store = MultimodeFockState._set
+
+    def spy(self, mode_count, occ, vals, normalize):
+        seen.append((np.array(occ), np.array(vals)))
+        store(self, mode_count, occ, vals, normalize)
+
+    with mock.patch.object(MultimodeFockState, "_set", spy):
+        yield seen
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=_slot_cases())
+def test_slots_give_back_the_rows_they_were_built_from(case):
+    with _rows_handed_to_states() as seen:
+        state = _build(case)
+    occ, vals = seen[-1]
+    rows = occ[np.abs(vals) >= DEFAULT_PRUNE]
+    rows = rows.astype(_occupation_type(rows.max(initial=0)))
+    got = state.occupations
+    assert got.dtype == rows.dtype and got.tobytes() == rows.tobytes()
+    assert not got.flags.writeable
+    assert list(state.amplitudes.items()) == list(zip(map(tuple, rows.tolist()),
+                                                      state.values.tolist()))
+    assert state.to_json() == state_document(rows, state.values)
+    # K slots, K the most occupied modes of a term, at most min(N, M)
+    width = state.modes.shape[1]
+    assert width == np.count_nonzero(rows, axis=1).max(initial=0)
+    assert width <= min(int(rows.sum(axis=1).max()), state.mode_count)
+    assert state.counts.shape == state.modes.shape and state.counts.dtype == rows.dtype
+    assert state.modes.dtype == np.min_scalar_type(state.mode_count)
+    # filled slots first, modes ascending; an empty slot holds mode_count and count 0
+    filled = state.modes < state.mode_count
+    assert np.array_equal(filled, state.counts != 0)
+    assert np.all(filled[:, :-1] >= filled[:, 1:])
+    assert np.all((np.diff(state.modes.astype(np.int64), axis=1) > 0) | ~filled[:, 1:])
+    assert np.all(state.modes[~filled] == state.mode_count)
+
+
+_PROBE_COUNTS = st.one_of(st.integers(0, 3), _EDGE_OCCUPATIONS, st.just(2**40))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=_slot_cases(),
+       probes=st.lists(st.lists(_PROBE_COUNTS, min_size=1, max_size=9).map(tuple), max_size=8))
+def test_amplitude_finds_each_term_by_its_slots(case, probes):
+    state = _build(case)
+    view = state.amplitudes
+    for t, a in view.items():
+        assert state.amplitude(t) == a
+        bigger = (t[0] + 1,) + t[1:]
+        assert state.amplitude(bigger) == view.get(bigger, 0.0)
+    for t in probes:  # mostly no term; some of another length
+        assert state.amplitude(t) == (view.get(t, 0.0) if len(t) == state.mode_count else 0.0)
+    for wrong in ((0,) * (state.mode_count + 1), next(iter(view)) + (0,), (1,) * 10):
+        assert state.amplitude(wrong) == 0.0
 
 
 @pytest.mark.parametrize("n, dtype", [(126, np.int8), (127, np.int16), (32766, np.int16),
@@ -798,7 +920,6 @@ def test_huge_amplitude_is_refused_without_a_warning():
 # ---------------------------------------------------------------------------
 # State documents
 
-_EDGE_OCCUPATIONS = st.sampled_from([126, 127, 32766, 32767])
 _EDGE_PARTS = st.sampled_from([-0.0, 0.0, DEFAULT_PRUNE, -DEFAULT_PRUNE,
                                np.nextafter(DEFAULT_PRUNE, 1.0), np.nextafter(DEFAULT_PRUNE, 0.0)])
 
